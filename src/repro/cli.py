@@ -41,12 +41,34 @@ from .mapping import (
     map_shannon,
     map_structural,
 )
-from .network import read_blif, write_blif
+from .network import BlifError, read_blif, write_blif
 from .runstate import RunInterrupted, load_journal, open_journal, validate_journal
 
 #: Exit code of an interrupted (but journaled and resumable) run —
 #: EX_TEMPFAIL, the sysexits convention for "try again later".
 EXIT_INTERRUPTED = 75
+
+
+class InputFileError(Exception):
+    """An input file named on the command line is missing, unreadable or
+    not valid BLIF; :func:`main` reports it in one line and exits 2."""
+
+
+def _read_input(path: str, parse: Optional[Callable] = None):
+    """``parse(path)`` (default: the module's ``read_blif``, looked up at
+    call time), with read and BLIF failures as InputFileError."""
+    try:
+        return (parse or read_blif)(path)
+    except OSError as exc:
+        raise InputFileError(f"{path}: {exc.strerror or exc}") from None
+    except (BlifError, UnicodeDecodeError) as exc:
+        raise InputFileError(f"{path}: {exc}") from None
+
+
+def _read_text(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as handle:
+        return handle.read()
+
 
 FLOWS: Dict[str, Callable] = {
     "hyde": lambda net, k, verify="bdd", jobs=1, **kw: hyde_map(
@@ -529,7 +551,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     from .mapping.parallel import _splice_witness
     from .network import Network, check_equivalence
 
-    net = read_blif(args.path)
+    net = _read_input(args.path)
     trace_path: Optional[str] = getattr(args, "trace", None)
     recorder = obs.TraceRecorder() if trace_path else None
     cache = ExactCache(args.cache) if args.cache else None
@@ -620,7 +642,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_blif(args: argparse.Namespace) -> int:
-    return _run_flows(read_blif(args.path), args)
+    return _run_flows(_read_input(args.path), args)
 
 
 def _cmd_table(args: argparse.Namespace, table: int) -> int:
@@ -735,8 +757,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         self_validate,
     )
 
-    golden = read_blif(args.golden)
-    mapped = read_blif(args.mapped)
+    golden = _read_input(args.golden)
+    mapped = _read_input(args.mapped)
 
     if args.mutants:
         report = self_validate(
@@ -897,7 +919,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         print("submit needs --info FILE or --port N", file=sys.stderr)
         return 2
     if args.blif:
-        blif_text = open(args.blif, "r", encoding="utf-8").read()
+        blif_text = _read_input(args.blif, _read_text)
     else:
         blif_text = to_blif(build(args.circuit))
     knobs: Dict[str, object] = {"k": args.k}
@@ -1221,38 +1243,29 @@ def main(argv=None) -> int:
         p.add_argument("--verbose", action="store_true")
 
     args = parser.parse_args(argv)
-    if args.command == "circuits":
-        return _cmd_circuits(args)
-    if args.command == "map":
-        return _cmd_map(args)
-    if args.command == "blif":
-        return _cmd_blif(args)
-    if args.command == "exact":
-        return _cmd_exact(args)
-    if args.command == "stats":
-        return _cmd_stats(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "journal":
-        return _cmd_journal(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "submit":
-        if not args.circuit and not args.blif:
-            parser.error("submit needs a circuit name or --blif FILE")
-        return _cmd_submit(args)
-    if args.command == "health":
-        return _cmd_health(args)
-    if args.command == "cache":
-        return _cmd_cache(args)
-    if args.command == "table1":
-        return _cmd_table(args, 1)
-    if args.command == "table2":
-        return _cmd_table(args, 2)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    if args.command == "submit" and not args.circuit and not args.blif:
+        parser.error("submit needs a circuit name or --blif FILE")
+    commands: Dict[str, Callable[[argparse.Namespace], int]] = {
+        "circuits": _cmd_circuits,
+        "map": _cmd_map,
+        "blif": _cmd_blif,
+        "exact": _cmd_exact,
+        "stats": _cmd_stats,
+        "trace": _cmd_trace,
+        "verify": _cmd_verify,
+        "journal": _cmd_journal,
+        "serve": _cmd_serve,
+        "submit": _cmd_submit,
+        "health": _cmd_health,
+        "cache": _cmd_cache,
+        "table1": lambda a: _cmd_table(a, 1),
+        "table2": lambda a: _cmd_table(a, 2),
+    }
+    try:
+        return commands[args.command](args)
+    except InputFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

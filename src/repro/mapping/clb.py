@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
+from ..decompose.matching import maximum_matching
 from ..network import Network
 
 __all__ = ["ClbPacking", "pack_xc3000", "can_pair"]
@@ -71,15 +72,13 @@ def pack_xc3000(net: Network, exact_limit: int = 400) -> ClbPacking:
 
 
 def _matching_pairs(nodes) -> Tuple[List[Tuple[str, str]], Set[str]]:
-    import networkx as nx
-
-    graph = nx.Graph()
-    graph.add_nodes_from(n.name for n in nodes)
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1 :]:
-            if can_pair(a.fanins, b.fanins):
-                graph.add_edge(a.name, b.name)
-    matching = nx.max_weight_matching(graph, maxcardinality=True)
+    edges = [
+        (a.name, b.name)
+        for i, a in enumerate(nodes)
+        for b in nodes[i + 1 :]
+        if can_pair(a.fanins, b.fanins)
+    ]
+    matching = maximum_matching([n.name for n in nodes], edges)
     paired: Set[str] = set()
     pairs: List[Tuple[str, str]] = []
     for u, v in matching:

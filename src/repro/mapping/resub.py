@@ -13,9 +13,7 @@ large circuits such as C880").
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Set
-
-import numpy as np
+from typing import Dict, Optional, Sequence
 
 from ..boolfunc import TruthTable
 from ..network import Network
@@ -25,50 +23,48 @@ from .lut import cleanup_for_lut_count
 __all__ = ["resubstitute", "functionally_dependent"]
 
 
-def _signal_columns(net: Network) -> Dict[str, np.ndarray]:
-    """Exhaustive-simulation value column (uint8, length 2^|PI|) per signal."""
-    n = len(net.inputs)
-    total = 1 << n
+def _signal_columns(net: Network) -> Dict[str, int]:
+    """Exhaustive-simulation word per signal: bit ``m`` is the signal's
+    value on minterm ``m`` of the primary inputs (2^|PI| bits)."""
+    total = 1 << len(net.inputs)
     patterns = {
         pi: [(index >> j) & 1 for index in range(total)]
         for j, pi in enumerate(net.inputs)
     }
-    words = simulate_all_signals(net, patterns, total)
-    columns: Dict[str, np.ndarray] = {}
-    num_bytes = (total + 7) // 8
-    for name, word in words.items():
-        raw = word.to_bytes(num_bytes, "little")
-        bits = np.unpackbits(
-            np.frombuffer(raw, dtype=np.uint8), bitorder="little"
-        )
-        columns[name] = bits[:total]
-    return columns
+    return simulate_all_signals(net, patterns, total)
 
 
 def functionally_dependent(
-    target: np.ndarray, basis: Sequence[np.ndarray]
+    target: int, basis: Sequence[int], total: int
 ) -> Optional[TruthTable]:
-    """Is ``target`` a function of the ``basis`` columns?
+    """Is ``target`` a function of the ``basis`` words?
 
-    Returns the truth table over the basis (don't cares for patterns
-    never produced, resolved to 0) or ``None`` when two minterms with the
-    same basis pattern need different target values.
+    All words are ``total``-bit simulation words.  Returns the truth
+    table over the basis (don't cares for patterns never produced,
+    resolved to 0) or ``None`` when two minterms with the same basis
+    pattern need different target values.
     """
-    width = len(basis)
-    key = np.zeros(len(target), dtype=np.int64)
-    for j, col in enumerate(basis):
-        key |= col.astype(np.int64) << j
+    # (pattern, minterms producing it), split one basis word at a time;
+    # patterns no minterm produces are dropped as soon as they empty.
+    cells = [(0, (1 << total) - 1)]
+    for j, word in enumerate(basis):
+        split = []
+        for pattern, cell in cells:
+            low = cell & ~word
+            high = cell & word
+            if low:
+                split.append((pattern, low))
+            if high:
+                split.append((pattern | 1 << j, high))
+        cells = split
     mask = 0
-    seen: Dict[int, int] = {}
-    for pattern, value in zip(key.tolist(), target.tolist()):
-        prev = seen.get(pattern)
-        if prev is None:
-            seen[pattern] = value
-            if value:
-                mask |= 1 << pattern
-        elif prev != value:
-            return None
-    return TruthTable(width, mask)
+    for pattern, cell in cells:
+        on = cell & target
+        if on:
+            if on != cell:
+                return None
+            mask |= 1 << pattern
+    return TruthTable(len(basis), mask)
 
 
 def resubstitute(
@@ -89,6 +85,7 @@ def resubstitute(
     if len(net.inputs) > max_pis:
         return 0
 
+    total = 1 << len(net.inputs)
     rewrites = 0
     for _ in range(passes):
         columns = _signal_columns(net)
@@ -117,7 +114,7 @@ def resubstitute(
                 for cand in candidates:
                     basis_names = kept + [cand]
                     table = functionally_dependent(
-                        target, [columns[s] for s in basis_names]
+                        target, [columns[s] for s in basis_names], total
                     )
                     if table is None:
                         continue

@@ -2,9 +2,25 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+
+def run_python(code, hash_seed="0"):
+    """Run ``code`` in a fresh interpreter with this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=hash_seed)
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=env, capture_output=True, text=True, check=True,
+    )
 
 
 class TestCli:
@@ -41,6 +57,47 @@ class TestCli:
     def test_unknown_circuit_rejected(self):
         with pytest.raises(SystemExit):
             main(["map", "nonesuch"])
+
+    @pytest.mark.parametrize("command", ["blif", "exact", "verify"])
+    def test_bad_input_file_is_one_line_error(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "missing.blif")
+        broken = tmp_path / "broken.blif"
+        broken.write_text(".model x\n.inputs a\n.outputs f\n"
+                          ".names a b f\n11 1\n.end\n")
+        for path, reason in [(missing, "No such file"),
+                             (str(broken), "line 4: undefined signals")]:
+            argv = [command, path] + ([path] if command == "verify" else [])
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: ") and reason in err
+            assert len(err.splitlines()) == 1
+
+
+class TestProcess:
+    def test_cli_run_imports_neither_numpy_nor_networkx(self, tmp_path):
+        source = tmp_path / "z4ml.blif"
+        out = run_python(f"""
+            import sys
+            from repro.circuits import build
+            from repro.network import write_blif
+            from repro.cli import main
+            write_blif(build("z4ml"), {str(source)!r})
+            assert main(["blif", {str(source)!r},
+                         "-o", {str(tmp_path / "out.blif")!r}]) == 0
+            print(sorted({{"numpy", "networkx"}} & set(sys.modules)))
+        """)
+        assert out.stdout.splitlines()[-1] == "[]"
+
+    def test_blif_does_not_depend_on_hash_seed(self, tmp_path):
+        outputs = set()
+        for seed in ("0", "1", "2"):
+            target = tmp_path / f"9sym.{seed}.blif"
+            run_python(f"""
+                from repro.cli import main
+                main(["map", "9sym", "-o", {str(target)!r}])
+            """, hash_seed=seed)
+            outputs.add(target.read_text())
+        assert len(outputs) == 1
 
 
 class TestCheckpointCli:

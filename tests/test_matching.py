@@ -12,6 +12,7 @@ from repro.decompose import (
     max_weight_b_matching,
     max_weight_matching,
 )
+from repro.decompose.matching import maximum_matching
 
 
 def is_matching(edges):
@@ -61,6 +62,134 @@ class TestMaxWeightMatching:
         edges = [WeightedEdge("a", "b", 1), WeightedEdge("a", "b", 7)]
         matched = max_weight_matching(edges)
         assert len(matched) == 1 and matched[0].weight == 7
+
+
+def random_edges(rng, n, kind):
+    """Random edge list on ``n`` vertices, repeats and self-loops allowed."""
+    weight = {
+        "int": lambda: rng.randint(0, 30),
+        "negative": lambda: rng.randint(-15, 15),
+        "float": lambda: round(rng.uniform(-2.0, 12.0), 3),
+        "ties": lambda: rng.randint(1, 3),
+    }[kind]
+    density = rng.random()
+    return [
+        WeightedEdge(f"v{rng.randrange(n)}", f"v{rng.randrange(n)}", weight())
+        for _ in range(rng.randint(0, n * n))
+        if rng.random() < density
+    ]
+
+
+def best_by_brute_force(edges, maxcardinality):
+    """(cardinality, weight) of the best matching, by enumeration: the
+    weight maximum, or with ``maxcardinality`` the heaviest among the
+    largest matchings."""
+    best = {}
+    for e in edges:
+        if e.u != e.v:
+            key = frozenset((e.u, e.v))
+            best[key] = max(best.get(key, e.weight), e.weight)
+    pairs = list(best.items())
+
+    def search(i, used):
+        if i == len(pairs):
+            return (0, 0)
+        options = [search(i + 1, used)]
+        pair, weight = pairs[i]
+        if not pair & used:
+            size, total = search(i + 1, used | pair)
+            options.append((size + 1, total + weight))
+        if maxcardinality:
+            return max(options)
+        return max(options, key=lambda o: o[1])
+
+    return search(0, frozenset())
+
+
+class TestBlossomAgainstBruteForce:
+    def test_optimum_on_small_graphs(self):
+        rng = random.Random(12)
+        for trial in range(200):
+            kind = rng.choice(["int", "negative", "ties"])
+            edges = random_edges(rng, rng.randint(1, 8), kind)
+            for maxcardinality in (False, True):
+                matched = max_weight_matching(edges, maxcardinality)
+                assert is_matching(matched)
+                assert all(e.u != e.v for e in matched)
+                size, total = best_by_brute_force(edges, maxcardinality)
+                assert sum(e.weight for e in matched) == total, trial
+                if maxcardinality:
+                    assert len(matched) == size, trial
+
+    def test_maximum_matching_cardinality(self):
+        rng = random.Random(5)
+        for trial in range(100):
+            n = rng.randint(1, 8)
+            vertices = [f"v{i}" for i in range(n)]
+            edges = [
+                (a, b)
+                for i, a in enumerate(vertices)
+                for b in vertices[i + 1:]
+                if rng.random() < 0.4
+            ]
+            pairs = maximum_matching(vertices, edges)
+            assert len({v for p in pairs for v in p}) == 2 * len(pairs)
+            assert all((u, v) in edges or (v, u) in edges for u, v in pairs)
+            unit = [WeightedEdge(a, b, 1) for a, b in edges]
+            assert len(pairs) == best_by_brute_force(unit, True)[0], trial
+
+    def test_result_order_is_sorted(self):
+        edges = [
+            WeightedEdge(("row", 10), ("row", 11), 1.0),
+            WeightedEdge(("row", 2), ("row", 3), 1.0),
+        ]
+        matched = max_weight_matching(edges, maxcardinality=True)
+        assert [e.u for e in matched] == [("row", 10), ("row", 2)]
+
+
+class TestBlossomAgainstNetworkx:
+    """The solver is a port of NetworkX's: same pairs, ties included."""
+
+    def test_weighted_graphs(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(1998)
+        for trial in range(320):
+            kind = ("int", "negative", "float", "ties")[trial % 4]
+            edges = random_edges(rng, rng.randint(1, 16), kind)
+            graph = nx.Graph()
+            for e in edges:
+                if graph.has_edge(e.u, e.v):
+                    if graph[e.u][e.v]["weight"] >= e.weight:
+                        continue
+                graph.add_edge(e.u, e.v, weight=e.weight)
+            for maxcardinality in (False, True):
+                want = nx.max_weight_matching(graph, maxcardinality)
+                got = max_weight_matching(edges, maxcardinality)
+                assert {frozenset((e.u, e.v)) for e in got} == {
+                    frozenset(p) for p in want
+                }, (trial, kind, maxcardinality)
+
+    def test_clb_style_unweighted_graphs(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(3000)
+        for trial in range(100):
+            n = rng.randint(1, 24)
+            vertices = [f"n{i}" for i in rng.sample(range(100), n)]
+            density = rng.random()
+            edges = [
+                (a, b)
+                for i, a in enumerate(vertices)
+                for b in vertices[i + 1:]
+                if rng.random() < density
+            ]
+            graph = nx.Graph()
+            graph.add_nodes_from(vertices)
+            graph.add_edges_from(edges)
+            want = nx.max_weight_matching(graph, maxcardinality=True)
+            got = maximum_matching(vertices, edges)
+            assert {frozenset(p) for p in got} == {
+                frozenset(p) for p in want
+            }, trial
 
 
 class TestGreedyMatching:

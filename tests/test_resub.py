@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import numpy as np
+import random
+
 import pytest
 
 from repro.boolfunc import TruthTable
@@ -13,27 +14,67 @@ AND2 = TruthTable.from_function(2, lambda a, b: a & b)
 XOR2 = TruthTable.from_function(2, lambda a, b: a ^ b)
 
 
+def word(bits):
+    """Simulation word whose bit ``m`` is ``bits[m]``."""
+    return sum(bit << m for m, bit in enumerate(bits))
+
+
+def dependent_by_minterm(target, basis, total):
+    """Reference: one minterm at a time, first value per pattern wins."""
+    seen = {}
+    mask = 0
+    for m in range(total):
+        pattern = sum(((col >> m) & 1) << j for j, col in enumerate(basis))
+        value = (target >> m) & 1
+        prev = seen.setdefault(pattern, value)
+        if prev != value:
+            return None
+        mask |= value << pattern
+    return TruthTable(len(basis), mask)
+
+
 class TestFunctionallyDependent:
     def test_dependent(self):
-        a = np.array([0, 0, 1, 1], dtype=np.uint8)
-        b = np.array([0, 1, 0, 1], dtype=np.uint8)
+        a = word([0, 0, 1, 1])
+        b = word([0, 1, 0, 1])
         target = a & b
-        table = functionally_dependent(target, [a, b])
+        table = functionally_dependent(target, [a, b], 4)
         assert table is not None
         assert table.mask == AND2.mask
 
     def test_independent(self):
-        a = np.array([0, 0, 1, 1], dtype=np.uint8)
-        target = np.array([0, 1, 0, 0], dtype=np.uint8)
-        assert functionally_dependent(target, [a]) is None
+        a = word([0, 0, 1, 1])
+        target = word([0, 1, 0, 0])
+        assert functionally_dependent(target, [a], 4) is None
 
     def test_unreached_patterns_default_zero(self):
-        a = np.array([0, 0], dtype=np.uint8)
-        b = np.array([0, 1], dtype=np.uint8)
-        target = np.array([0, 1], dtype=np.uint8)
-        table = functionally_dependent(target, [a, b])
+        a = word([0, 0])
+        b = word([0, 1])
+        target = word([0, 1])
+        table = functionally_dependent(target, [a, b], 2)
         assert table is not None
         assert table.eval((1, 0)) == 0  # never observed -> 0
+
+    def test_matches_minterm_loop(self):
+        rng = random.Random(2026)
+        for trial in range(300):
+            total = 1 << rng.randint(0, 7)
+            basis = [rng.getrandbits(total) for _ in range(rng.randint(0, 4))]
+            if rng.random() < 0.5 and basis:
+                # Make the target a function of the basis half the time.
+                table = rng.getrandbits(1 << len(basis))
+                target = word([
+                    (table >> sum(((col >> m) & 1) << j
+                                  for j, col in enumerate(basis))) & 1
+                    for m in range(total)
+                ])
+            else:
+                target = rng.getrandbits(total)
+            got = functionally_dependent(target, basis, total)
+            want = dependent_by_minterm(target, basis, total)
+            assert (got is None) == (want is None), trial
+            if want is not None:
+                assert got.mask == want.mask, trial
 
 
 class TestResubstitute:
@@ -74,7 +115,6 @@ class TestResubstitute:
         assert resubstitute(net, k=5, max_pis=14) == 0
 
     def test_preserves_equivalence_on_random_net(self):
-        import random
         rng = random.Random(6)
         net = Network("rand")
         sigs = [net.add_input(f"i{j}") for j in range(6)]
