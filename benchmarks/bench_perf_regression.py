@@ -1,11 +1,10 @@
 """Perf-regression benchmark for the HYDE flow (the PR trajectory file).
 
-Runs the MCNC Table 1/2 fleet through ``hyde_map`` three ways — class-
-count oracle disabled (the pre-oracle baseline), oracle enabled (the
-default single-process flow), and oracle + a worker pool — and writes
-``BENCH_hyde.json`` at the repository root with LUT counts, wall times
-and oracle hit rates, so every perf-focused PR has before/after numbers
-to point at.
+Runs the MCNC Table 1/2 fleet through ``hyde_map`` — the default
+single-process flow, a worker pool, ``--cost delay``, portfolio mode and
+the result store — and writes ``BENCH_hyde.json`` at the repository root
+with LUT counts, depths and wall times, so every perf-focused PR has
+before/after numbers to point at.
 
 The fleet is tiered by cost.  ``SMALL_TABLE1`` + ``MEDIUM_TABLE`` is
 the default gate (about a minute total); the ``LARGE_TABLE2`` tier
@@ -56,9 +55,9 @@ SMALL_TABLE1 = [
     "sao2", "vg2", "z4ml",
 ]
 #: Mid-weight circuits (~1-4 s each with the bit-parallel fast path)
-#: where the oracle's cross-level reuse and the packed kernels actually
-#: bite — the small circuits finish before either can amortize.  Timed
-#: with fewer repeats.
+#: where the class-count memos and the packed kernels actually bite —
+#: the small circuits finish before either can amortize.  Timed with
+#: fewer repeats.
 MEDIUM_TABLE = ["count", "duke2", "misex2", "apex7"]
 #: Backwards-compatible alias (older scripts import this name).
 MEDIUM_TABLE1 = MEDIUM_TABLE
@@ -104,7 +103,6 @@ def _timed_map(name: str, repeats: int = REPEATS, **kwargs) -> Dict[str, object]
         "luts": result.lut_count,
         "depth": result.depth,
         "seconds": round(best, 4),
-        "oracle_hit_rate": perf.get("oracle_hit_rate"),
         # Per-phase wall times of the *last* run (phases are re-timed each
         # repeat; the breakdown is for reading where time goes, the
         # headline number stays the min of the repeats).
@@ -150,40 +148,25 @@ def run_suite(
         else:
             repeats = REPEATS
         # Fresh managers per variant: each run pays its own cache warm-up.
-        no_oracle = _timed_map(name, repeats=repeats, use_oracle=False)
-        with_oracle = _timed_map(name, repeats=repeats)
+        flow = _timed_map(name, repeats=repeats)
         entry: Dict[str, object] = {
-            "luts": with_oracle["luts"],
-            "depth": with_oracle["depth"],
-            "no_oracle_seconds": no_oracle["seconds"],
-            "oracle_seconds": with_oracle["seconds"],
-            "oracle_hit_rate": with_oracle["oracle_hit_rate"],
-            "phase_seconds": with_oracle["phase_seconds"],
-            "oracle_speedup": (
-                round(no_oracle["seconds"] / with_oracle["seconds"], 2)
-                if with_oracle["seconds"]
-                else None
-            ),
+            "luts": flow["luts"],
+            "depth": flow["depth"],
+            "seconds": flow["seconds"],
+            "phase_seconds": flow["phase_seconds"],
         }
         if jobs > 1:
             parallel = _timed_map(name, repeats=min(repeats, 2), jobs=jobs)
             entry["jobs"] = jobs
             entry["jobs_seconds"] = parallel["seconds"]
             if check_jobs_equiv:
-                bad = check_equivalence(
-                    with_oracle["network"], parallel["network"]
-                )
+                bad = check_equivalence(flow["network"], parallel["network"])
                 entry["jobs_equivalent"] = bad is None
                 if bad is not None:
                     raise AssertionError(
                         f"jobs={jobs} mapping of {name} differs from "
                         f"jobs=1 on output {bad!r}"
                     )
-        if no_oracle["luts"] != with_oracle["luts"]:
-            raise AssertionError(
-                f"oracle changed the mapping of {name}: "
-                f"{no_oracle['luts']} vs {with_oracle['luts']} LUTs"
-            )
         # Delay-cost variant: same flow under --cost delay.  Its depth
         # is recorded per circuit and gated strictly against the
         # committed baseline in ``compare_to_baseline`` — a fresh
@@ -193,7 +176,7 @@ def run_suite(
         entry["delay_luts"] = delay["luts"]
         entry["delay_depth"] = delay["depth"]
         entry["delay_seconds"] = delay["seconds"]
-        bad = check_equivalence(with_oracle["network"], delay["network"])
+        bad = check_equivalence(flow["network"], delay["network"])
         if bad is not None:
             raise AssertionError(
                 f"--cost delay mapping of {name} differs on output {bad!r}"
@@ -204,9 +187,7 @@ def run_suite(
         entry["portfolio_luts"] = portfolio["luts"]
         entry["portfolio_depth"] = portfolio["depth"]
         entry["portfolio_seconds"] = portfolio["seconds"]
-        bad = check_equivalence(
-            with_oracle["network"], portfolio["network"]
-        )
+        bad = check_equivalence(flow["network"], portfolio["network"])
         if bad is not None:
             raise AssertionError(
                 f"portfolio mapping of {name} differs on output {bad!r}"
@@ -217,10 +198,10 @@ def run_suite(
         with ResultStore(":memory:") as store:
             warm = _timed_cached_map(name, store, repeats=1)
             hit = _timed_cached_map(name, store, repeats=min(repeats, 2))
-        if warm["luts"] != with_oracle["luts"]:
+        if warm["luts"] != flow["luts"]:
             raise AssertionError(
                 f"result cache changed the mapping of {name}: "
-                f"{warm['luts']} vs {with_oracle['luts']} LUTs"
+                f"{warm['luts']} vs {flow['luts']} LUTs"
             )
         if hit["cache"].get("misses"):
             raise AssertionError(
@@ -245,9 +226,7 @@ def run_suite(
             f"depth {entry['depth']}/{entry['delay_depth']} "
             f"(area/delay)  "
             f"portfolio {entry['portfolio_luts']:4d}  "
-            f"no-oracle {entry['no_oracle_seconds']:7.3f}s  "
-            f"oracle {entry['oracle_seconds']:7.3f}s  "
-            f"(x{entry['oracle_speedup']})"
+            f"{entry['seconds']:7.3f}s"
             + (
                 f"  jobs={jobs} {entry['jobs_seconds']:7.3f}s"
                 if jobs > 1
@@ -257,11 +236,8 @@ def run_suite(
             f" (x{entry['cache_speedup']})"
         )
     totals = {
-        "no_oracle_seconds": round(
-            sum(e["no_oracle_seconds"] for e in per_circuit.values()), 4
-        ),
-        "oracle_seconds": round(
-            sum(e["oracle_seconds"] for e in per_circuit.values()), 4
+        "seconds": round(
+            sum(e["seconds"] for e in per_circuit.values()), 4
         ),
         "warm_seconds": round(
             sum(e["warm_seconds"] for e in per_circuit.values()), 4
@@ -316,7 +292,7 @@ def compare_to_baseline(
     """Per-circuit regression gate; returns the list of failures.
 
     LUT counts must match the committed baseline exactly.  Wall time
-    (``oracle_seconds``, the default flow) may not exceed baseline *
+    (``seconds``, the default flow) may not exceed baseline *
     ``TIME_REGRESSION_LIMIT`` unless both sides are under
     ``NOISE_FLOOR_SECONDS``.  Circuits new to the fleet pass with a
     note — they become gated once their numbers are committed.
@@ -350,7 +326,7 @@ def compare_to_baseline(
                 f"{name}: --cost delay depth regressed "
                 f"{base['delay_depth']} -> {entry['delay_depth']}"
             )
-        new_s, base_s = entry["oracle_seconds"], base["oracle_seconds"]
+        new_s, base_s = entry["seconds"], base["seconds"]
         if max(new_s, base_s) < NOISE_FLOOR_SECONDS:
             continue
         if new_s > base_s * TIME_REGRESSION_LIMIT:
@@ -376,11 +352,6 @@ def test_bench_hyde_perf_regression(benchmark):
         benchmark, run_suite, SMOKE_SET, jobs=jobs_from_env(2)
     )
     write_record(record)
-    totals = record["totals"]
-    assert totals["oracle_seconds"] <= totals["no_oracle_seconds"] * 1.10, (
-        "oracle-enabled flow regressed past the uncached baseline: "
-        f"{totals}"
-    )
     if baseline is not None:
         failures = compare_to_baseline(record, baseline)
         assert not failures, "; ".join(failures)
@@ -424,8 +395,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     write_record(record)
     totals = record["totals"]
     print(
-        f"total: no-oracle {totals['no_oracle_seconds']}s, "
-        f"oracle {totals['oracle_seconds']}s"
+        f"total: {totals['seconds']}s"
         + (
             f", jobs {totals['jobs_seconds']}s"
             if "jobs_seconds" in totals

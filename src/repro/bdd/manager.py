@@ -98,10 +98,11 @@ class BddManager:
         self._name_to_level: Dict[str, int] = {}
         #: Engine performance counters (always on; see :mod:`repro.perf`).
         self.perf = PerfCounters()
-        # Lazily attached ClassCountOracle (see repro.decompose.oracle);
-        # living on the manager makes the memo shared by every search and
-        # recursion level that works on this manager's node ids.
-        self._class_oracle = None
+        # Class counts of the BDD search backend (see
+        # repro.decompose.varpart._BddSearch); living on the manager makes
+        # the memo shared by every search and recursion level that works
+        # on this manager's node ids.
+        self._class_counts: Dict[tuple, int] = {}
         # Lazily attached packed-truth-table conversion cache (see
         # repro.fastpath.bitops.pack_pair): levels tuple -> node memo.
         self._fastpath = None

@@ -392,11 +392,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print("(flow reports no perf counters)")
         return 0
     print(format_perf_report(perf))
-    oracle = perf.get("oracle")
-    if oracle:
-        print("oracle:")
-        for key, value in sorted(oracle.items()):
-            print(f"  {key:28s} {value}")
     if perf.get("jobs_requested") is not None:
         print(
             f"jobs: requested {perf['jobs_requested']}, "

@@ -23,8 +23,7 @@ from .encoding import (
     canonical_codes,
     encode_classes,
 )
-from .oracle import ClassCountOracle
-from .varpart import VariablePartition, select_bound_set
+from .varpart import select_bound_set
 
 __all__ = ["DecompositionStep", "decompose_step", "DecompositionOptions"]
 
@@ -47,35 +46,18 @@ class DecompositionOptions:
         ablations (maximises the image's class count among a sample).
     use_dontcares:
         Enable the clique-partitioning don't-care assignment (Section 3.1).
-    bound_size_search:
-        Also evaluate bound sets one and two variables smaller than ``k``
-        and keep the size with the best progress (fewest image inputs,
-        then fewest alpha functions).  A smaller bound set occasionally
-        wins when the k-sized one has near-worst-case class counts.
     forbidden_bound_levels:
         Levels that must never enter a bound set (column-encoding baseline
         pins pseudo primary inputs with this).
     preferred_free_levels:
         Levels kept free on cost ties (HYDE's PPI placement preference).
-    use_oracle:
-        Memoize class counts in the manager's shared
-        :class:`~repro.decompose.oracle.ClassCountOracle` (default).
-        Disable for ablations that need every count re-enumerated.
-    oracle_min_support:
-        Bypass the oracle for supports narrower than this: on small
-        cones the memo bookkeeping costs as much as the counts it saves
-        (BENCH showed oracle speedups of 0.98–1.02x there).  Bypasses
-        are reported as ``oracle_bypasses`` in the perf counters.
-        ``0`` disables the bypass.
     fast_path:
         Class-counting backend policy: ``"auto"`` (packed truth tables
-        for supports up to ``fast_path_max_width``, BDD walk beyond),
-        ``"bitpack"`` (force packed up to the kernel's hard cap) or
-        ``"bdd"`` (never packed).  All modes produce bit-identical
-        results; see :mod:`repro.fastpath.bitops`.
-    fast_path_max_width:
-        ``"auto"`` cut-over width; ``None`` uses the kernel default
-        (:data:`repro.fastpath.bitops.DEFAULT_MAX_WIDTH`).
+        for supports up to
+        :data:`repro.fastpath.bitops.DEFAULT_MAX_WIDTH` variables, BDD
+        walk beyond), ``"bitpack"`` (force packed up to the kernel's
+        hard cap) or ``"bdd"`` (never packed).  All modes produce
+        bit-identical results; see :mod:`repro.fastpath.bitops`.
     max_bdd_nodes / max_seconds:
         Resource budget for one governed decomposition: callers that own
         the manager (the group workers, the fault-tolerant flows) arm it
@@ -102,11 +84,7 @@ class DecompositionOptions:
     use_dontcares: bool = True
     forbidden_bound_levels: Tuple[int, ...] = ()
     preferred_free_levels: Tuple[int, ...] = ()
-    bound_size_search: bool = False
-    use_oracle: bool = True
-    oracle_min_support: int = 10
     fast_path: str = "auto"
-    fast_path_max_width: Optional[int] = None
     max_bdd_nodes: Optional[int] = None
     max_seconds: Optional[float] = None
     cost_model: str = "area"
@@ -189,56 +167,23 @@ def decompose_step(
 
     perf = manager.perf
     cost = options.cost
-    oracle = (
-        ClassCountOracle.for_manager(manager) if options.use_oracle else None
-    )
     if bound_levels is None:
-        default_size = min(k, len(support) - 1)
-        sizes = [default_size]
-        if options.bound_size_search:
-            sizes.extend(
-                b for b in (default_size - 1, default_size - 2) if b >= 2
-            )
-        best_bound: Optional[Tuple[int, ...]] = None
-        best_key: Optional[Tuple] = None
         with perf.phase("step.varpart"), obs.span(
             "step.varpart", manager=manager, support=len(support)
         ):
-            for bound_size in sizes:
-                vp = select_bound_set(
-                    manager,
-                    on,
-                    support,
-                    bound_size,
-                    dc=dc,
-                    use_dontcares=options.use_dontcares,
-                    forbidden=options.forbidden_bound_levels,
-                    preferred_free=options.preferred_free_levels,
-                    oracle=oracle,
-                    use_oracle=options.use_oracle,
-                    fast_path=options.fast_path,
-                    fast_path_max_width=options.fast_path_max_width,
-                    oracle_min_support=options.oracle_min_support,
-                    cost=cost,
-                    level_depths=level_depths,
-                )
-                t = max(1, math.ceil(math.log2(max(2, vp.num_classes))))
-                # Progress objective: fewest image inputs, then fewest
-                # alphas; delay modes additionally rank by the level the
-                # step's α LUTs would occupy.
-                image_inputs = t + len(support) - bound_size
-                if cost.is_area or not level_depths:
-                    key: Tuple = (image_inputs, t)
-                else:
-                    alpha_depth = 1 + max(
-                        (level_depths.get(lv, 0) for lv in vp.bound_levels),
-                        default=0,
-                    )
-                    key = cost.bound_key(image_inputs, alpha_depth) + (t,)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_bound = vp.bound_levels
-        bound = best_bound  # type: ignore[assignment]
+            bound = select_bound_set(
+                manager,
+                on,
+                support,
+                min(k, len(support) - 1),
+                dc=dc,
+                use_dontcares=options.use_dontcares,
+                forbidden=options.forbidden_bound_levels,
+                preferred_free=options.preferred_free_levels,
+                fast_path=options.fast_path,
+                cost=cost,
+                level_depths=level_depths,
+            ).bound_levels
     else:
         bound = tuple(sorted(bound_levels))
     free = tuple(lv for lv in support if lv not in set(bound))
@@ -255,13 +200,6 @@ def decompose_step(
             fast_path=options.fast_path,
         )
     n = classes.num_classes
-    if oracle is not None:
-        # Future searches touching this exact (function, bound) pair —
-        # e.g. re-decomposition of a duplicated cone — reuse the count.
-        if dc == FALSE or not options.use_dontcares:
-            oracle.seed_syntactic(on, dc, bound, n)
-        else:
-            oracle.seed_exact(on, dc, bound, n)
     if n < 2:
         # f does not depend on the bound set (possible only via don't
         # cares); the caller should simply drop those variables.
@@ -304,10 +242,7 @@ def decompose_step(
                 ),
                 forbidden_bound_levels=options.forbidden_bound_levels,
                 preferred_free_levels=options.preferred_free_levels,
-                use_oracle=options.use_oracle,
                 fast_path=options.fast_path,
-                fast_path_max_width=options.fast_path_max_width,
-                oracle_min_support=options.oracle_min_support,
                 benefit_weights=cost.encoder_weights(),
             )
 
@@ -466,10 +401,7 @@ def _worst_encoding(
         min(options.k, len(support) - 1),
         dc=draft.dc,
         use_dontcares=options.use_dontcares,
-        use_oracle=options.use_oracle,
         fast_path=options.fast_path,
-        fast_path_max_width=options.fast_path_max_width,
-        oracle_min_support=options.oracle_min_support,
     )
     worst_codes = base
     worst_image = draft

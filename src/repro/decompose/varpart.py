@@ -10,13 +10,14 @@ a search strategy sized to pure Python:
 * otherwise greedy growth plus a swap-improvement pass.
 
 The searches run over one of two interchangeable *backends* sharing the
-identical driver (same candidate order, same tie-breaking, same oracle
-interplay, hence bit-identical selections):
+identical driver (same candidate order, same tie-breaking, hence
+bit-identical selections):
 
 * :class:`_BddSearch` — the incremental distinct-residual sets over BDD
   node ids (the historical path, always available);
 * :class:`~repro.fastpath.bitops.PackedSearch` — packed-integer truth
-  tables for supports of at most ``fast_path_max_width`` variables, where
+  tables for supports of at most
+  :data:`~repro.fastpath.bitops.DEFAULT_MAX_WIDTH` variables, where
   extending a prefix is a single masked-shift delta swap instead of a
   residual-set cofactor sweep (see docs/ALGORITHMS.md, "Bit-parallel
   kernels").  Selected per call by ``fast_path`` =
@@ -33,15 +34,13 @@ Three performance notes:
 * Greedy candidate evaluation is incremental: the search state for the
   current bound set is kept, and adding variable ``x`` only extends that
   state instead of re-enumerating all ``2**b`` cofactors of the root.
-* All counts flow through the shared
-  :class:`~repro.decompose.oracle.ClassCountOracle` (unless disabled for
-  ablations, or bypassed below ``oracle_min_support`` where the memo
-  costs more than the counts): repeated queries for the same
-  ``(on, dc, bound)`` — from the swap pass, from smaller-bound-size
-  searches, and from re-decompositions of the same sub-function at other
-  recursion levels — are answered from the memo instead of re-counted.
-  The packed backend additionally serves counts from a
-  manager-independent global memo keyed by the packed bits themselves.
+* Each backend memoizes its own counts, so repeated queries for the same
+  ``(on, dc, bound)`` — from the swap pass and from re-decompositions of
+  the same sub-function at other recursion levels — are answered from
+  the memo instead of re-counted.  The packed backend keys a
+  manager-independent global memo by the packed bits themselves; the
+  BDD backend keys a per-manager dict by node ids, which are canonical
+  and never recycled within one manager.
 
 Ties are broken toward lexicographically smallest level tuples so results
 are deterministic.
@@ -55,9 +54,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..bdd import FALSE, TRUE, BddManager
 from ..fastpath import bitops
-from .compatible import count_classes
+from .compatible import compute_classes
 from .cost import CostModel
-from .oracle import ClassCountOracle
 
 __all__ = ["VariablePartition", "select_bound_set"]
 
@@ -76,14 +74,23 @@ class VariablePartition:
 # --------------------------------------------------------------------- #
 
 class _BddSearch:
-    """Distinct-residual-set backend over BDD node ids (always valid)."""
+    """Distinct-residual-set backend over BDD node ids (always valid).
 
-    __slots__ = ("manager", "on", "dc")
+    Counts are memoized in the manager's ``_class_counts`` dict, keyed by
+    ``(on, dc, sorted bound)``: the set of distinct columns is invariant
+    under reordering the bound variables, so permutations of one bound
+    set share an entry.  Merged counts are order-sensitive and keep the
+    bound in order under a ``"merged"`` tag.
+    """
 
-    def __init__(self, manager: BddManager, on: int, dc: int):
+    __slots__ = ("manager", "on", "dc", "fast_path", "memo")
+
+    def __init__(self, manager: BddManager, on: int, dc: int, fast_path: str):
         self.manager = manager
         self.on = on
         self.dc = dc
+        self.fast_path = fast_path
+        self.memo = manager._class_counts
 
     def root(self):
         return {(self.on, self.dc)}
@@ -96,16 +103,40 @@ class _BddSearch:
         return sorted(state)
 
     def eval_candidate(self, state, lv: int, bound: Sequence[int]):
+        key = (self.on, self.dc, tuple(sorted(bound)))
+        cached = self.memo.get(key)
+        if cached is not None:
+            return cached, None
+        self.manager.check_budget()
         extended = _extend_distinct(self.manager, state, lv)
+        self.memo[key] = len(extended)
         return len(extended), extended
 
     def count_bound(self, bound: Sequence[int]) -> int:
+        key = (self.on, self.dc, tuple(sorted(bound)))
+        cached = self.memo.get(key)
+        if cached is not None:
+            return cached
         manager = self.manager
+        manager.check_budget()
         on_parts = manager.cofactor_enumerate(self.on, list(bound))
         if self.dc == FALSE:
-            return len(set(on_parts))
-        dc_parts = manager.cofactor_enumerate(self.dc, list(bound))
-        return len(set(zip(on_parts, dc_parts)))
+            count = len(set(on_parts))
+        else:
+            dc_parts = manager.cofactor_enumerate(self.dc, list(bound))
+            count = len(set(zip(on_parts, dc_parts)))
+        self.memo[key] = count
+        return count
+
+    def merged_count_bound(self, bound: Sequence[int]) -> int:
+        key = (self.on, self.dc, tuple(bound), "merged")
+        cached = self.memo.get(key)
+        if cached is None:
+            cached = self.memo[key] = compute_classes(
+                self.manager, self.on, list(bound), self.dc, True,
+                fast_path=self.fast_path,
+            ).num_classes
+        return cached
 
 
 def _make_search(
@@ -114,17 +145,15 @@ def _make_search(
     dc: int,
     support: Sequence[int],
     fast_path: str,
-    max_width: Optional[int],
 ):
     """Choose the search backend for one ``select_bound_set`` call."""
     perf = manager.perf
     if fast_path != "bdd":
         limit = (
-            max_width if max_width is not None else bitops.DEFAULT_MAX_WIDTH
+            bitops.HARD_MAX_WIDTH
+            if fast_path == "bitpack"
+            else bitops.DEFAULT_MAX_WIDTH
         )
-        if fast_path == "bitpack":
-            limit = max(limit, bitops.HARD_MAX_WIDTH)
-        limit = min(limit, bitops.HARD_MAX_WIDTH)
         if len(support) <= limit:
             try:
                 pair = bitops.pack_pair(
@@ -139,26 +168,7 @@ def _make_search(
                 return bitops.PackedSearch(pair, perf)
         else:
             perf.fastpath_fallbacks += 1
-    return _BddSearch(manager, on, dc)
-
-
-def _syntactic_count(
-    manager: BddManager,
-    on: int,
-    dc: int,
-    bound: Sequence[int],
-    oracle: Optional[ClassCountOracle] = None,
-    search=None,
-) -> int:
-    """Distinct (on, dc) column pairs — the cheap search cost."""
-    if oracle is not None:
-        return oracle.syntactic_count(
-            on, dc, bound,
-            compute=search.count_bound if search is not None else None,
-        )
-    if search is not None:
-        return search.count_bound(bound)
-    return _BddSearch(manager, on, dc).count_bound(bound)
+    return _BddSearch(manager, on, dc, fast_path)
 
 
 def select_bound_set(
@@ -171,11 +181,7 @@ def select_bound_set(
     exhaustive_limit: int = 512,
     forbidden: Iterable[int] = (),
     preferred_free: Iterable[int] = (),
-    oracle: Optional[ClassCountOracle] = None,
-    use_oracle: bool = True,
     fast_path: str = "auto",
-    fast_path_max_width: Optional[int] = None,
-    oracle_min_support: int = 0,
     cost: Optional[CostModel] = None,
     level_depths: Optional[Dict[int, int]] = None,
 ) -> VariablePartition:
@@ -201,28 +207,9 @@ def select_bound_set(
     exhaustive_limit:
         Exhaustive search is used when C(|support|, bound_size) does not
         exceed this; greedy + swap otherwise.
-    oracle:
-        An explicit class-count memo to consult; defaults to the manager's
-        shared :class:`ClassCountOracle` while ``use_oracle`` holds.  Pass
-        ``use_oracle=False`` to force uncached enumeration (ablations).
-    fast_path / fast_path_max_width:
-        Backend policy (see the module docstring).  ``None`` width means
-        the kernel default (:data:`repro.fastpath.bitops.DEFAULT_MAX_WIDTH`).
-    oracle_min_support:
-        Below this support width the oracle is bypassed entirely: counts
-        are so cheap there that memo bookkeeping is pure overhead
-        (reported as ``oracle_bypasses`` in the perf counters).
+    fast_path:
+        Backend policy (see the module docstring).
     """
-    if (
-        use_oracle
-        and oracle_min_support
-        and len(support) < oracle_min_support
-    ):
-        manager.perf.oracle_bypasses += 1
-        oracle = None
-        use_oracle = False
-    if oracle is None and use_oracle:
-        oracle = ClassCountOracle.for_manager(manager)
     forbidden_set = set(forbidden)
     preferred_free_set = set(preferred_free)
     candidates = [lv for lv in support if lv not in forbidden_set]
@@ -237,9 +224,7 @@ def select_bound_set(
             f"support ({len(candidates)} variables)"
         )
 
-    search = _make_search(
-        manager, on, dc, support, fast_path, fast_path_max_width
-    )
+    search = _make_search(manager, on, dc, support, fast_path)
 
     if cost is None:
         cost = CostModel()
@@ -251,7 +236,9 @@ def select_bound_set(
         return 1 + max((depths.get(lv, 0) for lv in bound), default=0)
 
     def key_of(bound: Tuple[int, ...]) -> Tuple:
-        classes = _syntactic_count(manager, on, dc, bound, oracle, search)
+        # A budget checkpoint per swap trial, whichever backend counts.
+        manager.check_budget()
+        classes = search.count_bound(bound)
         penalty = sum(1 for lv in bound if lv in preferred_free_set)
         return cost.bound_key(classes, alpha_depth_of(bound)) + (
             penalty,
@@ -272,35 +259,22 @@ def select_bound_set(
     total = math.comb(len(candidates), bound_size)
     if total <= exhaustive_limit:
         best = _exhaustive_bound_set(
-            manager, on, dc, candidates, bound_size, preferred_free_set,
-            oracle, search, cost, alpha_depth_of,
+            manager, search, candidates, bound_size, preferred_free_set,
+            cost, alpha_depth_of,
         )
     else:
         best = _greedy_bound_set(
-            manager, on, dc, candidates, bound_size, preferred_free_set,
-            oracle, search, cost, alpha_depth_of,
+            manager, search, candidates, bound_size, preferred_free_set,
+            cost, alpha_depth_of,
         )
-        best = _swap_improve(
-            manager, on, dc, candidates, best, key_of
-        )
+        best = _swap_improve(manager, candidates, best, key_of)
 
     free = tuple(lv for lv in support if lv not in set(best))
-    if oracle is not None:
-        num_classes = oracle.exact_count(
-            on,
-            dc,
-            best,
-            use_dontcares,
-            compute=search.count_bound,
-            compute_merged=getattr(search, "merged_count_bound", None),
-            fast_path=fast_path,
-        )
-    elif dc == FALSE or not use_dontcares:
+    manager.check_budget()
+    if dc == FALSE or not use_dontcares:
         num_classes = search.count_bound(best)
     else:
-        num_classes = count_classes(
-            manager, on, list(best), dc, use_dontcares, fast_path=fast_path
-        )
+        num_classes = search.merged_count_bound(best)
     return VariablePartition(
         bound_levels=tuple(sorted(best)),
         free_levels=free,
@@ -347,15 +321,12 @@ def _extend_distinct(
 
 def _exhaustive_bound_set(
     manager: BddManager,
-    on: int,
-    dc: int,
+    search,
     candidates: Sequence[int],
     bound_size: int,
     preferred_free: Set[int],
-    oracle: Optional[ClassCountOracle] = None,
-    search=None,
-    cost: Optional[CostModel] = None,
-    alpha_depth_of=None,
+    cost: CostModel,
+    alpha_depth_of,
 ) -> Tuple[int, ...]:
     """Exact search over all bound sets via shared-prefix DFS.
 
@@ -367,19 +338,12 @@ def _exhaustive_bound_set(
     monotone in the bound set (columns that differ only in a variable
     added later can collapse), so any such prune would be unsound.
 
-    Leaf counts are seeded into (and, on repeat searches over the same
-    function, answered by) the class-count oracle: a completed bound set's
-    count never has to be recomputed by a later search, swap pass or
-    recursion level.
+    Leaf counts go through the backend's memo, so a completed bound
+    set's count never has to be recomputed by a later search, swap pass
+    or recursion level.
     """
     if bound_size == 0:
         return ()
-    if search is None:
-        search = _BddSearch(manager, on, dc)
-    if cost is None:
-        cost = CostModel()
-    if alpha_depth_of is None:
-        alpha_depth_of = lambda bound: 0  # noqa: E731 - area-mode default
     ordered = sorted(candidates)
     best: Optional[Tuple] = None  # cost key + (penalty, bound)
 
@@ -401,16 +365,9 @@ def _exhaustive_bound_set(
         manager.check_budget()
         for i in range(start, len(ordered) - need + 1):
             lv = ordered[i]
-            bound = tuple(chosen + [lv])
             if last_level:
-                if oracle is not None:
-                    cached = oracle.lookup_syntactic(on, dc, bound)
-                    if cached is not None:
-                        consider(bound, cached)
-                        continue
+                bound = tuple(chosen + [lv])
                 count, _ = search.eval_candidate(state, lv, bound)
-                if oracle is not None:
-                    oracle.seed_syntactic(on, dc, bound, count)
                 consider(bound, count)
             else:
                 extended = search.extend(state, lv)
@@ -425,29 +382,20 @@ def _exhaustive_bound_set(
 
 def _greedy_bound_set(
     manager: BddManager,
-    on: int,
-    dc: int,
+    search,
     candidates: Sequence[int],
     bound_size: int,
     preferred_free: Set[int],
-    oracle: Optional[ClassCountOracle] = None,
-    search=None,
-    cost: Optional[CostModel] = None,
-    alpha_depth_of=None,
+    cost: CostModel,
+    alpha_depth_of,
 ) -> Tuple[int, ...]:
     """Greedy growth with incremental search states.
 
     The state is the backend search state for the current bound; adding a
     candidate only extends that state.  Candidate counts are served by
-    the oracle when already known; only the winning candidate's state is
-    materialised once per growth step.
+    the backend's memo when already known; only the winning candidate's
+    state is materialised once per growth step.
     """
-    if search is None:
-        search = _BddSearch(manager, on, dc)
-    if cost is None:
-        cost = CostModel()
-    if alpha_depth_of is None:
-        alpha_depth_of = lambda bound: 0  # noqa: E731 - area-mode default
     chosen: List[int] = []
     remaining = list(candidates)
     state = search.root()
@@ -457,16 +405,9 @@ def _greedy_bound_set(
         best_state = None
         manager.check_budget()
         for lv in remaining:
-            new_state = None
-            count: Optional[int] = None
-            if oracle is not None:
-                count = oracle.lookup_syntactic(on, dc, chosen + [lv])
-            if count is None:
-                count, new_state = search.eval_candidate(
-                    state, lv, chosen + [lv]
-                )
-                if oracle is not None:
-                    oracle.seed_syntactic(on, dc, chosen + [lv], count)
+            count, new_state = search.eval_candidate(
+                state, lv, chosen + [lv]
+            )
             key = cost.bound_key(
                 count, alpha_depth_of(chosen + [lv])
             ) + (
@@ -490,8 +431,6 @@ def _greedy_bound_set(
 
 def _swap_improve(
     manager: BddManager,
-    on: int,
-    dc: int,
     candidates: Sequence[int],
     bound: Tuple[int, ...],
     key_of,

@@ -8,7 +8,7 @@ decomposition" pipeline of the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..bdd import BddManager
@@ -72,7 +72,8 @@ def decompose_hyper_function(
         options.k,
         policy=ingredient_policy,
         preferred_free_ppis=(ppi_placement != "unrestricted"),
-        use_oracle=options.use_oracle,
+        fast_path=options.fast_path,
+        benefit_weights=options.cost.encoder_weights(),
     )
 
     net = Network(network_name)
@@ -87,10 +88,8 @@ def decompose_hyper_function(
         signal_of_level[lv] = ppi_name
         ppi_signals.append(ppi_name)
 
-    step_options = DecompositionOptions(
-        k=options.k,
-        encoding_policy=options.encoding_policy,
-        use_dontcares=options.use_dontcares,
+    step_options = replace(
+        options,
         forbidden_bound_levels=(
             tuple(hyper.ppi_levels)
             if ppi_placement == "force_free"
@@ -101,7 +100,6 @@ def decompose_hyper_function(
             if ppi_placement == "prefer_free"
             else options.preferred_free_levels
         ),
-        use_oracle=options.use_oracle,
     )
 
     trace = DecompositionTrace()

@@ -80,7 +80,8 @@ def build_hyper_function(
     policy: str = "chart",
     ppi_prefix: str = "_eta",
     preferred_free_ppis: bool = True,
-    use_oracle: bool = True,
+    fast_path: str = "auto",
+    benefit_weights: Tuple[float, float] = (1.0, 1.0),
 ) -> HyperFunction:
     """Fold ``ingredients`` (name, on-BDD pairs) into a hyper-function.
 
@@ -88,7 +89,9 @@ def build_hyper_function(
     encoder) or ``"random"`` (canonical codes, the ablation baseline).
     ``preferred_free_ppis`` passes the PPIs as preferred-free variables to
     the encoder's internal variable partitioning, reflecting Section 4.3's
-    advice to keep PPIs close to the output.
+    advice to keep PPIs close to the output.  ``fast_path`` and
+    ``benefit_weights`` reach the encoder as in
+    :func:`~repro.decompose.encoding.encode_classes`.
     """
     if not ingredients:
         raise ValueError("need at least one ingredient")
@@ -151,7 +154,8 @@ def build_hyper_function(
         preferred_free_levels=(
             tuple(ppi_levels) if preferred_free_ppis else ()
         ),
-        use_oracle=use_oracle,
+        fast_path=fast_path,
+        benefit_weights=benefit_weights,
     )
     return HyperFunction(
         manager=manager,

@@ -50,10 +50,7 @@ def map_per_output(
     verify: str = "bdd",
     pack_clbs: bool = True,
     jobs: int = 1,
-    use_oracle: bool = True,
-    oracle_min_support: int = 10,
     fast_path: str = "auto",
-    fast_path_max_width: Optional[int] = None,
     policy: Optional[TaskPolicy] = None,
     faults: Optional[object] = None,
     max_bdd_nodes: Optional[int] = None,
@@ -85,10 +82,7 @@ def map_per_output(
         k=k,
         encoding_policy=encoding_policy,
         use_dontcares=use_dontcares,
-        use_oracle=use_oracle,
-        oracle_min_support=oracle_min_support,
         fast_path=fast_path,
-        fast_path_max_width=fast_path_max_width,
         max_bdd_nodes=max_bdd_nodes,
         max_seconds=max_seconds,
         cost_model=cost_model,
@@ -229,8 +223,6 @@ def map_per_output(
         _check(net, result, verify)
     journal_info = _resume_gate(net, result, journal, run_report, verify, perf)
     perf_report = perf.snapshot(manager)
-    if manager._class_oracle is not None:
-        perf_report["oracle"] = manager._class_oracle.stats()
     perf_report["jobs_requested"] = jobs
     perf_report["jobs_used"] = jobs_used
     lut_count = count_luts(result, k)

@@ -11,19 +11,19 @@ The serialization boundary is BLIF text (:mod:`repro.network.blif`): a
 :class:`GroupTask` carries the standalone fan-in cone of one group's
 outputs; the worker parses it, builds the group's global BDDs in its *own*
 :class:`~repro.bdd.BddManager`, decomposes (with its own class-count
-oracle), and ships the mapped fragment back as BLIF for the parent to
+memo), and ships the mapped fragment back as BLIF for the parent to
 splice.  BDD node ids are only canonical within one manager, so nothing
 manager-specific ever crosses the process boundary.
 
 Crossing a process boundary also means trusting what comes back.  With a
 :class:`TaskPolicy` the parent stops trusting: each pooled task gets a
 wall-clock timeout, each reply is parsed, checked against the group's
-output set and (optionally) equivalence-checked against its cone, and any
-failure walks a degradation ladder — in-process retries under decaying
-resource budgets, then plain per-output decomposition, then a BDD-free
-structural remap (:func:`structural_fragment`) that cannot fail.  The
-flow therefore always produces a valid network; what it lost along the
-way is recorded in :class:`RunReport`.
+output set and equivalence-checked against its cone, and any failure
+walks a degradation ladder — in-process retries under budgets halved per
+attempt (:data:`BUDGET_DECAY`), then plain per-output decomposition, then
+a BDD-free structural remap (:func:`structural_fragment`) that cannot
+fail.  The flow therefore always produces a valid network; what it lost
+along the way is recorded in :class:`RunReport`.
 
 Workers fall back to in-process execution when a pool cannot be created
 (restricted sandboxes without fork/semaphores), so ``jobs>1`` is always
@@ -96,6 +96,9 @@ PORTFOLIO_STRATEGIES: Tuple[str, ...] = (
 #: result (the scoreboard records ``"budget_exceeded"``).
 KNOWN_STRATEGIES: Tuple[str, ...] = PORTFOLIO_STRATEGIES + ("exact",)
 
+#: Factor every resource budget shrinks by per ladder retry.
+BUDGET_DECAY = 0.5
+
 
 @dataclass
 class GroupTask:
@@ -146,8 +149,9 @@ class TaskPolicy:
     failed or timed-out task, the degradation ladder:
 
     1. re-run in-process with every resource budget multiplied by
-       ``budget_decay`` per attempt, up to ``retries`` times;
-    2. re-run in plain per-output mode (hyper-function machinery skipped);
+       :data:`BUDGET_DECAY` per attempt, up to ``retries`` times;
+    2. re-run multi-output hyper tasks in plain per-output mode
+       (hyper-function machinery skipped);
     3. rebuild the cone structurally (:func:`structural_fragment`) —
        BDD-free and budget-free, so it cannot fail.
 
@@ -173,10 +177,6 @@ class TaskPolicy:
 
     timeout_seconds: Optional[float] = None
     retries: int = 1
-    budget_decay: float = 0.5
-    verify_fragments: bool = True
-    per_output_fallback: bool = True
-    structural_fallback: bool = True
     verify_mode: str = "bdd"
     portfolio: bool = False
     strategies: Optional[Tuple[str, ...]] = None
@@ -443,8 +443,8 @@ def decompose_group_task(task: GroupTask) -> GroupResult:
     """Pool worker: cone BLIF in, mapped fragment BLIF out.
 
     Runs entirely in a private manager — global BDDs of the cone, the
-    shared class-count oracle and the decomposition all live and die with
-    this call.  The cone's primary inputs keep the parent's relative
+    class-count memo and the decomposition all live and die with this
+    call.  The cone's primary inputs keep the parent's relative
     order, so bound-set selection (whose ties break on level order) makes
     the same choices the serial flow would.  Any resource budget in
     ``task.options`` is armed on the private manager, so a blow-up raises
@@ -689,11 +689,11 @@ def _validate_reply(
 
     Validation depth: the BLIF must parse, the fragment must drive
     exactly the group's outputs from (a subset of) the cone's inputs,
-    and — unless ``verify_fragments`` is off — it must be equivalent to
-    the cone it was derived from, via the engine ``policy.verify_mode``
-    selects.  The fine-grained engine additionally journals the failing
-    cone (root node, cone members, counterexample) so the rejection is
-    diagnosable after the ladder has papered over it.
+    and it must be equivalent to the cone it was derived from, via the
+    engine ``policy.verify_mode`` selects.  The fine-grained engine
+    additionally journals the failing cone (root node, cone members,
+    counterexample) so the rejection is diagnosable after the ladder has
+    papered over it.
     """
     try:
         fragment = parse_blif(result.blif_text)
@@ -701,8 +701,6 @@ def _validate_reply(
         return f"corrupt_reply: {exc}"
     if sorted(fragment.output_names) != sorted(task.group):
         return "corrupt_reply: output set mismatch"
-    if not policy.verify_fragments:
-        return None
     cone = parse_blif(task.blif_text)
     if not set(fragment.inputs) <= set(cone.inputs):
         return "corrupt_reply: fragment reads unknown inputs"
@@ -755,14 +753,14 @@ def _effective_task(
 ) -> GroupTask:
     """The task as actually attempted in-process: decayed budgets.
 
-    Retries shrink every budget by ``budget_decay`` per attempt, and the
-    pool timeout (if any) is mirrored as a cooperative time budget so an
-    in-process hang is still bounded.  ``mode=None`` keeps the task's
+    Retries shrink every budget by :data:`BUDGET_DECAY` per attempt, and
+    the pool timeout (if any) is mirrored as a cooperative time budget so
+    an in-process hang is still bounded.  ``mode=None`` keeps the task's
     own mode (the common case); a ladder rung passes an explicit mode to
     re-run the task as a different strategy.
     """
     options = task.options
-    factor = policy.budget_decay ** attempt
+    factor = BUDGET_DECAY ** attempt
     if attempt > 0:
         options = options.decayed(factor)
     if options.max_seconds is None and policy.timeout_seconds is not None:
@@ -905,7 +903,7 @@ def _cache_lookup(
     cause: Optional[str] = None
     if result is None:
         cause = "corrupt_row: fragment does not rebuild"
-    elif policy.verify_fragments and not record.get("verified"):
+    elif not record.get("verified"):
         cause = _validate_reply(task, result, policy, journal=journal)
         if cause is None:
             cache.mark_verified(key)
@@ -1023,7 +1021,7 @@ def _run_governed(
                     result.blif_text,
                     info=result.info,
                     seconds=seconds,
-                    verified=policy.verify_fragments,
+                    verified=True,
                 )
             except Exception as exc:  # noqa: BLE001 — any storage failure
                 report.details["cache_write_errors"] = (
@@ -1194,7 +1192,6 @@ def _run_governed(
                     causes[i].append(cause)
                 if (
                     resolution is None
-                    and policy.per_output_fallback
                     and task.mode == "hyper"
                     and len(task.group) > 1
                 ):
@@ -1227,7 +1224,7 @@ def _run_governed(
                         }
                     )
                     continue
-                if resolution is None and policy.structural_fallback:
+                if resolution is None:
                     # Parent-side and deterministic: immune to worker faults.
                     struct_start = time.perf_counter()
                     cone = parse_blif(task.blif_text)
@@ -1245,11 +1242,6 @@ def _run_governed(
                         seconds=time.perf_counter() - struct_start,
                     )
                     resolution = "structural"
-                if resolution is None:
-                    raise RuntimeError(
-                        f"group {task.gi} ({', '.join(task.group)}) failed "
-                        "every recovery rung: " + "; ".join(causes[i])
-                    )
                 report.degraded.append(
                     {
                         "gi": task.gi,

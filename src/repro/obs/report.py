@@ -8,7 +8,7 @@ The summary has four parts:
 2. a flat per-phase table (same aggregation, flattened and sorted by
    total time) for quick "where did it go" reading;
 3. engine counters from the meta record's merged perf snapshot (cache
-   hit rates, oracle hit ratio) plus per-task-tree worker totals;
+   hit rates) plus per-task-tree worker totals;
 4. degradation events (timeouts, ladder rungs, pool fallbacks) inline.
 """
 
@@ -188,17 +188,8 @@ def render_trace_summary(records: Sequence[Dict[str, object]]) -> str:
              _rate(perf.get("apply_hits"), perf.get("apply_calls"))),
             ("cofactor calls", "cofactor_calls",
              _rate(perf.get("cofactor_hits"), perf.get("cofactor_calls"))),
-            ("oracle queries", None,
-             _rate(perf.get("oracle_hits"),
-                   (perf.get("oracle_hits") or 0)
-                   + (perf.get("oracle_misses") or 0))),
         ]:
-            if calls_key is None:
-                count = (perf.get("oracle_hits") or 0) + (
-                    perf.get("oracle_misses") or 0
-                )
-            else:
-                count = perf.get(calls_key) or 0
+            count = perf.get(calls_key) or 0
             text = f"  {label:<28s} {count:>12}"
             if rate is not None:
                 text += f"  hit rate {rate:.1%}"

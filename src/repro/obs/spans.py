@@ -5,7 +5,7 @@ group, one recursion level, one Figure-3 encoder phase) with optional
 attributes and a delta-snapshot of the owning manager's
 :class:`~repro.perf.PerfCounters` — so a trace answers not only *where*
 the time went but *what the engine did* there (apply calls, cache hits,
-oracle queries) at per-span granularity.
+class-count memo probes) at per-span granularity.
 
 The module keeps one process-wide *active* :class:`TraceRecorder`.
 Instrumentation sites call :func:`span` / :func:`event`, which are
@@ -51,9 +51,6 @@ PERF_INT_SLOTS: Tuple[str, ...] = (
     "ite_calls",
     "ite_hits",
     "cofactor_enumerations",
-    "oracle_hits",
-    "oracle_misses",
-    "oracle_bypasses",
     "fastpath_selects",
     "fastpath_fallbacks",
     "fastpath_conversions",

@@ -2,11 +2,12 @@
 
 Every :class:`~repro.bdd.BddManager` owns a :class:`PerfCounters` instance
 and increments it from the hot paths (binary apply, single-variable
-cofactoring).  The class-count oracle (:mod:`repro.decompose.oracle`) and
-the mapping flows add their own counters and per-phase wall times on top,
-so a single ``MapResult.details["perf"]`` dict answers the questions every
-perf PR needs answered: where did the time go, how hot are the caches,
-and how often did the memoized class-count oracle save a cofactor sweep.
+cofactoring, cofactor enumeration).  The packed class-count kernels
+(:mod:`repro.fastpath.bitops`) and the mapping flows add their own
+counters and per-phase wall times on top, so a single
+``MapResult.details["perf"]`` dict answers the questions every perf PR
+needs answered: where did the time go, how hot are the caches, and how
+often did the global class-count memo save a count.
 
 The counters are plain integer attributes (no dict lookups, no branching
 on an "enabled" flag): incrementing one costs two attribute loads and an
@@ -40,9 +41,6 @@ class PerfCounters:
         "ite_calls",
         "ite_hits",
         "cofactor_enumerations",
-        "oracle_hits",
-        "oracle_misses",
-        "oracle_bypasses",
         "fastpath_selects",
         "fastpath_fallbacks",
         "fastpath_conversions",
@@ -67,9 +65,6 @@ class PerfCounters:
         self.ite_calls = 0
         self.ite_hits = 0
         self.cofactor_enumerations = 0
-        self.oracle_hits = 0
-        self.oracle_misses = 0
-        self.oracle_bypasses = 0
         self.fastpath_selects = 0
         self.fastpath_fallbacks = 0
         self.fastpath_conversions = 0
@@ -111,9 +106,6 @@ class PerfCounters:
         self.ite_calls += other.ite_calls
         self.ite_hits += other.ite_hits
         self.cofactor_enumerations += other.cofactor_enumerations
-        self.oracle_hits += other.oracle_hits
-        self.oracle_misses += other.oracle_misses
-        self.oracle_bypasses += other.oracle_bypasses
         self.fastpath_selects += other.fastpath_selects
         self.fastpath_fallbacks += other.fastpath_fallbacks
         self.fastpath_conversions += other.fastpath_conversions
@@ -138,9 +130,6 @@ class PerfCounters:
             "ite_calls",
             "ite_hits",
             "cofactor_enumerations",
-            "oracle_hits",
-            "oracle_misses",
-            "oracle_bypasses",
             "fastpath_selects",
             "fastpath_fallbacks",
             "fastpath_conversions",
@@ -179,12 +168,6 @@ class PerfCounters:
             "ite_calls": self.ite_calls,
             "ite_hits": self.ite_hits,
             "cofactor_enumerations": self.cofactor_enumerations,
-            "oracle_hits": self.oracle_hits,
-            "oracle_misses": self.oracle_misses,
-            "oracle_hit_rate": self._rate(
-                self.oracle_hits, self.oracle_hits + self.oracle_misses
-            ),
-            "oracle_bypasses": self.oracle_bypasses,
             "fastpath_selects": self.fastpath_selects,
             "fastpath_fallbacks": self.fastpath_fallbacks,
             "fastpath_conversions": self.fastpath_conversions,
@@ -234,12 +217,6 @@ def format_perf_report(perf: Dict[str, object]) -> str:
             perf.get("cofactor_enumerations"),
             None,
         ),
-        (
-            "oracle queries",
-            (perf.get("oracle_hits") or 0) + (perf.get("oracle_misses") or 0),
-            perf.get("oracle_hit_rate"),
-        ),
-        ("oracle bypasses", perf.get("oracle_bypasses"), None),
         ("fastpath searches", perf.get("fastpath_selects"), None),
         ("fastpath fallbacks", perf.get("fastpath_fallbacks"), None),
         (

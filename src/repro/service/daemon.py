@@ -117,10 +117,7 @@ _COMMON_KNOBS = (
     "use_dontcares",
     "verify",
     "pack_clbs",
-    "use_oracle",
-    "oracle_min_support",
     "fast_path",
-    "fast_path_max_width",
     "max_bdd_nodes",
     "max_seconds",
     "cost_model",
@@ -590,10 +587,9 @@ class MappingService:
             k: request[k] for k in allowed if request.get(k) is not None
         }
         # Service default: skip the whole-network verify.  Every fragment
-        # already passes the task runner's reply validation (the default
-        # TaskPolicy has verify_fragments=True), and cached rows are
-        # revalidated before first reuse — a second monolithic check per
-        # request would erase most of the warm-cache win.
+        # already passes the task runner's reply validation, and cached
+        # rows are revalidated before first reuse — a second monolithic
+        # check per request would erase most of the warm-cache win.
         kwargs.setdefault("verify", "none")
         problems: List[str] = []
         policy = request.get("policy")

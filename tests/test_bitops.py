@@ -205,54 +205,17 @@ class TestDifferentialNetworks:
                 bound_size = rng.randint(2, len(support) - 1)
                 picks = {}
                 for mode in ("bdd", "auto", "bitpack"):
-                    for use_oracle in (False, True):
-                        vp = select_bound_set(
-                            manager,
-                            on,
-                            support,
-                            bound_size,
-                            use_oracle=use_oracle,
-                            oracle=None,
-                            fast_path=mode,
-                        )
-                        picks[(mode, use_oracle)] = (
-                            vp.bound_levels,
-                            vp.free_levels,
-                            vp.num_classes,
-                        )
+                    vp = select_bound_set(
+                        manager, on, support, bound_size, fast_path=mode
+                    )
+                    picks[mode] = (
+                        vp.bound_levels,
+                        vp.free_levels,
+                        vp.num_classes,
+                    )
                 assert len(set(picks.values())) == 1, (
                     f"seed {seed} output {out}: modes disagree: {picks}"
                 )
-
-
-class TestOracleBypass:
-    def test_narrow_support_bypasses_oracle(self):
-        m = BddManager(4)
-        f = m.from_truth_table(0b1011010011001010, [0, 1, 2, 3])
-        before = m.perf.oracle_bypasses
-        vp = select_bound_set(
-            m, f, [0, 1, 2, 3], 2, use_oracle=True, oracle_min_support=10
-        )
-        assert m.perf.oracle_bypasses == before + 1
-        # Bypassed result equals the oracle-assisted one.
-        vp_oracle = select_bound_set(
-            m, f, [0, 1, 2, 3], 2, use_oracle=True, oracle_min_support=0
-        )
-        assert (vp.bound_levels, vp.num_classes) == (
-            vp_oracle.bound_levels,
-            vp_oracle.num_classes,
-        )
-
-    def test_wide_support_keeps_oracle(self):
-        m = BddManager(12)
-        f = m.var_at_level(0)
-        for lv in range(1, 12):
-            f = m.apply_xor(f, m.var_at_level(lv))
-        before = m.perf.oracle_bypasses
-        select_bound_set(
-            m, f, list(range(12)), 3, use_oracle=True, oracle_min_support=10
-        )
-        assert m.perf.oracle_bypasses == before
 
 
 class TestAutoSerial:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.boolfunc import TruthTable
-from repro.circuits import popcount
+from repro.circuits import build, popcount
 from repro.mapping import cluster_outputs, hyde_map
 from repro.mapping.hyde import _splice
 from repro.network import Network, check_equivalence, simulate
@@ -87,6 +87,34 @@ class TestHydeEdgeCases:
             victim.name, victim.fanins, ~victim.table
         )
         assert check_equivalence(net, mapped) is not None
+
+    def test_hyper_step_keeps_every_option(self, monkeypatch):
+        # A multi-output group's recursion and its PPI encoder must see
+        # the caller's cost model and fast-path mode, not the defaults.
+        import repro.hyper.decompose as hyper_decompose
+        import repro.hyper.hyperfunction as hyperfunction
+
+        steps, encoders = set(), set()
+        real_decompose = hyper_decompose.decompose_to_network
+        real_encode = hyperfunction.encode_classes
+
+        def spy_decompose(manager, on, net, signals, options, **kwargs):
+            steps.add((options.cost_model, options.fast_path))
+            return real_decompose(manager, on, net, signals, options, **kwargs)
+
+        def spy_encode(*args, **kwargs):
+            encoders.add(
+                (kwargs.get("fast_path"), kwargs.get("benefit_weights"))
+            )
+            return real_encode(*args, **kwargs)
+
+        monkeypatch.setattr(
+            hyper_decompose, "decompose_to_network", spy_decompose
+        )
+        monkeypatch.setattr(hyperfunction, "encode_classes", spy_encode)
+        hyde_map(build("misex1"), cost_model="delay", fast_path="bdd")
+        assert steps == {("delay", "bdd")}
+        assert encoders == {("bdd", (2.0, 1.0))}
 
 
 class TestSplice:

@@ -109,19 +109,6 @@ class TestDecomposeStep:
             if step.num_classes >= 2:
                 verify_step(m, f, step)
 
-    def test_bound_size_search_round_trip(self):
-        m = BddManager(N)
-        f = m.from_truth_table(0x8241_1824_4218_1842, list(range(6)))
-        support = m.support(f)
-        step = decompose_step(
-            m, f, support,
-            DecompositionOptions(k=4, bound_size_search=True),
-        )
-        if step.num_classes >= 2:
-            verify_step(m, f, step)
-        # The searched bound set may legitimately be smaller than k.
-        assert 2 <= len(step.bound_levels) <= 4
-
     def test_dc_step_covers_care_set(self):
         m = BddManager(N)
         a = [m.var_at_level(i) for i in range(6)]

@@ -181,6 +181,29 @@ def test_unknown_ops_and_bad_requests_get_error_records(serial_daemon):
     assert serial_daemon.client.ping()["type"] == "pong"
 
 
+def test_retired_knobs_stay_wire_compatible(serial_daemon):
+    """Old clients keep working: retired map knobs are ignored, retired
+    policy fields are rejected by name."""
+    client = serial_daemon.client
+    legacy = client.submit_blif(
+        MISEX1, use_oracle=False, oracle_min_support=0, fast_path_max_width=12
+    )
+    plain = client.submit_blif(MISEX1)
+    # The ignored knobs do not even split the task key: all hits.
+    assert plain["cache"]["misses"] == 0
+    assert plain["blif"] == legacy["blif"]
+    retired = {
+        "budget_decay": 0.5,
+        "verify_fragments": True,
+        "per_output_fallback": True,
+        "structural_fallback": True,
+    }
+    for name, value in retired.items():
+        with pytest.raises(ServiceError, match=name) as err:
+            client.submit_blif(MISEX1, policy={name: value})
+        assert err.value.code == "bad_request"
+
+
 # --------------------------------------------------------------------- #
 # Store trust boundaries
 # --------------------------------------------------------------------- #

@@ -42,21 +42,21 @@ LITERAL_CONE = """.model golden_cone
 .end
 """
 
-GOLDEN_LITERAL = "a10b6d0b986de83606dcf902f82723d8"
-GOLDEN_LITERAL_K4 = "3d136210330b29b727d398d4cc588e68"
-GOLDEN_LITERAL_PER_OUTPUT = "d0fa11ae3072fc1de83bf90e771302f2"
-GOLDEN_LITERAL_EXACT = "54040d2d35690e6d9b79dd67b421031c"
+GOLDEN_LITERAL = "ab211835f1ee65ad00c30e3ef6e52517"
+GOLDEN_LITERAL_K4 = "7214ebd1036b0f8e6c7d072ceb5ee78b"
+GOLDEN_LITERAL_PER_OUTPUT = "d9b49aea0cb2594bea3404cbe00bcd1c"
+GOLDEN_LITERAL_EXACT = "23d7b36fc0df537d064e63479c64fd7f"
 
 # The paper-example network's single ingredient-group cone, extracted
 # exactly as hyde_map does it.  This pin *does* ride on the netlist
 # builder and BLIF emitter — deliberately: those are part of the de
 # facto key contract for persisted stores.
-GOLDEN_EX41 = "bcf101396f52b92959d0a8839188d895"
+GOLDEN_EX41 = "3c3764f0b669c8e894fb0064aeebfc0b"
 
 #: Digest of the store's key/row schema; drifts when the key recipe,
 #: the options dataclass shape, the store format or the exact oracle's
 #: payload version changes.
-GOLDEN_SCHEMA = "d9d33f21a4d1"
+GOLDEN_SCHEMA = "cc4fc60b5703"
 
 
 def _literal_task(**overrides) -> GroupTask:

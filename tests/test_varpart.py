@@ -79,3 +79,17 @@ class TestSelectBoundSet:
         f = adder_like(m)
         vp = select_bound_set(m, f, list(range(6)), 3)
         assert vp.num_classes == count_classes(m, f, list(vp.bound_levels))
+
+    def test_bdd_backend_serves_repeat_from_memo(self):
+        m = BddManager(6)
+        dc = m.apply_and(m.var_at_level(0), m.var_at_level(5))
+        on = m.apply_and(adder_like(m), m.apply_not(dc))
+        # Greedy + swap with don't cares: syntactic counts during the
+        # search, a merged count for the winner — both enumerate columns.
+        args = (m, on, list(range(6)), 3)
+        kwargs = dict(dc=dc, exhaustive_limit=1, fast_path="bdd")
+        first = select_bound_set(*args, **kwargs)
+        before = m.perf.cofactor_enumerations
+        assert before > 0
+        assert select_bound_set(*args, **kwargs) == first
+        assert m.perf.cofactor_enumerations == before
