@@ -19,6 +19,10 @@ Design notes
 * There is no garbage collection; managers are cheap to create and callers
   working on throwaway problems simply drop the manager.  Long-running
   flows call :meth:`clear_caches` between unrelated operations.
+* Recursive walks are methods with explicit arguments, never closures
+  that call themselves: such a closure sits in a reference cycle with
+  the manager, so a dropped manager's node arrays would stay alive until
+  the cyclic garbage collector happened to run.
 """
 
 from __future__ import annotations
@@ -247,6 +251,7 @@ class BddManager:
             self._lo.append(lo)
             self._hi.append(hi)
             self._unique[key] = node
+            self.perf.nodes_allocated += 1
         return node
 
     def level(self, node: int) -> int:
@@ -489,99 +494,87 @@ class BddManager:
         """Simultaneously fix several variables (``level -> 0/1``)."""
         if not assignment:
             return f
-        cache: Dict[int, int] = {}
+        return self._restrict(f, assignment, {})
 
-        def walk(node: int) -> int:
-            if node <= TRUE:
-                return node
-            cached = cache.get(node)
-            if cached is not None:
-                return cached
-            level = self._var[node]
-            if level in assignment:
-                child = self._hi[node] if assignment[level] else self._lo[node]
-                result = walk(child)
-            else:
-                result = self._mk(level, walk(self._lo[node]), walk(self._hi[node]))
-            cache[node] = result
-            return result
-
-        return walk(f)
+    def _restrict(
+        self, node: int, assignment: Dict[int, int], cache: Dict[int, int]
+    ) -> int:
+        if node <= TRUE:
+            return node
+        cached = cache.get(node)
+        if cached is not None:
+            return cached
+        level = self._var[node]
+        if level in assignment:
+            child = self._hi[node] if assignment[level] else self._lo[node]
+            result = self._restrict(child, assignment, cache)
+        else:
+            result = self._mk(
+                level,
+                self._restrict(self._lo[node], assignment, cache),
+                self._restrict(self._hi[node], assignment, cache),
+            )
+        cache[node] = result
+        return result
 
     def exists(self, f: int, levels: Iterable[int]) -> int:
         """Existential quantification over the given variable levels."""
         level_set = frozenset(levels)
         if not level_set:
             return f
-        cache: Dict[int, int] = {}
-
-        def walk(node: int) -> int:
-            if node <= TRUE:
-                return node
-            cached = cache.get(node)
-            if cached is not None:
-                return cached
-            level = self._var[node]
-            lo, hi = walk(self._lo[node]), walk(self._hi[node])
-            if level in level_set:
-                result = self.apply_or(lo, hi)
-            else:
-                result = self._mk(level, lo, hi)
-            cache[node] = result
-            return result
-
-        return walk(f)
+        return self._quantify(f, level_set, _OP_OR, {})
 
     def forall(self, f: int, levels: Iterable[int]) -> int:
         """Universal quantification over the given variable levels."""
         level_set = frozenset(levels)
         if not level_set:
             return f
-        cache: Dict[int, int] = {}
+        return self._quantify(f, level_set, _OP_AND, {})
 
-        def walk(node: int) -> int:
-            if node <= TRUE:
-                return node
-            cached = cache.get(node)
-            if cached is not None:
-                return cached
-            level = self._var[node]
-            lo, hi = walk(self._lo[node]), walk(self._hi[node])
-            if level in level_set:
-                result = self.apply_and(lo, hi)
-            else:
-                result = self._mk(level, lo, hi)
-            cache[node] = result
-            return result
-
-        return walk(f)
+    def _quantify(
+        self, node: int, level_set: frozenset, op: int, cache: Dict[int, int]
+    ) -> int:
+        if node <= TRUE:
+            return node
+        cached = cache.get(node)
+        if cached is not None:
+            return cached
+        level = self._var[node]
+        lo = self._quantify(self._lo[node], level_set, op, cache)
+        hi = self._quantify(self._hi[node], level_set, op, cache)
+        if level in level_set:
+            result = self._apply2(op, lo, hi)
+        else:
+            result = self._mk(level, lo, hi)
+        cache[node] = result
+        return result
 
     def compose(self, f: int, level: int, g: int) -> int:
         """Substitute function ``g`` for the variable at ``level`` in ``f``."""
-        cache: Dict[int, int] = {}
+        return self._compose(f, level, g, {})
 
-        def walk(node: int) -> int:
-            if node <= TRUE:
-                return node
-            cached = cache.get(node)
-            if cached is not None:
-                return cached
-            node_level = self._var[node]
-            if node_level == level:
-                result = self.ite(g, self._hi[node], self._lo[node])
-            elif node_level > level:
-                # ``level`` cannot occur below: nothing to substitute.
-                result = node
-            else:
-                result = self.ite(
-                    self.var_at_level(node_level),
-                    walk(self._hi[node]),
-                    walk(self._lo[node]),
-                )
-            cache[node] = result
-            return result
-
-        return walk(f)
+    def _compose(
+        self, node: int, level: int, g: int, cache: Dict[int, int]
+    ) -> int:
+        if node <= TRUE:
+            return node
+        cached = cache.get(node)
+        if cached is not None:
+            return cached
+        node_level = self._var[node]
+        if node_level == level:
+            result = self.ite(g, self._hi[node], self._lo[node])
+        elif node_level > level:
+            # ``level`` cannot occur below: nothing to substitute.
+            result = node
+        else:
+            result = self.ite(
+                self.var_at_level(node_level),
+                self._compose(self._hi[node], level, g, cache),
+                self._compose(self._lo[node], level, g, cache),
+            )
+        cache[node] = result
+        return result
 
     def vector_compose(self, f: int, substitution: Dict[int, int]) -> int:
         """Simultaneously substitute functions for several variables.
@@ -592,21 +585,108 @@ class BddManager:
         """
         if not substitution:
             return f
-        cache: Dict[int, int] = {}
+        return self._vector_compose(f, substitution, {})
 
-        def walk(node: int) -> int:
-            if node <= TRUE:
-                return node
-            cached = cache.get(node)
-            if cached is not None:
-                return cached
-            level = self._var[node]
-            selector = substitution.get(level, self.var_at_level(level))
-            result = self.ite(selector, walk(self._hi[node]), walk(self._lo[node]))
-            cache[node] = result
+    def _vector_compose(
+        self, node: int, substitution: Dict[int, int], cache: Dict[int, int]
+    ) -> int:
+        if node <= TRUE:
+            return node
+        cached = cache.get(node)
+        if cached is not None:
+            return cached
+        level = self._var[node]
+        selector = substitution.get(level, self.var_at_level(level))
+        result = self.ite(
+            selector,
+            self._vector_compose(self._hi[node], substitution, cache),
+            self._vector_compose(self._lo[node], substitution, cache),
+        )
+        cache[node] = result
+        return result
+
+    # ------------------------------------------------------------------ #
+    # Image construction (the encoder's g)
+    # ------------------------------------------------------------------ #
+
+    def code_mux(
+        self,
+        functions: Sequence[int],
+        codes: Sequence[Dict[int, int]],
+        unused: int = FALSE,
+    ) -> int:
+        """``functions[i]`` where the code variables spell ``codes[i]``.
+
+        Builds ``g = OR_i cube(codes[i]) AND functions[i]``, plus
+        ``unused`` (``FALSE`` or ``TRUE``) on every code point no code
+        covers.  ``codes[i]`` maps level -> bit; a partial code covers
+        several points, and overlapping codes OR their functions.
+
+        One simultaneous descent over the functions, memoized on the
+        tuple of current nodes, builds g directly: below the functions'
+        variables every node of the tuple is a terminal, and g is the
+        OR of the cubes of the functions that are TRUE there (memoized
+        per tuple, so per class mask).  That needs every code level to
+        lie below every variable of the functions, which holds for the
+        encoder's fresh α/PPI levels; :class:`ValueError` otherwise.
+        """
+        if len(functions) != len(codes):
+            raise ValueError(
+                f"{len(functions)} functions but {len(codes)} codes"
+            )
+        if unused not in (FALSE, TRUE):
+            raise ValueError("unused must be FALSE or TRUE")
+        code_levels = {level for code in codes for level in code}
+        first_code = min(code_levels) if code_levels else len(self._names)
+        cubes = [build_cube(self, code) for code in codes]
+        spare = FALSE
+        if unused == TRUE:
+            used = FALSE
+            for cube in cubes:
+                used = self.apply_or(used, cube)
+            spare = self.apply_not(used)
+        self._ensure_recursion_capacity()
+        return self._code_mux(tuple(functions), {}, cubes, spare, first_code)
+
+    def _code_mux(
+        self,
+        nodes: Tuple[int, ...],
+        memo: Dict[Tuple[int, ...], int],
+        cubes: List[int],
+        spare: int,
+        first_code: int,
+    ) -> int:
+        result = memo.get(nodes)
+        if result is not None:
             return result
-
-        return walk(f)
+        var = self._var
+        top = -1
+        for node in nodes:
+            level = var[node]
+            if level >= 0 and (top < 0 or level < top):
+                top = level
+        if top < 0:
+            # All terminals: the cubes of the classes that are TRUE here.
+            result = spare
+            for node, cube in zip(nodes, cubes):
+                if node == TRUE:
+                    result = self.apply_or(result, cube)
+        else:
+            if top >= first_code:
+                raise ValueError(
+                    f"code level {first_code} does not lie below function "
+                    f"variable {self._names[top]!r} (level {top})"
+                )
+            lo_arr, hi_arr = self._lo, self._hi
+            lo = tuple([lo_arr[n] if var[n] == top else n for n in nodes])
+            hi = tuple([hi_arr[n] if var[n] == top else n for n in nodes])
+            result = self._mk(
+                top,
+                self._code_mux(lo, memo, cubes, spare, first_code),
+                self._code_mux(hi, memo, cubes, spare, first_code),
+            )
+        memo[nodes] = result
+        return result
 
     # ------------------------------------------------------------------ #
     # Analysis
@@ -654,48 +734,47 @@ class BddManager:
         """Number of satisfying assignments over ``num_vars`` variables."""
         if num_vars is None:
             num_vars = self.num_vars
-        cache: Dict[int, int] = {}
-
-        def walk(node: int) -> int:
-            # Count over variables strictly below this node's level; scale
-            # at the call sites to account for skipped levels.
-            if node == FALSE:
-                return 0
-            if node == TRUE:
-                return 1
-            cached = cache.get(node)
-            if cached is not None:
-                return cached
-            level = self._var[node]
-            lo, hi = self._lo[node], self._hi[node]
-            lo_level = self._var[lo] if lo > TRUE else num_vars
-            hi_level = self._var[hi] if hi > TRUE else num_vars
-            result = walk(lo) * (1 << (lo_level - level - 1)) + walk(hi) * (
-                1 << (hi_level - level - 1)
-            )
-            cache[node] = result
-            return result
-
         top_level = self._var[f] if f > TRUE else num_vars
-        return walk(f) * (1 << top_level)
+        return self._sat_count(f, num_vars, {}) * (1 << top_level)
+
+    def _sat_count(self, node: int, num_vars: int, cache: Dict[int, int]) -> int:
+        # Count over variables strictly below this node's level; scale at
+        # the call sites to account for skipped levels.
+        if node == FALSE:
+            return 0
+        if node == TRUE:
+            return 1
+        cached = cache.get(node)
+        if cached is not None:
+            return cached
+        level = self._var[node]
+        lo, hi = self._lo[node], self._hi[node]
+        lo_level = self._var[lo] if lo > TRUE else num_vars
+        hi_level = self._var[hi] if hi > TRUE else num_vars
+        result = self._sat_count(lo, num_vars, cache) * (
+            1 << (lo_level - level - 1)
+        ) + self._sat_count(hi, num_vars, cache) * (1 << (hi_level - level - 1))
+        cache[node] = result
+        return result
 
     def sat_iter(self, f: int) -> Iterator[Dict[int, int]]:
         """Yield partial assignments (cubes) covering the on-set of ``f``."""
+        yield from self._sat_cubes(f, {})
 
-        def walk(node: int, cube: Dict[int, int]) -> Iterator[Dict[int, int]]:
-            if node == FALSE:
-                return
-            if node == TRUE:
-                yield dict(cube)
-                return
-            level = self._var[node]
-            cube[level] = 0
-            yield from walk(self._lo[node], cube)
-            cube[level] = 1
-            yield from walk(self._hi[node], cube)
-            del cube[level]
-
-        yield from walk(f, {})
+    def _sat_cubes(
+        self, node: int, cube: Dict[int, int]
+    ) -> Iterator[Dict[int, int]]:
+        if node == FALSE:
+            return
+        if node == TRUE:
+            yield dict(cube)
+            return
+        level = self._var[node]
+        cube[level] = 0
+        yield from self._sat_cubes(self._lo[node], cube)
+        cube[level] = 1
+        yield from self._sat_cubes(self._hi[node], cube)
+        del cube[level]
 
     def pick_one(self, f: int) -> Optional[Dict[int, int]]:
         """One satisfying partial assignment, or None if unsatisfiable."""
@@ -714,25 +793,30 @@ class BddManager:
         j-th input (``levels[j]``) equals bit j of ``i`` — i.e. ``levels[0]``
         is the least significant index bit.
         """
-        n = len(levels)
-        order = sorted(range(n), key=lambda j: levels[j])
+        order = sorted(range(len(levels)), key=lambda j: levels[j])
+        return self._from_table(bits, levels, order, {}, 0)
 
-        def build(prefix: Dict[int, int], depth: int) -> int:
-            if depth == n:
-                index = 0
-                for j in range(n):
-                    if prefix[j]:
-                        index |= 1 << j
-                return TRUE if (bits >> index) & 1 else FALSE
-            j = order[depth]
-            prefix[j] = 0
-            lo = build(prefix, depth + 1)
-            prefix[j] = 1
-            hi = build(prefix, depth + 1)
-            del prefix[j]
-            return self._mk(levels[j], lo, hi)
-
-        return build({}, 0)
+    def _from_table(
+        self,
+        bits: int,
+        levels: Sequence[int],
+        order: List[int],
+        prefix: Dict[int, int],
+        depth: int,
+    ) -> int:
+        if depth == len(levels):
+            index = 0
+            for j in range(len(levels)):
+                if prefix[j]:
+                    index |= 1 << j
+            return TRUE if (bits >> index) & 1 else FALSE
+        j = order[depth]
+        prefix[j] = 0
+        lo = self._from_table(bits, levels, order, prefix, depth + 1)
+        prefix[j] = 1
+        hi = self._from_table(bits, levels, order, prefix, depth + 1)
+        del prefix[j]
+        return self._mk(levels[j], lo, hi)
 
     def to_truth_table(self, f: int, levels: Sequence[int]) -> int:
         """Pack ``f`` into an integer truth table over ``levels``.

@@ -31,39 +31,34 @@ def transfer(
     """
     if level_map is None:
         level_map = {lv: lv for lv in src.support(f)}
-    cache: Dict[int, int] = {FALSE: FALSE, TRUE: TRUE}
-
-    def walk(node: int) -> int:
-        cached = cache.get(node)
-        if cached is not None:
-            return cached
-        level = level_map[src.level(node)]
-        result = dst.ite(
-            dst.var_at_level(level), walk(src.high(node)), walk(src.low(node))
-        )
-        cache[node] = result
-        return result
-
-    return walk(f)
+    return _copy(src, dst, f, level_map, {FALSE: FALSE, TRUE: TRUE})
 
 
 def copy_into(src: BddManager, dst: BddManager, nodes: Sequence[int]) -> List[int]:
     """Transfer several functions sharing one memo table."""
     level_map = {lv: lv for lv in range(src.num_vars)}
     cache: Dict[int, int] = {FALSE: FALSE, TRUE: TRUE}
+    return [_copy(src, dst, node, level_map, cache) for node in nodes]
 
-    def walk(node: int) -> int:
-        cached = cache.get(node)
-        if cached is not None:
-            return cached
-        level = level_map[src.level(node)]
-        result = dst.ite(
-            dst.var_at_level(level), walk(src.high(node)), walk(src.low(node))
-        )
-        cache[node] = result
-        return result
 
-    return [walk(node) for node in nodes]
+def _copy(
+    src: BddManager,
+    dst: BddManager,
+    node: int,
+    level_map: Dict[int, int],
+    cache: Dict[int, int],
+) -> int:
+    cached = cache.get(node)
+    if cached is not None:
+        return cached
+    level = level_map[src.level(node)]
+    result = dst.ite(
+        dst.var_at_level(level),
+        _copy(src, dst, src.high(node), level_map, cache),
+        _copy(src, dst, src.low(node), level_map, cache),
+    )
+    cache[node] = result
+    return result
 
 
 def reorder(

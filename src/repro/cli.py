@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Callable, Dict, List, Optional
@@ -41,7 +42,7 @@ from .mapping import (
     map_shannon,
     map_structural,
 )
-from .network import BlifError, read_blif, write_blif
+from .network import read_blif, write_blif
 from .runstate import RunInterrupted, load_journal, open_journal, validate_journal
 
 #: Exit code of an interrupted (but journaled and resumable) run —
@@ -51,17 +52,20 @@ EXIT_INTERRUPTED = 75
 
 class InputFileError(Exception):
     """An input file named on the command line is missing, unreadable or
-    not valid BLIF; :func:`main` reports it in one line and exits 2."""
+    malformed; :func:`main` reports it in one line and exits 2."""
 
 
 def _read_input(path: str, parse: Optional[Callable] = None):
     """``parse(path)`` (default: the module's ``read_blif``, looked up at
-    call time), with read and BLIF failures as InputFileError."""
+    call time), with read and parse failures as InputFileError.
+
+    Parse failures are ``ValueError`` (``BlifError``, undecodable text,
+    malformed JSON and trace or info records)."""
     try:
         return (parse or read_blif)(path)
     except OSError as exc:
         raise InputFileError(f"{path}: {exc.strerror or exc}") from None
-    except (BlifError, UnicodeDecodeError) as exc:
+    except ValueError as exc:
         raise InputFileError(f"{path}: {exc}") from None
 
 
@@ -402,7 +406,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Render (or, with --check, gate on) a JSONL trace file."""
-    records = obs.read_trace(args.path)
+    records = _read_input(args.path, obs.read_trace)
     problems = obs.validate_trace(records)
     if not args.check:
         print(obs.render_trace_summary(records))
@@ -454,7 +458,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_journal(args: argparse.Namespace) -> int:
     """Render (or, with --check, gate on) a checkpoint journal file."""
-    records, problems = load_journal(args.path)
+    records, problems = _read_input(args.path, load_journal)
     problems = list(problems) + validate_journal(records)
     if args.check:
         for problem in problems:
@@ -859,7 +863,7 @@ def _cmd_health(args: argparse.Namespace) -> int:
 
     try:
         if args.info:
-            client = ServiceClient.from_info(args.info, timeout=args.timeout)
+            client = _client_from_info(args.info, args.timeout)
         elif args.port:
             client = ServiceClient(args.host, args.port, timeout=args.timeout)
         else:
@@ -901,13 +905,23 @@ def _cmd_health(args: argparse.Namespace) -> int:
     return 0 if record.get("ok") else 1
 
 
+def _client_from_info(path: str, timeout: Optional[float]):
+    """A client for the daemon a ``--info`` file names; an unreadable or
+    malformed file is an InputFileError (an unreachable daemon is not)."""
+    from .service import ServiceClient
+
+    return _read_input(
+        path, lambda p: ServiceClient.from_info(p, timeout=timeout)
+    )
+
+
 def _cmd_submit(args: argparse.Namespace) -> int:
     """Submit a circuit to a running daemon (possibly repeatedly)."""
     from .network import to_blif
     from .service import ServiceClient, ServiceError
 
     if args.info:
-        client = ServiceClient.from_info(args.info, timeout=args.timeout)
+        client = _client_from_info(args.info, args.timeout)
     elif args.port:
         client = ServiceClient(args.host, args.port, timeout=args.timeout)
     else:
@@ -968,9 +982,19 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 def _cmd_cache(args: argparse.Namespace) -> int:
     """Inspect (or, with --check, gate on) a result-store file."""
+    import sqlite3
+
     from .service import ResultStore
 
-    with ResultStore(args.path) as store:
+    # Opening a store creates it: a mistyped path must not pass --check
+    # as a fresh empty store.
+    if not os.path.isfile(args.path):
+        raise InputFileError(f"{args.path}: no such result store")
+    try:
+        store = ResultStore(args.path)
+    except sqlite3.DatabaseError as exc:
+        raise InputFileError(f"{args.path}: {exc}") from None
+    with store:
         if args.prune:
             pruned = store.prune_stale()
             print(f"pruned {pruned} stale row(s)")

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .. import obs
-from ..bdd import FALSE, TRUE, BddManager, build_cube
+from ..bdd import FALSE, TRUE, BddManager
 from .chart import EncodingChart, pack_chart
 from .compatible import Column, count_classes
 from .matching import WeightedEdge, max_weight_b_matching, max_weight_matching
@@ -87,21 +87,20 @@ def build_image_function(
 ) -> Column:
     """Build the image function g from codes and class functions.
 
-    ``codes[i]`` maps α index -> bit.  Unused codes become don't cares of
-    g (strict encoding: each class owns exactly one code).
+    ``codes[i]`` maps α index -> bit.  g is ``fc_i`` where α spells code
+    i; unused codes become don't cares of g (strict encoding: each class
+    owns exactly one code).  Each half is one
+    :meth:`~repro.bdd.BddManager.code_mux` descent, which needs the α
+    levels below every variable of the class functions (fresh levels
+    always are).
     """
-    on = FALSE
-    dc = FALSE
-    used = FALSE
-    for code, fc in zip(codes, class_functions):
-        cube = build_cube(
-            manager, {alpha_levels[a]: bit for a, bit in code.items()}
-        )
-        on = manager.apply_or(on, manager.apply_and(cube, fc.on))
-        dc = manager.apply_or(dc, manager.apply_and(cube, fc.dc))
-        used = manager.apply_or(used, cube)
-    dc = manager.apply_or(dc, manager.apply_not(used))
-    return Column(on, dc)
+    level_codes = [
+        {alpha_levels[a]: bit for a, bit in code.items()} for code in codes
+    ]
+    return Column(
+        manager.code_mux([fc.on for fc in class_functions], level_codes, FALSE),
+        manager.code_mux([fc.dc for fc in class_functions], level_codes, TRUE),
+    )
 
 
 # --------------------------------------------------------------------- #

@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..bdd import FALSE, BddManager, build_cube
 from ..boolfunc import TruthTable
 from .compatible import Column, compute_classes
+from .encoding import build_image_function, canonical_codes
 
 __all__ = [
     "NondisjointStep",
@@ -136,19 +137,14 @@ def decompose_step_nondisjoint(
             manager,
             {lv: (s_index >> j) & 1 for j, lv in enumerate(shared)},
         )
-        used = FALSE
-        for cls, fc in enumerate(classes.class_functions):
-            code_cube = build_cube(
-                manager,
-                {alpha_levels[a]: (cls >> a) & 1 for a in range(t)},
-            )
-            cell = manager.apply_and(s_cube, code_cube)
-            g_on = manager.apply_or(g_on, manager.apply_and(cell, fc.on))
-            g_dc = manager.apply_or(g_dc, manager.apply_and(cell, fc.dc))
-            used = manager.apply_or(used, code_cube)
-        g_dc = manager.apply_or(
-            g_dc, manager.apply_and(s_cube, manager.apply_not(used))
+        image = build_image_function(
+            manager,
+            alpha_levels,
+            canonical_codes(classes.num_classes, t),
+            classes.class_functions,
         )
+        g_on = manager.apply_or(g_on, manager.apply_and(s_cube, image.on))
+        g_dc = manager.apply_or(g_dc, manager.apply_and(s_cube, image.dc))
 
     return NondisjointStep(
         exclusive_bound=exclusive,

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..bdd import FALSE, TRUE, BddManager
 from ..fastpath import bitops
@@ -346,38 +346,50 @@ def _exhaustive_bound_set(
         return ()
     ordered = sorted(candidates)
     best: Optional[Tuple] = None  # cost key + (penalty, bound)
-
-    def penalty_of(bound: Tuple[int, ...]) -> int:
-        return sum(1 for lv in bound if lv in preferred_free)
-
-    def consider(bound: Tuple[int, ...], classes: int) -> None:
-        nonlocal best
+    for bound, classes in _bound_set_counts(
+        manager, search, ordered, bound_size, 0, [], search.root()
+    ):
         key = cost.bound_key(classes, alpha_depth_of(bound)) + (
-            penalty_of(bound),
+            sum(1 for lv in bound if lv in preferred_free),
             bound,
         )
         if best is None or key < best:
             best = key
-
-    def dfs(start: int, chosen: List[int], state) -> None:
-        need = bound_size - len(chosen)
-        last_level = need == 1
-        manager.check_budget()
-        for i in range(start, len(ordered) - need + 1):
-            lv = ordered[i]
-            if last_level:
-                bound = tuple(chosen + [lv])
-                count, _ = search.eval_candidate(state, lv, bound)
-                consider(bound, count)
-            else:
-                extended = search.extend(state, lv)
-                chosen.append(lv)
-                dfs(i + 1, chosen, extended)
-                chosen.pop()
-
-    dfs(0, [], search.root())
     assert best is not None
     return best[-1]
+
+
+def _bound_set_counts(
+    manager: BddManager,
+    search,
+    ordered: Sequence[int],
+    bound_size: int,
+    start: int,
+    chosen: List[int],
+    state,
+) -> Iterator[Tuple[Tuple[int, ...], int]]:
+    """Yield ``(bound, class count)`` for every completion of ``chosen``.
+
+    The shared-prefix DFS of :func:`_exhaustive_bound_set`.  A module
+    function rather than a nested closure: a closure that calls itself
+    holds its own cell, and with it the manager, in a reference cycle.
+    """
+    need = bound_size - len(chosen)
+    last_level = need == 1
+    manager.check_budget()
+    for i in range(start, len(ordered) - need + 1):
+        lv = ordered[i]
+        if last_level:
+            bound = tuple(chosen + [lv])
+            count, _ = search.eval_candidate(state, lv, bound)
+            yield bound, count
+        else:
+            extended = search.extend(state, lv)
+            chosen.append(lv)
+            yield from _bound_set_counts(
+                manager, search, ordered, bound_size, i + 1, chosen, extended
+            )
+            chosen.pop()
 
 
 def _greedy_bound_set(

@@ -381,26 +381,11 @@ def map_shannon(
         result.add_input(pi)
     mux = TruthTable.from_function(3, lambda s, a, b: b if s else a)
     signal_of: Dict[int, str] = {}
-
-    def build(bdd: int) -> str:
-        cached = signal_of.get(bdd)
-        if cached is not None:
-            return cached
-        if bdd in (FALSE, TRUE):
-            name = result.fresh_name("const")
-            result.add_constant(name, 1 if bdd == TRUE else 0)
-            signal_of[bdd] = name
-            return name
-        var = manager.name_of(manager.level(bdd))
-        lo = build(manager.low(bdd))
-        hi = build(manager.high(bdd))
-        name = result.fresh_name("mux")
-        result.add_node(name, [var, lo, hi], mux)
-        signal_of[bdd] = name
-        return name
-
     for out in net.output_names:
-        result.add_output(build(gb.of_output(out)), out)
+        result.add_output(
+            _mux_signal(manager, result, mux, signal_of, gb.of_output(out)),
+            out,
+        )
     cleanup_for_lut_count(result)
     _check(net, result, verify)
     return MapResult(
@@ -411,3 +396,24 @@ def map_shannon(
         seconds=time.time() - start,
         flow="shannon",
     )
+
+
+def _mux_signal(
+    manager, result: Network, mux, signal_of: Dict[int, str], bdd: int
+) -> str:
+    """The mux-tree signal of ``bdd`` in ``result`` (memoized)."""
+    cached = signal_of.get(bdd)
+    if cached is not None:
+        return cached
+    if bdd in (FALSE, TRUE):
+        name = result.fresh_name("const")
+        result.add_constant(name, 1 if bdd == TRUE else 0)
+        signal_of[bdd] = name
+        return name
+    var = manager.name_of(manager.level(bdd))
+    lo = _mux_signal(manager, result, mux, signal_of, manager.low(bdd))
+    hi = _mux_signal(manager, result, mux, signal_of, manager.high(bdd))
+    name = result.fresh_name("mux")
+    result.add_node(name, [var, lo, hi], mux)
+    signal_of[bdd] = name
+    return name

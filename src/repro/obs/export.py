@@ -94,7 +94,7 @@ def read_trace(path: str) -> List[Dict[str, object]]:
                 records.append(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise ValueError(
-                    f"{path}:{line_number}: not valid JSON: {exc}"
+                    f"line {line_number}: not valid JSON: {exc}"
                 ) from None
     return records
 

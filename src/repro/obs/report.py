@@ -188,6 +188,7 @@ def render_trace_summary(records: Sequence[Dict[str, object]]) -> str:
              _rate(perf.get("apply_hits"), perf.get("apply_calls"))),
             ("cofactor calls", "cofactor_calls",
              _rate(perf.get("cofactor_hits"), perf.get("cofactor_calls"))),
+            ("BDD nodes allocated", "nodes_allocated", None),
         ]:
             count = perf.get(calls_key) or 0
             text = f"  {label:<28s} {count:>12}"

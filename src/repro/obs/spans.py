@@ -28,6 +28,8 @@ from __future__ import annotations
 import time
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..perf import INT_SLOTS
+
 __all__ = [
     "PERF_INT_SLOTS",
     "Span",
@@ -43,24 +45,7 @@ __all__ = [
 #: The integer slots of :class:`~repro.perf.PerfCounters` captured as
 #: per-span deltas (phase timers are spans here, so ``phase_seconds`` is
 #: deliberately excluded).
-PERF_INT_SLOTS: Tuple[str, ...] = (
-    "apply_calls",
-    "apply_hits",
-    "cofactor_calls",
-    "cofactor_hits",
-    "ite_calls",
-    "ite_hits",
-    "cofactor_enumerations",
-    "fastpath_selects",
-    "fastpath_fallbacks",
-    "fastpath_conversions",
-    "fastpath_global_hits",
-    "fastpath_global_misses",
-    "cache_hits",
-    "cache_misses",
-    "cache_rejected",
-    "budget_exceeded",
-)
+PERF_INT_SLOTS: Tuple[str, ...] = INT_SLOTS
 
 
 def _perf_ints(perf) -> Dict[str, int]:

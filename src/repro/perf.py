@@ -27,53 +27,46 @@ import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional
 
-__all__ = ["PerfCounters", "format_perf_report"]
+__all__ = ["INT_SLOTS", "PerfCounters", "format_perf_report"]
+
+
+#: The integer counters, in report order.  ``nodes_allocated`` counts
+#: fresh BDD nodes only (never a unique-table hit), so it is the
+#: engine's work and memory measure independent of which operation
+#: built the nodes.
+INT_SLOTS = (
+    "apply_calls",
+    "apply_hits",
+    "cofactor_calls",
+    "cofactor_hits",
+    "ite_calls",
+    "ite_hits",
+    "cofactor_enumerations",
+    "nodes_allocated",
+    "fastpath_selects",
+    "fastpath_fallbacks",
+    "fastpath_conversions",
+    "fastpath_global_hits",
+    "fastpath_global_misses",
+    "cache_hits",
+    "cache_misses",
+    "cache_rejected",
+    "budget_exceeded",
+)
 
 
 class PerfCounters:
     """Counter + timer bundle shared by one manager and its flows."""
 
-    __slots__ = (
-        "apply_calls",
-        "apply_hits",
-        "cofactor_calls",
-        "cofactor_hits",
-        "ite_calls",
-        "ite_hits",
-        "cofactor_enumerations",
-        "fastpath_selects",
-        "fastpath_fallbacks",
-        "fastpath_conversions",
-        "fastpath_global_hits",
-        "fastpath_global_misses",
-        "cache_hits",
-        "cache_misses",
-        "cache_rejected",
-        "budget_exceeded",
-        "phase_seconds",
-    )
+    __slots__ = INT_SLOTS + ("phase_seconds",)
 
     def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
         """Zero every counter and drop all phase timings."""
-        self.apply_calls = 0
-        self.apply_hits = 0
-        self.cofactor_calls = 0
-        self.cofactor_hits = 0
-        self.ite_calls = 0
-        self.ite_hits = 0
-        self.cofactor_enumerations = 0
-        self.fastpath_selects = 0
-        self.fastpath_fallbacks = 0
-        self.fastpath_conversions = 0
-        self.fastpath_global_hits = 0
-        self.fastpath_global_misses = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_rejected = 0
-        self.budget_exceeded = 0
+        for slot in INT_SLOTS:
+            setattr(self, slot, 0)
         self.phase_seconds: Dict[str, float] = {}
 
     # ------------------------------------------------------------------ #
@@ -99,22 +92,8 @@ class PerfCounters:
 
     def merge(self, other: "PerfCounters") -> None:
         """Fold another counter set into this one (for worker results)."""
-        self.apply_calls += other.apply_calls
-        self.apply_hits += other.apply_hits
-        self.cofactor_calls += other.cofactor_calls
-        self.cofactor_hits += other.cofactor_hits
-        self.ite_calls += other.ite_calls
-        self.ite_hits += other.ite_hits
-        self.cofactor_enumerations += other.cofactor_enumerations
-        self.fastpath_selects += other.fastpath_selects
-        self.fastpath_fallbacks += other.fastpath_fallbacks
-        self.fastpath_conversions += other.fastpath_conversions
-        self.fastpath_global_hits += other.fastpath_global_hits
-        self.fastpath_global_misses += other.fastpath_global_misses
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.cache_rejected += other.cache_rejected
-        self.budget_exceeded += other.budget_exceeded
+        for slot in INT_SLOTS:
+            setattr(self, slot, getattr(self, slot) + getattr(other, slot))
         for name, seconds in other.phase_seconds.items():
             self.phase_seconds[name] = (
                 self.phase_seconds.get(name, 0.0) + seconds
@@ -122,24 +101,7 @@ class PerfCounters:
 
     def merge_dict(self, data: Dict[str, object]) -> None:
         """Fold a :meth:`snapshot` dict back in (crosses process pickles)."""
-        for slot in (
-            "apply_calls",
-            "apply_hits",
-            "cofactor_calls",
-            "cofactor_hits",
-            "ite_calls",
-            "ite_hits",
-            "cofactor_enumerations",
-            "fastpath_selects",
-            "fastpath_fallbacks",
-            "fastpath_conversions",
-            "fastpath_global_hits",
-            "fastpath_global_misses",
-            "cache_hits",
-            "cache_misses",
-            "cache_rejected",
-            "budget_exceeded",
-        ):
+        for slot in INT_SLOTS:
             setattr(self, slot, getattr(self, slot) + int(data.get(slot, 0)))
         for name, seconds in data.get("phase_seconds", {}).items():  # type: ignore[union-attr]
             self.phase_seconds[name] = (
@@ -168,6 +130,7 @@ class PerfCounters:
             "ite_calls": self.ite_calls,
             "ite_hits": self.ite_hits,
             "cofactor_enumerations": self.cofactor_enumerations,
+            "nodes_allocated": self.nodes_allocated,
             "fastpath_selects": self.fastpath_selects,
             "fastpath_fallbacks": self.fastpath_fallbacks,
             "fastpath_conversions": self.fastpath_conversions,
@@ -217,6 +180,7 @@ def format_perf_report(perf: Dict[str, object]) -> str:
             perf.get("cofactor_enumerations"),
             None,
         ),
+        ("BDD nodes allocated", perf.get("nodes_allocated"), None),
         ("fastpath searches", perf.get("fastpath_selects"), None),
         ("fastpath fallbacks", perf.get("fastpath_fallbacks"), None),
         (

@@ -157,6 +157,8 @@ class ServiceClient:
         """
         with open(path, "r", encoding="utf-8") as fh:
             info = json.load(fh)
+        if not isinstance(info, dict) or not {"host", "port"} <= info.keys():
+            raise ValueError("not a daemon info file (needs host and port)")
         pid = info.get("pid")
         client = cls(
             info["host"],

@@ -67,6 +67,19 @@ class TestConstruction:
         f = m.ite(m.var_at_level(0), TRUE, TRUE)
         assert f == TRUE
 
+    def test_nodes_allocated_counts_fresh_nodes_only(self):
+        m = BddManager(4)
+        assert m.perf.nodes_allocated == m.num_nodes - 2 == 4
+        a, b, c = (m.var_at_level(i) for i in range(3))
+        f = m.apply_or(m.apply_and(a, b), m.apply_xor(b, c))
+        m.exists(f, [1])
+        assert m.perf.nodes_allocated == m.num_nodes - 2
+        # Rebuilding existing nodes only hits the unique table.
+        before = m.perf.nodes_allocated
+        m.clear_caches()
+        m.apply_or(m.apply_and(a, b), m.apply_xor(b, c))
+        assert m.perf.nodes_allocated == before
+
 
 class TestBooleanOps:
     @given(TABLE_BITS, TABLE_BITS)

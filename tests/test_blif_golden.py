@@ -1,0 +1,59 @@
+"""Pinned bytes of the BLIF ``repro blif`` emits for the small e2e inputs.
+
+Kernel changes in this repository promise byte-identical output; these
+sha256 digests make that promise a tier-1 check instead of a manual
+diff.  A deliberate output change updates the digests and says why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+
+import pytest
+
+from repro.cli import main
+
+INPUTS = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "benchmarks", "e2e", "inputs",
+)
+
+#: (input, cost model) -> sha256 of the emitted BLIF.
+GOLDEN = {
+    ("5xp1", "area"): "8863b01f3afb3ef83ec766bd1adbf8aed5dc7b7f46c2284872345e2355e8f09b",
+    ("5xp1", "delay"): "ca219f65e17198d8b3ecc117213356847e0619816a7c1fbabea1ec2ab83dbb46",
+    ("9sym", "area"): "e0932a7a1e3bdd27e02af91d2cc08e96bc6ace6f1178bab2fc79d8d3f700de92",
+    ("9sym", "delay"): "e0932a7a1e3bdd27e02af91d2cc08e96bc6ace6f1178bab2fc79d8d3f700de92",
+    ("alu2", "area"): "99705e67b7db2e88f3aba82b33376df2ad8b1c2887a78fd0c93f49c15e6563bb",
+    ("alu2", "delay"): "0f99084e7d779ebd6c3a4297cb379cbbaf3051eceae724a46e9d6d5b936cd220",
+    ("b9", "area"): "3168c9d3166dcdd55d7f4980189d70e4ee746afc7f3236918b324539f2e827b4",
+    ("b9", "delay"): "fe282a8cf51c6bb58d3c49fc23392929fa6e9d5be68feb20715fbb7686d743bc",
+    ("clip", "area"): "66d6b5456f25f52d3db07a33f14e5da35ecfb4dfc159782e435288e343d3c6ec",
+    ("clip", "delay"): "66d6b5456f25f52d3db07a33f14e5da35ecfb4dfc159782e435288e343d3c6ec",
+    ("f51m", "area"): "604ee0d073f775ce627e40b5108fae0a24d8ecfeae29cab2ce91d13dc0aa0252",
+    ("f51m", "delay"): "604ee0d073f775ce627e40b5108fae0a24d8ecfeae29cab2ce91d13dc0aa0252",
+    ("misex1", "area"): "460d3194cd0ef45eb57cf7b60b9dcb2988ea848281c58109261f3d87a475d09e",
+    ("misex1", "delay"): "460d3194cd0ef45eb57cf7b60b9dcb2988ea848281c58109261f3d87a475d09e",
+    ("rd73", "area"): "bd7935ea367d6f78dcf36144229364b13cb443e46d6dd4b6a901e1d1897733ae",
+    ("rd73", "delay"): "bd7935ea367d6f78dcf36144229364b13cb443e46d6dd4b6a901e1d1897733ae",
+    ("rd84", "area"): "69a2bffc64ced3a8d151172415f24f37ffd3505153689e2a0a0579afbc6d9338",
+    ("rd84", "delay"): "69a2bffc64ced3a8d151172415f24f37ffd3505153689e2a0a0579afbc6d9338",
+    ("sao2", "area"): "399a3562f946d759b1a2da3f88954a35c91941613b88dbfb6fc989d2f891c942",
+    ("sao2", "delay"): "399a3562f946d759b1a2da3f88954a35c91941613b88dbfb6fc989d2f891c942",
+    ("vg2", "area"): "0920ec3d621e269d28db8ddf68c329fe17b35309d3d12cc92e4e5987ad858460",
+    ("vg2", "delay"): "0920ec3d621e269d28db8ddf68c329fe17b35309d3d12cc92e4e5987ad858460",
+    ("z4ml", "area"): "e7dff12d03ed296358f06ddc80caf22b5d00bf23ad6839e1ec0f372e05062979",
+    ("z4ml", "delay"): "e7dff12d03ed296358f06ddc80caf22b5d00bf23ad6839e1ec0f372e05062979",
+}
+
+
+@pytest.mark.parametrize("name, cost", sorted(GOLDEN))
+def test_emitted_blif_is_pinned(name, cost, tmp_path, capsys):
+    target = tmp_path / f"{name}.blif"
+    argv = ["blif", os.path.join(INPUTS, f"{name}.blif"), "-o", str(target)]
+    if cost == "delay":
+        argv += ["--cost", "delay"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == GOLDEN[name, cost]

@@ -72,6 +72,38 @@ class TestCli:
             assert err.startswith(f"error: {path}: ") and reason in err
             assert len(err.splitlines()) == 1
 
+    def test_bad_record_file_is_one_line_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        not_json = tmp_path / "trace.jsonl"
+        not_json.write_text("{}\nnot json\n")
+        no_port = tmp_path / "svc.json"
+        no_port.write_text('{"host": "127.0.0.1", "pid": 1}')
+        cases = [
+            (["trace", missing], missing, "No such file"),
+            (["trace", str(not_json)], str(not_json), "line 2: not valid JSON"),
+            (["journal", missing], missing, "No such file"),
+            (["submit", "misex1", "--info", missing], missing, "No such file"),
+            (["submit", "misex1", "--info", str(no_port)], str(no_port),
+             "needs host and port"),
+            (["health", "--info", missing], missing, "No such file"),
+        ]
+        for argv, path, reason in cases:
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: ") and reason in err, err
+            assert len(err.splitlines()) == 1
+
+    def test_cache_refuses_a_missing_store(self, tmp_path, capsys):
+        typo = tmp_path / "sub" / "TYPO.db"
+        assert main(["cache", str(typo), "--check"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {typo}: no such result store\n"
+        assert not (tmp_path / "sub").exists()
+        garbage = tmp_path / "garbage.db"
+        garbage.write_text("not a database\n")
+        assert main(["cache", str(garbage), "--check"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {garbage}: ")
+
 
 class TestProcess:
     def test_cli_run_imports_neither_numpy_nor_networkx(self, tmp_path):

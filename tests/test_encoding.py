@@ -59,6 +59,90 @@ class TestBuildImage:
         assert image.dc == FALSE  # no unused code with 2 classes / 1 bit
 
 
+def apply_chain_image(manager, alpha_levels, codes, class_functions):
+    """The reference image: ``OR_i code_cube(i) AND fc_i`` by apply calls,
+    with every point no code covers added to the don't cares."""
+    on = dc = used = FALSE
+    for code, fc in zip(codes, class_functions):
+        cube = build_cube(
+            manager, {alpha_levels[a]: bit for a, bit in code.items()}
+        )
+        on = manager.apply_or(on, manager.apply_and(cube, fc.on))
+        dc = manager.apply_or(dc, manager.apply_and(cube, fc.dc))
+        used = manager.apply_or(used, cube)
+    dc = manager.apply_or(dc, manager.apply_not(used))
+    return Column(on, dc)
+
+
+def _random_image_case(seed):
+    """Class functions over 1-8 free variables (constants and duplicates
+    included) and canonical, permuted or partial codes for 2-9 classes."""
+    rng = random.Random(seed)
+    num_free = rng.randint(1, 8)
+    n = rng.randint(2, 9)
+    t = max(1, math.ceil(math.log2(n)))
+    m = BddManager(num_free + t)
+    free = list(range(num_free))
+
+    def function():
+        roll = rng.random()
+        if roll < 0.1:
+            return FALSE
+        if roll < 0.2:
+            return TRUE
+        return m.from_truth_table(rng.getrandbits(1 << num_free), free)
+
+    fcs = []
+    for _ in range(n):
+        if fcs and rng.random() < 0.15:
+            fcs.append(rng.choice(fcs))
+            continue
+        on = function()
+        dc = FALSE if rng.random() < 0.4 else m.apply_diff(function(), on)
+        fcs.append(Column(on, dc))
+    kind = ("canonical", "permuted", "partial")[seed % 3]
+    if kind == "canonical":
+        codes = canonical_codes(n, t)
+    else:
+        points = rng.sample(range(1 << t), n)
+        codes = [{a: (p >> a) & 1 for a in range(t)} for p in points]
+    if kind == "partial":
+        # Dropped bits widen a code to a cube; cubes may then overlap.
+        codes = [
+            {a: bit for a, bit in code.items() if rng.random() >= 0.3}
+            for code in codes
+        ]
+    return m, list(range(num_free, num_free + t)), codes, fcs
+
+
+class TestImageKernel:
+    """``build_image_function`` (one ``code_mux`` descent per half) must
+    return the very nodes the apply chain builds."""
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_matches_apply_chain(self, block):
+        for seed in range(block * 100, block * 100 + 100):
+            m, alpha, codes, fcs = _random_image_case(seed)
+            image = build_image_function(m, alpha, codes, fcs)
+            reference = apply_chain_image(m, alpha, codes, fcs)
+            assert (image.on, image.dc) == (reference.on, reference.dc), seed
+
+    @pytest.mark.parametrize("alpha", [0, 2])
+    def test_code_level_not_below_every_class_variable_rejected(self, alpha):
+        # α above both class variables, or α one of them.
+        m = BddManager(3)
+        fcs = [Column(m.var_at_level(1)), Column(m.var_at_level(2))]
+        with pytest.raises(ValueError, match="below"):
+            build_image_function(m, [alpha], canonical_codes(2, 1), fcs)
+
+    def test_constant_classes_need_no_level_order(self):
+        m = BddManager(2)
+        fcs = [Column(TRUE), Column(FALSE, TRUE)]
+        image = build_image_function(m, [0], canonical_codes(2, 1), fcs)
+        reference = apply_chain_image(m, [0], canonical_codes(2, 1), fcs)
+        assert (image.on, image.dc) == (reference.on, reference.dc)
+
+
 class TestColumnSets:
     def test_figure_4b_psc_table(self):
         parts = example_3_2_partitions()

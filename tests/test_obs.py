@@ -285,15 +285,27 @@ class TestCli:
         assert validate_trace(records) == []
         assert records[0]["circuit"] == "misex1"
         assert records[0]["perf"]["apply_calls"] > 0
+        assert records[0]["perf"]["nodes_allocated"] > 0
 
         assert main(["trace", path]) == 0
         rendered = capsys.readouterr().out
         assert "span tree" in rendered
+        assert "BDD nodes allocated" in rendered
 
         assert main(
             ["trace", path, "--check", "--min-coverage", "0.9"]
         ) == 0
         assert "trace ok" in capsys.readouterr().out
+
+    def test_stats_reports_nodes_allocated(self, capsys):
+        from repro.cli import main
+
+        assert main(["stats", "z4ml"]) == 0
+        line = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if "BDD nodes allocated" in line
+        )
+        assert int(line.split()[-1]) > 0
 
     def test_check_rejects_corrupt_trace(self, tmp_path, capsys):
         from repro.cli import main
