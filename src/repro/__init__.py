@@ -23,19 +23,25 @@ Quick start::
     print(result.lut_count, result.clb_count)
 """
 
-from .bdd import BddManager
-from .boolfunc import BoolFunction, FunctionSpace, TruthTable
-from .decompose import DecompositionOptions, decompose_step, decompose_to_network
-from .hyper import build_hyper_function, decompose_hyper_function
-from .mapping import (
-    MapResult,
-    hyde_map,
-    map_column_encoding,
-    map_per_output,
-    map_per_output_resub,
-    map_shannon,
-)
-from .network import Network, check_equivalence
+from ._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, globals(), {
+    "bdd": ("BddManager",),
+    "boolfunc": ("BoolFunction", "FunctionSpace", "TruthTable"),
+    "decompose": (
+        "DecompositionOptions", "decompose_step", "decompose_to_network",
+    ),
+    "hyper": ("build_hyper_function", "decompose_hyper_function"),
+    "mapping": (
+        "MapResult",
+        "hyde_map",
+        "map_column_encoding",
+        "map_per_output",
+        "map_per_output_resub",
+        "map_shannon",
+    ),
+    "network": ("Network", "check_equivalence"),
+})
 
 __version__ = "1.0.0"
 

@@ -9,21 +9,28 @@ Public surface:
 * :mod:`repro.bdd.io` — DOT / cube-list export.
 """
 
-from .manager import FALSE, TRUE, BddBudgetExceeded, BddManager, build_cube
-from .ops import (
-    conjoin,
-    count_distinct_cofactors,
-    cube_of_levels,
-    disjoin,
-    implies,
-    is_contradiction,
-    is_tautology,
-    minterm,
-    swap_rename,
-)
+from .._lazy import lazy_exports
+
+# Each of these three modules exports a function of its own name; imported
+# lazily, the submodule would rebind the package attribute to the module.
 from .isop import cube_count, cubes_to_bdd, isop, literal_count
 from .reorder import sift_order, size_with_order, window_permute
 from .transfer import copy_into, reorder, transfer
+
+__getattr__ = lazy_exports(__name__, globals(), {
+    "manager": ("FALSE", "TRUE", "BddBudgetExceeded", "BddManager", "build_cube"),
+    "ops": (
+        "conjoin",
+        "count_distinct_cofactors",
+        "cube_of_levels",
+        "disjoin",
+        "implies",
+        "is_contradiction",
+        "is_tautology",
+        "minterm",
+        "swap_rename",
+    ),
+})
 
 __all__ = [
     "FALSE",

@@ -1,16 +1,20 @@
 """Boolean function representations: dense truth tables, BDD-backed
 functions with named variables, and incompletely specified functions."""
 
-from .function import BoolFunction, FunctionSpace
-from .incomplete import IncompleteFunction
-from .npn import (
-    apply_transform,
-    npn_canonical,
-    npn_classes,
-    npn_equivalent,
-    npn_transforms,
-)
-from .truthtable import TruthTable
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, globals(), {
+    "function": ("BoolFunction", "FunctionSpace"),
+    "incomplete": ("IncompleteFunction",),
+    "npn": (
+        "apply_transform",
+        "npn_canonical",
+        "npn_classes",
+        "npn_equivalent",
+        "npn_transforms",
+    ),
+    "truthtable": ("TruthTable",),
+})
 
 __all__ = [
     "TruthTable",

@@ -18,32 +18,20 @@ Usage examples::
 from __future__ import annotations
 
 import argparse
+import errno
+import functools
 import json
 import os
 import sys
 import time
-from typing import Callable, Dict, List, Optional
+from importlib import import_module
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from . import obs
-from .circuits import CIRCUITS, build
-from .harness import (
-    TABLE1_CLB,
-    TABLE2_LUT,
-    render_comparison,
-    render_table,
-    run_experiment,
-)
-from .mapping import (
-    MapResult,
-    hyde_map,
-    map_column_encoding,
-    map_per_output,
-    map_per_output_resub,
-    map_shannon,
-    map_structural,
-)
-from .network import read_blif, write_blif
-from .runstate import RunInterrupted, load_journal, open_journal, validate_journal
+from .network.blif import read_blif, write_blif
+
+if TYPE_CHECKING:
+    from .mapping import MapResult
 
 #: Exit code of an interrupted (but journaled and resumable) run —
 #: EX_TEMPFAIL, the sysexits convention for "try again later".
@@ -51,8 +39,9 @@ EXIT_INTERRUPTED = 75
 
 
 class InputFileError(Exception):
-    """An input file named on the command line is missing, unreadable or
-    malformed; :func:`main` reports it in one line and exits 2."""
+    """A file named on the command line is missing, unreadable or
+    malformed, or cannot be written; :func:`main` reports it in one line
+    and exits 2."""
 
 
 def _read_input(path: str, parse: Optional[Callable] = None):
@@ -69,36 +58,51 @@ def _read_input(path: str, parse: Optional[Callable] = None):
         raise InputFileError(f"{path}: {exc}") from None
 
 
+def _check_outputs(*paths: Optional[str]) -> None:
+    """Refuse, before any work, an output file whose directory is missing
+    or read-only; nothing is created."""
+    for path in paths:
+        if path is None:
+            continue
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        elif not os.access(parent, os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise InputFileError(f"{path}: {os.strerror(code)}")
+
+
+def _write_output(path: str, write: Callable[[str], object]):
+    """``write(path)``, with a failed write as InputFileError."""
+    try:
+        return write(path)
+    except OSError as exc:
+        raise InputFileError(f"{path}: {exc.strerror or exc}") from None
+
+
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
 
 
-FLOWS: Dict[str, Callable] = {
-    "hyde": lambda net, k, verify="bdd", jobs=1, **kw: hyde_map(
-        net, k, verify=verify, jobs=jobs, **kw
-    ),
-    "per-output": lambda net, k, verify="bdd", jobs=1, **kw: map_per_output(
-        net, k, encoding_policy="chart", verify=verify, jobs=jobs, **kw
-    ),
-    "random": lambda net, k, verify="bdd", jobs=1, **kw: map_per_output(
-        net, k, encoding_policy="random", verify=verify, jobs=jobs, **kw
-    ),
-    "resub": lambda net, k, verify="bdd", jobs=1, **kw: map_per_output_resub(
-        net, k, verify=verify, jobs=jobs, **kw
-    ),
-    "column": lambda net, k, verify="bdd", jobs=1, **kw: map_column_encoding(
-        net, k, verify=verify, jobs=jobs, **kw
-    ),
-    # Flows below have no group-level parallelism (and hence no fault
-    # tolerance or checkpointing); ``jobs`` and the governance kwargs
-    # are accepted (so ``--flow all --jobs N`` works) and ignored.
-    "shannon": lambda net, k, verify="bdd", jobs=1, **kw: map_shannon(
-        net, k, verify=verify
-    ),
-    "structural": lambda net, k, verify="bdd", jobs=1, **kw: map_structural(
-        net, k, verify=verify
-    ),
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+
+
+#: Flow label -> (module of :mod:`repro.mapping`, entry point, keyword
+#: arguments the label fixes).  :func:`_load_flow` imports a flow's
+#: module only when a command runs it.
+FLOWS: Dict[str, Tuple[str, str, Dict[str, object]]] = {
+    "hyde": ("hyde", "hyde_map", {}),
+    "per-output": ("baselines", "map_per_output", {"encoding_policy": "chart"}),
+    "random": ("baselines", "map_per_output", {"encoding_policy": "random"}),
+    "resub": ("baselines", "map_per_output_resub", {}),
+    "column": ("baselines", "map_column_encoding", {}),
+    "shannon": ("baselines", "map_shannon", {}),
+    "structural": ("structural", "map_structural", {}),
 }
 
 #: Flows that accept a ``journal=`` kwarg (checkpoint/resume support).
@@ -110,16 +114,43 @@ CACHED_FLOWS = JOURNALED_FLOWS
 #: Flows that accept a ``portfolio=`` kwarg (strategy racing).
 PORTFOLIO_FLOWS = {"hyde"}
 
+#: Flow keyword arguments that route a run through the governed task
+#: runner (:mod:`repro.mapping.parallel`), as ``jobs > 1`` does.
+GOVERNED_KWARGS = {"policy", "faults", "journal", "cache", "portfolio"}
+
+
+def _load_flow(label: str, jobs: int = 1, kwargs=()) -> Callable:
+    """Import flow ``label`` and return it as
+    ``fn(net, k, verify=, jobs=, **governance)``.
+
+    Callers load a flow before opening its span, so a trace times the
+    mapping, not the imports.  ``jobs`` and the keyword arguments the
+    flow will get say whether that includes the task runner.
+    """
+    module, name, fixed = FLOWS[label]
+    flow = getattr(import_module(f".mapping.{module}", __package__), name)
+    if label not in JOURNALED_FLOWS:
+        # No group-level parallelism (and hence no fault tolerance or
+        # checkpointing): ``jobs`` and the governance kwargs are accepted
+        # (so ``--flow all --jobs N`` works) and ignored.
+        return lambda net, k, verify="bdd", jobs=1, **kw: flow(
+            net, k, verify=verify
+        )
+    if jobs > 1 or GOVERNED_KWARGS.intersection(kwargs):
+        import_module(".mapping.parallel", __package__)
+    return functools.partial(flow, **fixed)
+
 
 def _open_flow_journal(args, circuit: str, label: str):
     """Open the checkpoint journal for one (circuit, flow) run, or None."""
     directory = getattr(args, "checkpoint", None)
     if directory is None or label not in JOURNALED_FLOWS:
         return None
-    return open_journal(
-        directory, circuit, label, args.k,
-        resume=getattr(args, "resume", False),
-    )
+    from .runstate.journal import open_journal
+
+    return _write_output(directory, lambda path: open_journal(
+        path, circuit, label, args.k, resume=getattr(args, "resume", False),
+    ))
 
 
 def _open_result_cache(args):
@@ -148,14 +179,14 @@ def _print_cache_summary(result: MapResult) -> None:
 
 def _governance_kwargs(args) -> Dict[str, object]:
     """Map the fault-tolerance CLI flags to flow keyword arguments."""
-    from .mapping import TaskPolicy
-
     kw: Dict[str, object] = {}
     if getattr(args, "max_bdd_nodes", None) is not None:
         kw["max_bdd_nodes"] = args.max_bdd_nodes
     timeout = getattr(args, "timeout", None)
     retries = getattr(args, "retries", None)
     if timeout is not None or retries is not None:
+        from .mapping.parallel import TaskPolicy
+
         kw["policy"] = TaskPolicy(
             timeout_seconds=timeout,
             retries=retries if retries is not None else 1,
@@ -209,6 +240,9 @@ def _print_portfolio(result: MapResult) -> None:
 
 
 def _cmd_circuits(args: argparse.Namespace) -> int:
+    from .circuits import CIRCUITS
+    from .harness.report import render_table
+
     rows = [
         [spec.name, spec.num_inputs, spec.num_outputs,
          "exact" if spec.exact else "stand-in", spec.size_class]
@@ -240,22 +274,25 @@ def _write_trace_file(
         perf = result.details.get("perf")
         if perf:
             merged.merge_dict(perf)
-    count = obs.write_trace(
-        path,
-        recorder,
-        {
-            "flow": flow,
-            "circuit": circuit,
-            "k": k,
-            "jobs": jobs,
-            "wall_seconds": round(wall_seconds, 6),
-            "perf": merged.snapshot(),
-        },
+    meta = {
+        "flow": flow,
+        "circuit": circuit,
+        "k": k,
+        "jobs": jobs,
+        "wall_seconds": round(wall_seconds, 6),
+        "perf": merged.snapshot(),
+    }
+    count = _write_output(
+        path, lambda target: obs.write_trace(target, recorder, meta)
     )
     print(f"wrote {count} trace records to {path}")
 
 
 def _run_flows(net, args) -> int:
+    from .harness.report import render_table
+    from .runstate.shutdown import RunInterrupted
+
+    _check_outputs(args.output, args.trace, args.cache)
     labels = list(FLOWS) if args.flow == "all" else [args.flow]
     jobs = getattr(args, "jobs", 1)
     governance = _governance_kwargs(args)
@@ -283,12 +320,13 @@ def _run_flows(net, args) -> int:
                     flow_kwargs["journal"] = journal
                 if cache is not None and label in CACHED_FLOWS:
                     flow_kwargs["cache"] = cache
+                flow = _load_flow(label, jobs, flow_kwargs)
                 try:
                     with obs.span(
                         f"flow:{label}", circuit=net.name, k=args.k,
                         jobs=jobs,
                     ):
-                        result = FLOWS[label](
+                        result = flow(
                             net.copy(), args.k, verify=args.verify,
                             jobs=jobs, **flow_kwargs,
                         )
@@ -336,15 +374,20 @@ def _run_flows(net, args) -> int:
             jobs, time.time() - wall_start,
         )
     if args.output and results:
-        write_blif(results[-1].network, args.output)
+        _write_output(
+            args.output, lambda path: write_blif(results[-1].network, path)
+        )
         print(f"wrote {args.output}")
     return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     """Run one flow and print its perf-counter report."""
+    from .circuits import build
     from .perf import format_perf_report
+    from .runstate.shutdown import RunInterrupted
 
+    _check_outputs(args.trace, args.cache)
     net = build(args.circuit)
     trace_path: Optional[str] = getattr(args, "trace", None)
     recorder = obs.TraceRecorder() if trace_path else None
@@ -357,6 +400,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     cache = _open_result_cache(args)
     if cache is not None and args.flow in CACHED_FLOWS:
         flow_kwargs["cache"] = cache
+    flow = _load_flow(args.flow, args.jobs, flow_kwargs)
     wall_start = time.time()
     try:
         with obs.installed(recorder):
@@ -364,7 +408,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                 f"flow:{args.flow}", circuit=net.name, k=args.k,
                 jobs=args.jobs,
             ):
-                result = FLOWS[args.flow](
+                result = flow(
                     net, args.k, verify=args.verify, jobs=args.jobs,
                     **flow_kwargs,
                 )
@@ -458,6 +502,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_journal(args: argparse.Namespace) -> int:
     """Render (or, with --check, gate on) a checkpoint journal file."""
+    from .runstate.journal import load_journal, validate_journal
+
     records, problems = _read_input(args.path, load_journal)
     problems = list(problems) + validate_journal(records)
     if args.check:
@@ -547,10 +593,12 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     command never prints an unproven number as exact.
     """
     from .exact import ExactBudgetExceeded, ExactCache, cone_spec, exact_map
+    from .harness.report import render_table
     from .mapping.parallel import _splice_witness
     from .network import Network, check_equivalence
 
     net = _read_input(args.path)
+    _check_outputs(args.output, args.trace, args.cache)
     trace_path: Optional[str] = getattr(args, "trace", None)
     recorder = obs.TraceRecorder() if trace_path else None
     cache = ExactCache(args.cache) if args.cache else None
@@ -631,12 +679,14 @@ def _cmd_exact(args: argparse.Namespace) -> int:
             raise RuntimeError(
                 f"exact witness differs from the spec on output {bad!r}"
             )
-        write_blif(witness, args.output)
+        _write_output(args.output, lambda path: write_blif(witness, path))
         print(f"wrote {args.output} (verified equivalent)")
     return 1 if unproven else 0
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
+    from .circuits import build
+
     return _run_flows(build(args.circuit), args)
 
 
@@ -645,25 +695,31 @@ def _cmd_blif(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace, table: int) -> int:
+    from .circuits import CIRCUITS
+    from .harness import (
+        TABLE1_CLB,
+        TABLE2_LUT,
+        render_comparison,
+        run_experiment,
+    )
+
     classes = {"small": ["small"], "medium": ["small", "medium"],
                "all": ["small", "medium", "large"]}[args.classes]
-    from .circuits import names
-
     if table == 1:
         paper, metric = TABLE1_CLB, "clb_count"
         flows = {
-            "imodec-like": FLOWS["random"],
-            "fgsyn-like": FLOWS["column"],
-            "hyde": FLOWS["hyde"],
+            "imodec-like": _load_flow("random"),
+            "fgsyn-like": _load_flow("column"),
+            "hyde": _load_flow("hyde"),
         }
         columns = {"imodec-like": "imodec", "fgsyn-like": "fgsyn",
                    "hyde": "hyde"}
     else:
         paper, metric = TABLE2_LUT, "lut_count"
         flows = {
-            "no-resub": FLOWS["random"],
-            "resub": FLOWS["resub"],
-            "hyde": FLOWS["hyde"],
+            "no-resub": _load_flow("random"),
+            "resub": _load_flow("resub"),
+            "hyde": _load_flow("hyde"),
         }
         columns = {"no-resub": "no_resub", "resub": "resub", "hyde": "hyde"}
 
@@ -771,17 +827,27 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"  {problem}")
         return 0 if report.ok else 1
 
+    # Both engines raise ValueError when the networks' inputs or outputs
+    # differ; that is a verdict, not a crash.
     if not args.finegrain:
-        bad = check_equivalence(golden, mapped)
+        try:
+            bad = check_equivalence(golden, mapped)
+        except ValueError as exc:
+            print(f"NOT equivalent: {exc}")
+            return 1
         if bad is None:
             print(f"equivalent: {args.mapped} matches {args.golden}")
             return 0
         print(f"NOT equivalent: output {bad!r} differs")
         return 1
 
-    report = finegrain_check(
-        golden, mapped, num_vectors=args.vectors, seed=args.seed
-    )
+    try:
+        report = finegrain_check(
+            golden, mapped, num_vectors=args.vectors, seed=args.seed
+        )
+    except ValueError as exc:
+        print(f"NOT equivalent: {exc}")
+        return 1
     print(report.summary())
     if report.equivalent:
         return 0
@@ -791,22 +857,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for cone in report.failing_cones:
             miter = build_miter(golden, mapped, cone.output)
             shrunk = shrink_network(miter, miter_satisfiable)
-            path = save_repro(
-                shrunk,
-                args.repro_dir,
-                f"{golden.name}_{cone.output}_miter",
-                note=(
-                    f"XOR miter of output {cone.output!r}: "
-                    f"{args.mapped} vs {args.golden}; satisfiable "
-                    "assignments are counterexamples.\n" + cone.describe()
-                ),
+            note = (
+                f"XOR miter of output {cone.output!r}: {args.mapped} vs "
+                f"{args.golden}; satisfiable assignments are "
+                "counterexamples.\n" + cone.describe()
             )
+            path = _write_output(args.repro_dir, lambda directory: save_repro(
+                shrunk, directory, f"{golden.name}_{cone.output}_miter",
+                note=note,
+            ))
             print(f"shrunk witness for {cone.output!r}: {path}")
     return 1
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the mapping daemon until dismissed (exit 0) or drained (75)."""
+    _check_outputs(args.store, args.info)
     if args.supervise:
         # Watchdog mode: re-exec ourselves without --supervise as the
         # child and restart it on crashes with crash-loop backoff.
@@ -920,6 +986,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     from .network import to_blif
     from .service import ServiceClient, ServiceError
 
+    _check_outputs(args.output)
     if args.info:
         client = _client_from_info(args.info, args.timeout)
     elif args.port:
@@ -930,6 +997,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     if args.blif:
         blif_text = _read_input(args.blif, _read_text)
     else:
+        from .circuits import build
+
         blif_text = to_blif(build(args.circuit))
     knobs: Dict[str, object] = {"k": args.k}
     if args.verify is not None:
@@ -974,8 +1043,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         print(f"service error: {exc}", file=sys.stderr)
         return 1
     if args.output and last is not None:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(last["blif"])
+        _write_output(args.output, lambda path: _write_text(path, last["blif"]))
         print(f"wrote {args.output}")
     return 0
 
@@ -1022,6 +1090,19 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
+def _circuit_name(name: str) -> str:
+    """The argparse type of a circuit argument: the circuit registry is
+    loaded only by the commands that name a circuit."""
+    from .circuits import CIRCUITS
+
+    if name not in CIRCUITS:
+        choices = ", ".join(map(repr, sorted(CIRCUITS)))
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from {choices})"
+        )
+    return name
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro", description="HYDE (DAC 1998) reproduction CLI"
@@ -1036,7 +1117,9 @@ def main(argv=None) -> int:
     ]:
         p = sub.add_parser(name, help=help_text)
         if name == "map":
-            p.add_argument("circuit", choices=sorted(CIRCUITS))
+            p.add_argument("circuit", type=_circuit_name,
+                           help="registered benchmark circuit (see "
+                           "'repro circuits')")
         else:
             p.add_argument("path")
         p.add_argument("--flow", default="hyde",
@@ -1084,7 +1167,8 @@ def main(argv=None) -> int:
     p = sub.add_parser(
         "stats", help="run a flow and print its perf-counter report"
     )
-    p.add_argument("circuit", choices=sorted(CIRCUITS))
+    p.add_argument("circuit", type=_circuit_name,
+                   help="registered benchmark circuit (see 'repro circuits')")
     p.add_argument("--flow", default="hyde", choices=list(FLOWS))
     p.add_argument("-k", type=int, default=5, help="LUT input count")
     p.add_argument("--verify", default="bdd",
@@ -1200,7 +1284,7 @@ def main(argv=None) -> int:
     p = sub.add_parser(
         "submit", help="submit a circuit to a running mapping daemon"
     )
-    p.add_argument("circuit", nargs="?", choices=sorted(CIRCUITS),
+    p.add_argument("circuit", nargs="?", type=_circuit_name,
                    help="registered benchmark circuit (or use --blif)")
     p.add_argument("--blif", default=None, metavar="FILE",
                    help="submit this BLIF file instead of a circuit")

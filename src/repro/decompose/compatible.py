@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..bdd import FALSE, TRUE, BddManager
+from . import dontcare  # imports this module back: use attributes at call time
 from .partition import Partition
 
 __all__ = ["Column", "CompatibleClasses", "enumerate_columns", "compute_classes"]
@@ -120,9 +121,7 @@ def compute_classes(
     columns = enumerate_columns(manager, on, bound_levels, dc)
 
     if dc != FALSE and use_dontcares:
-        from .dontcare import assign_dontcares  # deferred: avoids an import cycle
-
-        class_of_position, class_functions = assign_dontcares(
+        class_of_position, class_functions = dontcare.assign_dontcares(
             manager, columns, fast_path=fast_path
         )
         return CompatibleClasses(

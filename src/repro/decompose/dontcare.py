@@ -15,10 +15,13 @@ classes of an image function whose unused codes are don't cares.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, List, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Sequence, Set, Tuple
 
 from ..bdd import FALSE, TRUE, BddManager
-from .compatible import Column
+from . import compatible  # imports this module back: use attributes at call time
+
+if TYPE_CHECKING:
+    from .compatible import Column
 
 __all__ = ["clique_partition", "assign_dontcares", "compatibility_graph"]
 
@@ -234,7 +237,7 @@ def assign_dontcares(
                 manager.apply_not(merged_on), merged_off
             )
             class_index = len(class_functions)
-            class_functions.append(Column(merged_on, merged_dc))
+            class_functions.append(compatible.Column(merged_on, merged_dc))
             for rep in members:
                 class_of_rep[rep] = class_index
             pending = rest

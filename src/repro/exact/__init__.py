@@ -4,17 +4,21 @@ See :mod:`repro.exact.mapper` for the search and
 :mod:`repro.exact.cache` for the NPN-canonical memo.
 """
 
-from .cache import EXACT_SCHEMA_VERSION, ExactCache
-from .mapper import (
-    DEFAULT_BUDGET_SECONDS,
-    DEFAULT_MAX_LUTS,
-    EXACT_MAX_INPUTS,
-    ExactBudgetExceeded,
-    ExactResult,
-    cone_spec,
-    exact_map,
-    exact_map_network,
-)
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, globals(), {
+    "cache": ("EXACT_SCHEMA_VERSION", "ExactCache"),
+    "mapper": (
+        "DEFAULT_BUDGET_SECONDS",
+        "DEFAULT_MAX_LUTS",
+        "EXACT_MAX_INPUTS",
+        "ExactBudgetExceeded",
+        "ExactResult",
+        "cone_spec",
+        "exact_map",
+        "exact_map_network",
+    ),
+})
 
 __all__ = [
     "DEFAULT_BUDGET_SECONDS",

@@ -7,20 +7,24 @@ back transparently to the :class:`~repro.bdd.BddManager` path for wide
 supports.  See docs/ALGORITHMS.md ("Bit-parallel kernels").
 """
 
-from .bitops import (
-    DEFAULT_MAX_WIDTH,
-    HARD_MAX_WIDTH,
-    PackedPair,
-    PackedSearch,
-    bdd_to_packed,
-    count_distinct_columns,
-    global_memo_stats,
-    clear_global_memo,
-    pack_pair,
-    try_merged_count,
-    try_syntactic_count,
-    var_masks,
-)
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, globals(), {
+    "bitops": (
+        "DEFAULT_MAX_WIDTH",
+        "HARD_MAX_WIDTH",
+        "PackedPair",
+        "PackedSearch",
+        "bdd_to_packed",
+        "count_distinct_columns",
+        "global_memo_stats",
+        "clear_global_memo",
+        "pack_pair",
+        "try_merged_count",
+        "try_syntactic_count",
+        "var_masks",
+    ),
+})
 
 __all__ = [
     "DEFAULT_MAX_WIDTH",

@@ -1,12 +1,16 @@
 """Experiment harness: runners, result records, the paper's published
 numbers and ASCII comparison reports."""
 
-from .archive import RecordDiff, compare_records, load_record, save_record
-from .paper_data import TABLE1_CLB, TABLE1_CPU_SECONDS, TABLE2_LUT
-from .records import CircuitRecord, ExperimentRecord, FlowRecord
-from .report import format_cell, render_comparison, render_table
-from .runner import default_size_classes, run_experiment
-from .timing import Stopwatch, timed
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, globals(), {
+    "archive": ("RecordDiff", "compare_records", "load_record", "save_record"),
+    "paper_data": ("TABLE1_CLB", "TABLE1_CPU_SECONDS", "TABLE2_LUT"),
+    "records": ("CircuitRecord", "ExperimentRecord", "FlowRecord"),
+    "report": ("format_cell", "render_comparison", "render_table"),
+    "runner": ("default_size_classes", "run_experiment"),
+    "timing": ("Stopwatch", "timed"),
+})
 
 __all__ = [
     "TABLE1_CLB",

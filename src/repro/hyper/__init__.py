@@ -1,10 +1,18 @@
 """Hyper-function decomposition: ingredient encoding, PPI folding,
 duplication-cone analysis and ingredient recovery (paper Section 4)."""
 
-from .decompose import HyperDecompositionResult, decompose_hyper_function
-from .duplication import DuplicationInfo, analyze_duplication, recover_ingredients
-from .hyperfunction import HyperFunction, build_hyper_function
-from .sharing import SharingPlan, partition_of_function, pliable_sharing_plan
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, globals(), {
+    "decompose": ("HyperDecompositionResult", "decompose_hyper_function"),
+    "duplication": (
+        "DuplicationInfo", "analyze_duplication", "recover_ingredients",
+    ),
+    "hyperfunction": ("HyperFunction", "build_hyper_function"),
+    "sharing": (
+        "SharingPlan", "partition_of_function", "pliable_sharing_plan",
+    ),
+})
 
 __all__ = [
     "HyperFunction",

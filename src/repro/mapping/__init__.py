@@ -1,20 +1,28 @@
 """Technology-mapping flows: HYDE, baselines, LUT costing, XC3000 CLB
 packing and support-minimising resubstitution."""
 
-from .baselines import (
-    map_column_encoding,
-    map_per_output,
-    map_per_output_resub,
-    map_shannon,
-)
-from .clb import ClbPacking, can_pair, pack_xc3000
-from .hyde import MapResult, cluster_outputs, hyde_map
-from .lut import absorb_inverters, cleanup_for_lut_count, count_luts, dedup_nodes
-from .parallel import RunReport, TaskPolicy, run_group_tasks, structural_fragment
-from .resub import functionally_dependent, resubstitute
-from .structural import map_structural
-from .time_multiplex import TimeMultiplexResult, map_time_multiplexed
-from .ti_extract import ExtractionReport, extract_common_sublogic
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, globals(), {
+    "baselines": (
+        "map_column_encoding",
+        "map_per_output",
+        "map_per_output_resub",
+        "map_shannon",
+    ),
+    "clb": ("ClbPacking", "can_pair", "pack_xc3000"),
+    "hyde": ("MapResult", "cluster_outputs", "hyde_map"),
+    "lut": (
+        "absorb_inverters", "cleanup_for_lut_count", "count_luts", "dedup_nodes",
+    ),
+    "parallel": (
+        "RunReport", "TaskPolicy", "run_group_tasks", "structural_fragment",
+    ),
+    "resub": ("functionally_dependent", "resubstitute"),
+    "structural": ("map_structural",),
+    "time_multiplex": ("TimeMultiplexResult", "map_time_multiplexed"),
+    "ti_extract": ("ExtractionReport", "extract_common_sublogic"),
+})
 
 __all__ = [
     "MapResult",

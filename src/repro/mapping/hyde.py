@@ -22,26 +22,40 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
-from ..bdd import FALSE, TRUE
+from ..bdd import FALSE, TRUE, BddManager
 from ..decompose import DecompositionOptions, decompose_to_network
+from ..hyper import decompose_hyper_function
 from ..network import (
     GlobalBdds,
     Network,
     check_equivalence,
     extract_cone,
+    node_depths,
     parse_blif,
     simulate_equivalence,
     to_blif,
 )
-from ..runstate import RunInterrupted, RunJournal
+from ..runstate import RunInterrupted
 from .clb import pack_xc3000
 from .lut import cleanup_for_lut_count, count_luts
-from .parallel import GroupTask, TaskPolicy, build_group_fragment, run_group_tasks
+
+if TYPE_CHECKING:
+    from ..runstate import RunJournal
+    from .parallel import TaskPolicy
 
 __all__ = ["MapResult", "hyde_map", "cluster_outputs"]
+
+
+def run_group_tasks(*args, **kwargs):
+    """:func:`repro.mapping.parallel.run_group_tasks`, imported on the
+    first call: a plain serial run never loads the governed task runner
+    (nor ``multiprocessing`` and the journal with it)."""
+    from .parallel import run_group_tasks as run
+
+    return run(*args, **kwargs)
 
 
 @dataclass
@@ -60,13 +74,7 @@ class MapResult:
     @property
     def depth(self) -> int:
         """LUT levels from inputs to the deepest output."""
-        from ..network import node_depths
-
-        depths = node_depths(self.network)
-        return max(
-            (depths[driver] for _, driver in self.network.outputs),
-            default=0,
-        )
+        return _network_depth(self.network)
 
     def __str__(self) -> str:
         clb = f", {self.clb_count} CLBs" if self.clb_count is not None else ""
@@ -112,6 +120,105 @@ def cluster_outputs(
             seed_support |= set(supports[best])
         groups.append(group)
     return groups
+
+
+def _network_depth(net: Network) -> int:
+    """LUT levels from inputs to the deepest primary output."""
+    depths = node_depths(net)
+    return max((depths[driver] for _, driver in net.outputs), default=0)
+
+
+def per_output_fragment(
+    manager: BddManager,
+    ingredients: Sequence[Tuple[str, int]],
+    group_inputs: Sequence[str],
+    options: DecompositionOptions,
+    name: str,
+) -> Network:
+    """Decompose a group output-by-output into a standalone fragment."""
+    frag = Network(name)
+    for pi in group_inputs:
+        frag.add_input(pi)
+    for oi, (out, bdd) in enumerate(ingredients):
+        signal_of_level = {manager.level_of(pi): pi for pi in group_inputs}
+        root = decompose_to_network(
+            manager, bdd, frag, signal_of_level, options, prefix=f"p{oi}"
+        )
+        frag.add_output(root, out)
+    return frag
+
+
+def build_group_fragment(
+    manager: BddManager,
+    output_bdds: Dict[str, int],
+    group: Sequence[str],
+    group_inputs: Sequence[str],
+    options: DecompositionOptions,
+    ingredient_policy: str = "chart",
+    ppi_placement: str = "prefer_free",
+    fallback_per_output: bool = True,
+    base_name: str = "group",
+) -> Tuple[Network, Dict[str, object]]:
+    """Map one ingredient group to a standalone k-feasible fragment.
+
+    This is the per-group body of the HYDE flow, shared verbatim by the
+    serial loop and the pool workers: hyper-function decomposition for
+    multi-output groups (with the optional per-output fallback), plain
+    recursive decomposition for singleton groups.  The fragment's inputs
+    are ``group_inputs`` and its outputs are named after ``group``.
+    """
+    ingredients = [(out, output_bdds[out]) for out in group]
+    if len(group) == 1:
+        fragment = per_output_fragment(
+            manager, ingredients, group_inputs, options, f"{base_name}_po"
+        )
+        cleanup_for_lut_count(fragment)
+        return fragment, {"outputs": list(group), "hyper": False}
+
+    hres = decompose_hyper_function(
+        manager,
+        ingredients,
+        group_inputs,
+        options,
+        ingredient_policy=ingredient_policy,
+        ppi_placement=ppi_placement,
+        network_name=base_name,
+    )
+    fragment = hres.recovered
+    cleanup_for_lut_count(fragment)
+    info: Dict[str, object] = {
+        "outputs": list(group),
+        "hyper": True,
+        "ppi_count": hres.hyper.num_ppis,
+        "shared_nodes": hres.shared_nodes,
+        "cone_nodes": len(hres.duplication.duplication_cone),
+    }
+    if fallback_per_output:
+        alt = per_output_fragment(
+            manager, ingredients, group_inputs, options, f"{base_name}_po"
+        )
+        cleanup_for_lut_count(alt)
+        cost = options.cost
+        hyper_luts = count_luts(fragment, options.k)
+        per_output_luts = count_luts(alt, options.k)
+        info["hyper_luts"] = hyper_luts
+        info["per_output_luts"] = per_output_luts
+        if cost.is_area:
+            # Historical objective verbatim: the per-output variant wins
+            # only with strictly fewer LUTs (ties keep hyper).
+            choose_alt = per_output_luts < hyper_luts
+        else:
+            hyper_depth = _network_depth(fragment)
+            alt_depth = _network_depth(alt)
+            info["hyper_depth"] = hyper_depth
+            info["per_output_depth"] = alt_depth
+            choose_alt = cost.fragment_key(
+                per_output_luts, alt_depth
+            ) < cost.fragment_key(hyper_luts, hyper_depth)
+        if choose_alt:
+            fragment = alt
+            info["hyper"] = False
+    return fragment, info
 
 
 def hyde_map(
@@ -206,6 +313,8 @@ def hyde_map(
     """
     start = time.time()
     if portfolio:
+        from .parallel import TaskPolicy
+
         policy = replace(policy or TaskPolicy(), portfolio=True)
     gb = GlobalBdds(net)
     manager = gb.manager
@@ -275,12 +384,16 @@ def hyde_map(
         # rejected worker reply then carries a cone-level cause (and the
         # journal, when present, a failing_cone event) instead of a bare
         # output name.  An explicit non-default verify_mode wins.
+        from .parallel import TaskPolicy
+
         if policy is None:
             policy = TaskPolicy(verify_mode="finegrain")
         elif policy.verify_mode == "bdd":
             policy = replace(policy, verify_mode="finegrain")
     run_report = None
     if use_tasks and groups:
+        from .parallel import GroupTask
+
         recorder = obs.active()
         tasks = []
         for gi, group in enumerate(groups):

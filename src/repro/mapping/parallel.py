@@ -50,18 +50,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .. import obs
 from ..bdd import BddBudgetExceeded, BddManager
 from ..boolfunc import TruthTable
-from ..decompose import CostModel, DecompositionOptions, decompose_to_network
-from ..hyper import decompose_hyper_function
-from ..network import (
-    GlobalBdds,
-    Network,
-    check_equivalence,
-    node_depths,
-    parse_blif,
-    to_blif,
-)
+from ..decompose import CostModel, DecompositionOptions
+from ..network import GlobalBdds, Network, check_equivalence, parse_blif, to_blif
 from ..perf import PerfCounters
 from ..runstate import RunJournal, ShutdownRequested, graceful_shutdown, task_key
+from .hyde import _network_depth, build_group_fragment, per_output_fragment
 from .lut import cleanup_for_lut_count, count_luts
 
 __all__ = [
@@ -280,105 +273,6 @@ def _auto_serial_decision(
         "workers": workers,
         "serial": serial,
     }
-
-
-def _network_depth(net: Network) -> int:
-    """LUT levels from inputs to the deepest primary output."""
-    depths = node_depths(net)
-    return max((depths[driver] for _, driver in net.outputs), default=0)
-
-
-def per_output_fragment(
-    manager: BddManager,
-    ingredients: Sequence[Tuple[str, int]],
-    group_inputs: Sequence[str],
-    options: DecompositionOptions,
-    name: str,
-) -> Network:
-    """Decompose a group output-by-output into a standalone fragment."""
-    frag = Network(name)
-    for pi in group_inputs:
-        frag.add_input(pi)
-    for oi, (out, bdd) in enumerate(ingredients):
-        signal_of_level = {manager.level_of(pi): pi for pi in group_inputs}
-        root = decompose_to_network(
-            manager, bdd, frag, signal_of_level, options, prefix=f"p{oi}"
-        )
-        frag.add_output(root, out)
-    return frag
-
-
-def build_group_fragment(
-    manager: BddManager,
-    output_bdds: Dict[str, int],
-    group: Sequence[str],
-    group_inputs: Sequence[str],
-    options: DecompositionOptions,
-    ingredient_policy: str = "chart",
-    ppi_placement: str = "prefer_free",
-    fallback_per_output: bool = True,
-    base_name: str = "group",
-) -> Tuple[Network, Dict[str, object]]:
-    """Map one ingredient group to a standalone k-feasible fragment.
-
-    This is the per-group body of the HYDE flow, shared verbatim by the
-    serial loop and the pool workers: hyper-function decomposition for
-    multi-output groups (with the optional per-output fallback), plain
-    recursive decomposition for singleton groups.  The fragment's inputs
-    are ``group_inputs`` and its outputs are named after ``group``.
-    """
-    ingredients = [(out, output_bdds[out]) for out in group]
-    if len(group) == 1:
-        fragment = per_output_fragment(
-            manager, ingredients, group_inputs, options, f"{base_name}_po"
-        )
-        cleanup_for_lut_count(fragment)
-        return fragment, {"outputs": list(group), "hyper": False}
-
-    hres = decompose_hyper_function(
-        manager,
-        ingredients,
-        group_inputs,
-        options,
-        ingredient_policy=ingredient_policy,
-        ppi_placement=ppi_placement,
-        network_name=base_name,
-    )
-    fragment = hres.recovered
-    cleanup_for_lut_count(fragment)
-    info: Dict[str, object] = {
-        "outputs": list(group),
-        "hyper": True,
-        "ppi_count": hres.hyper.num_ppis,
-        "shared_nodes": hres.shared_nodes,
-        "cone_nodes": len(hres.duplication.duplication_cone),
-    }
-    if fallback_per_output:
-        alt = per_output_fragment(
-            manager, ingredients, group_inputs, options, f"{base_name}_po"
-        )
-        cleanup_for_lut_count(alt)
-        cost = options.cost
-        hyper_luts = count_luts(fragment, options.k)
-        per_output_luts = count_luts(alt, options.k)
-        info["hyper_luts"] = hyper_luts
-        info["per_output_luts"] = per_output_luts
-        if cost.is_area:
-            # Historical objective verbatim: the per-output variant wins
-            # only with strictly fewer LUTs (ties keep hyper).
-            choose_alt = per_output_luts < hyper_luts
-        else:
-            hyper_depth = _network_depth(fragment)
-            alt_depth = _network_depth(alt)
-            info["hyper_depth"] = hyper_depth
-            info["per_output_depth"] = alt_depth
-            choose_alt = cost.fragment_key(
-                per_output_luts, alt_depth
-            ) < cost.fragment_key(hyper_luts, hyper_depth)
-        if choose_alt:
-            fragment = alt
-            info["hyper"] = False
-    return fragment, info
 
 
 def structural_fragment(

@@ -1,24 +1,35 @@
 """Boolean network substrate: netlist, I/O formats, simulation,
 equivalence checking, restructuring and statistics."""
 
-from .blif import BlifError, parse_blif, read_blif, to_blif, write_blif
-from .equiv import EquivalenceError, check_equivalence, simulate_equivalence
-from .dot import network_to_dot
-from .equiv import assert_equivalent
-from .globalbdd import GlobalBdds, build_global_bdds
-from .netlist import Network, Node
-from .pla import parse_pla, read_pla, to_pla, write_pla
+from .._lazy import lazy_exports
+
+# The simulate module exports a function of its own name; imported lazily,
+# the submodule would rebind the package attribute to the module.
 from .simulate import exhaustive_vectors, random_vectors, simulate, simulate_vectors
-from .stats import NetworkStats, is_k_feasible, network_stats, node_depths
-from .transform import (
-    collapse_network,
-    collapse_node,
-    extract_cone,
-    propagate_constant_inputs,
-    rename_po_drivers,
-    simplify_local,
-    sweep,
-)
+
+__getattr__ = lazy_exports(__name__, globals(), {
+    "blif": ("BlifError", "parse_blif", "read_blif", "to_blif", "write_blif"),
+    "equiv": (
+        "EquivalenceError",
+        "assert_equivalent",
+        "check_equivalence",
+        "simulate_equivalence",
+    ),
+    "dot": ("network_to_dot",),
+    "globalbdd": ("GlobalBdds", "build_global_bdds"),
+    "netlist": ("Network", "Node"),
+    "pla": ("parse_pla", "read_pla", "to_pla", "write_pla"),
+    "stats": ("NetworkStats", "is_k_feasible", "network_stats", "node_depths"),
+    "transform": (
+        "collapse_network",
+        "collapse_node",
+        "extract_cone",
+        "propagate_constant_inputs",
+        "rename_po_drivers",
+        "simplify_local",
+        "sweep",
+    ),
+})
 
 __all__ = [
     "Network",

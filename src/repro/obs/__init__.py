@@ -7,27 +7,31 @@ active recorder, worker trees grafted across the pickle boundary),
 :mod:`repro.obs.report` for the ``repro trace`` text summary.
 """
 
-from .export import (
-    TRACE_VERSION,
-    coverage,
-    read_trace,
-    trace_records,
-    validate_trace,
-    worker_perf_totals,
-    write_trace,
-)
-from .report import render_trace_summary
-from .spans import (
-    PERF_INT_SLOTS,
-    Span,
-    TraceRecorder,
-    active,
-    event,
-    install,
-    installed,
-    restore,
-    span,
-)
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, globals(), {
+    "export": (
+        "TRACE_VERSION",
+        "coverage",
+        "read_trace",
+        "trace_records",
+        "validate_trace",
+        "worker_perf_totals",
+        "write_trace",
+    ),
+    "report": ("render_trace_summary",),
+    "spans": (
+        "PERF_INT_SLOTS",
+        "Span",
+        "TraceRecorder",
+        "active",
+        "event",
+        "install",
+        "installed",
+        "restore",
+        "span",
+    ),
+})
 
 __all__ = [
     "PERF_INT_SLOTS",

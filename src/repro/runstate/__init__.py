@@ -15,18 +15,22 @@ without losing finished work or leaving torn files:
   ``os.replace`` + fsync writer every artifact producer goes through.
 """
 
-from .atomic import atomic_write, fsync_directory
-from .journal import (
-    JOURNAL_VERSION,
-    JournalError,
-    RunJournal,
-    journal_path,
-    load_journal,
-    open_journal,
-    task_key,
-    validate_journal,
-)
-from .shutdown import RunInterrupted, ShutdownRequested, graceful_shutdown
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, globals(), {
+    "atomic": ("atomic_write", "fsync_directory"),
+    "journal": (
+        "JOURNAL_VERSION",
+        "JournalError",
+        "RunJournal",
+        "journal_path",
+        "load_journal",
+        "open_journal",
+        "task_key",
+        "validate_journal",
+    ),
+    "shutdown": ("RunInterrupted", "ShutdownRequested", "graceful_shutdown"),
+})
 
 __all__ = [
     "atomic_write",

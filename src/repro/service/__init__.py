@@ -22,12 +22,16 @@ See ``docs/SERVICE.md`` for the protocol, the cache-key contract and
 the failure-modes runbook.
 """
 
-from .breaker import CircuitBreaker
-from .client import ERROR_CODES, RETRYABLE_CODES, ServiceClient, ServiceError
-from .daemon import EXIT_DRAINED, MappingDaemon, MappingService
-from .pool import WarmPool
-from .store import STORE_FORMAT, ResultStore, schema_version
-from .supervise import build_child_argv, run_supervised
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, globals(), {
+    "breaker": ("CircuitBreaker",),
+    "client": ("ERROR_CODES", "RETRYABLE_CODES", "ServiceClient", "ServiceError"),
+    "daemon": ("EXIT_DRAINED", "MappingDaemon", "MappingService"),
+    "pool": ("WarmPool",),
+    "store": ("STORE_FORMAT", "ResultStore", "schema_version"),
+    "supervise": ("build_child_argv", "run_supervised"),
+})
 
 __all__ = [
     "CircuitBreaker",

@@ -8,16 +8,20 @@ validated through it — but nothing in the mapping flows *depends* on it:
 actually carries an injection spec.
 """
 
-from .faults import FAULT_KINDS, FaultPlan, FaultSpec, InjectedFault
-from .service_chaos import (
-    ChaosJournal,
-    hold_store_lock,
-    kill_process,
-    read_info,
-    slow_loris,
-    wait_for_info,
-)
-from .shrink import save_repro, shrink_network
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, globals(), {
+    "faults": ("FAULT_KINDS", "FaultPlan", "FaultSpec", "InjectedFault"),
+    "service_chaos": (
+        "ChaosJournal",
+        "hold_store_lock",
+        "kill_process",
+        "read_info",
+        "slow_loris",
+        "wait_for_info",
+    ),
+    "shrink": ("save_repro", "shrink_network"),
+})
 
 __all__ = [
     "FAULT_KINDS",

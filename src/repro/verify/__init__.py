@@ -12,41 +12,45 @@ Three layers above the monolithic end-of-run equivalence check:
   the fuzz suites.
 """
 
-from .finegrain import (
-    CutPoint,
-    FailingCone,
-    FinegrainReport,
-    assert_finegrain,
-    build_miter,
-    finegrain_check,
-    miter_satisfiable,
-)
-from .generators import (
-    SEED_ENV,
-    clear_seed_log,
-    random_multi_output,
-    random_network,
-    resolve_seed,
-    seed_log,
-)
-from .mutate import (
-    MUTATION_KINDS,
-    Mutation,
-    MutationReport,
-    apply_mutation,
-    mutation_failures,
-    sample_mutations,
-    self_validate,
-)
-from .properties import (
-    MetamorphicReport,
-    TRANSFORMS,
-    metamorphic_check,
-    negate_outputs,
-    permute_inputs,
-    shuffle_nodes,
-    validate_repro,
-)
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, globals(), {
+    "finegrain": (
+        "CutPoint",
+        "FailingCone",
+        "FinegrainReport",
+        "assert_finegrain",
+        "build_miter",
+        "finegrain_check",
+        "miter_satisfiable",
+    ),
+    "generators": (
+        "SEED_ENV",
+        "clear_seed_log",
+        "random_multi_output",
+        "random_network",
+        "resolve_seed",
+        "seed_log",
+    ),
+    "mutate": (
+        "MUTATION_KINDS",
+        "Mutation",
+        "MutationReport",
+        "apply_mutation",
+        "mutation_failures",
+        "sample_mutations",
+        "self_validate",
+    ),
+    "properties": (
+        "MetamorphicReport",
+        "TRANSFORMS",
+        "metamorphic_check",
+        "negate_outputs",
+        "permute_inputs",
+        "shuffle_nodes",
+        "validate_repro",
+    ),
+})
 
 __all__ = [
     "CutPoint",

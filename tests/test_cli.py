@@ -72,6 +72,53 @@ class TestCli:
             assert err.startswith(f"error: {path}: ") and reason in err
             assert len(err.splitlines()) == 1
 
+    def test_bad_output_path_is_one_line_error(self, tmp_path, capsys):
+        source = tmp_path / "in.blif"
+        source.write_text(".model x\n.inputs a b\n.outputs f\n"
+                          ".names a b f\n11 1\n.end\n")
+        missing = tmp_path / "missing"
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        cases = [
+            (["blif", str(source), "-o"], f"{missing}/x.blif",
+             "No such file or directory"),
+            (["blif", str(source), "--trace"], f"{missing}/t.jsonl",
+             "No such file or directory"),
+            (["exact", str(source), "-o"], f"{missing}/x.blif",
+             "No such file or directory"),
+            (["map", "z4ml", "--checkpoint"], f"{a_file}/ckpt",
+             "Not a directory"),
+            (["serve", "--store"], f"{a_file}/store.db", "Not a directory"),
+            # Passes the directory check; the write itself then fails.
+            (["blif", str(source), "-o"], str(tmp_path), "Is a directory"),
+        ]
+        for argv, path, reason in cases:
+            assert main(argv + [path]) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {path}: {reason}\n", argv
+        assert not missing.exists()
+
+    @pytest.mark.parametrize("finegrain", [False, True])
+    def test_verify_reports_interface_mismatch(self, tmp_path, capsys,
+                                               finegrain):
+        golden = tmp_path / "golden.blif"
+        golden.write_text(".model g\n.inputs a b\n.outputs f\n"
+                          ".names a b f\n11 1\n.end\n")
+        other_inputs = tmp_path / "inputs.blif"
+        other_inputs.write_text(".model m\n.inputs a c\n.outputs f\n"
+                                ".names a c f\n11 1\n.end\n")
+        other_outputs = tmp_path / "outputs.blif"
+        other_outputs.write_text(".model m\n.inputs a b\n.outputs g\n"
+                                 ".names a b g\n11 1\n.end\n")
+        flags = ["--finegrain"] if finegrain else []
+        for mapped, mismatch in [(other_inputs, "input"),
+                                 (other_outputs, "output")]:
+            argv = ["verify", str(golden), str(mapped)] + flags
+            assert main(argv) == 1
+            out = capsys.readouterr().out
+            assert out.startswith("NOT equivalent: ") and mismatch in out
+            assert len(out.splitlines()) == 1
+
     def test_bad_record_file_is_one_line_error(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")
         not_json = tmp_path / "trace.jsonl"
@@ -118,6 +165,32 @@ class TestProcess:
                          "-o", {str(tmp_path / "out.blif")!r}]) == 0
             print(sorted({{"numpy", "networkx"}} & set(sys.modules)))
         """)
+        assert out.stdout.splitlines()[-1] == "[]"
+
+    def test_commands_import_only_what_they_run(self, tmp_path):
+        # The input is written here, so the child loads no circuit code.
+        from repro.circuits import build
+        from repro.network import write_blif
+
+        source = tmp_path / "z4ml.blif"
+        write_blif(build("z4ml"), str(source))
+        out = run_python(f"""
+            import sys
+            import repro.cli
+            print(sorted(m for m in {{
+                "repro.mapping", "repro.decompose", "repro.bdd",
+                "repro.service", "repro.exact", "repro.verify",
+                "repro.harness.runner",
+            }} if m in sys.modules))
+            assert repro.cli.main(["blif", {str(source)!r},
+                                   "-o", {str(tmp_path / "out.blif")!r}]) == 0
+            print(sorted(m for m in {{
+                "repro.mapping.parallel", "repro.runstate.journal",
+                "repro.mapping.baselines", "repro.service", "repro.exact",
+                "repro.verify", "multiprocessing", "sqlite3",
+            }} if m in sys.modules))
+        """)
+        assert out.stdout.splitlines()[0] == "[]"
         assert out.stdout.splitlines()[-1] == "[]"
 
     def test_blif_does_not_depend_on_hash_seed(self, tmp_path):
