@@ -105,11 +105,9 @@ FLOWS: Dict[str, Tuple[str, str, Dict[str, object]]] = {
     "structural": ("structural", "map_structural", {}),
 }
 
-#: Flows that accept a ``journal=`` kwarg (checkpoint/resume support).
+#: Flows that accept ``journal=`` (checkpoint/resume) and ``cache=`` (the
+#: content-addressed result store) kwargs.
 JOURNALED_FLOWS = {"hyde", "per-output", "random", "resub", "column"}
-
-#: Flows that accept a ``cache=`` kwarg (content-addressed result store).
-CACHED_FLOWS = JOURNALED_FLOWS
 
 #: Flows that accept a ``portfolio=`` kwarg (strategy racing).
 PORTFOLIO_FLOWS = {"hyde"}
@@ -207,6 +205,49 @@ def _governance_kwargs(args) -> Dict[str, object]:
     return kw
 
 
+def _flow_kwargs(args, label: str, circuit: str, cache) -> Dict[str, object]:
+    """Flow ``label``'s keyword arguments from the command line: the
+    governance flags, ``--portfolio``, its ``--checkpoint`` journal and
+    the shared ``--cache`` store."""
+    kw = _governance_kwargs(args)
+    if getattr(args, "portfolio", False):
+        if label in PORTFOLIO_FLOWS:
+            kw["portfolio"] = True
+        elif args.flow != "all":
+            print(
+                f"  [--portfolio only applies to {sorted(PORTFOLIO_FLOWS)}; "
+                f"ignored for {label}]"
+            )
+    journal = _open_flow_journal(args, circuit, label)
+    if journal is not None:
+        kw["journal"] = journal
+    if cache is not None and label in JOURNALED_FLOWS:
+        kw["cache"] = cache
+    return kw
+
+
+def _call_flow(
+    flow: Callable, label: str, net, args, jobs: int, kwargs
+) -> Optional[MapResult]:
+    """Run a loaded flow under its ``flow:`` span.  An interrupted run
+    prints how far its checkpoint got and returns ``None``."""
+    from .runstate.shutdown import RunInterrupted
+
+    try:
+        with obs.span(
+            f"flow:{label}", circuit=net.name, k=args.k, jobs=jobs
+        ):
+            return flow(net, args.k, verify=args.verify, jobs=jobs, **kwargs)
+    except RunInterrupted as exc:
+        print(
+            f"interrupted ({exc.reason}): {exc.completed}/{exc.total} "
+            "groups journaled"
+            + (f" in {exc.journal_path}" if exc.journal_path else "")
+        )
+        print("re-run with --resume to pick up where this left off")
+        return None
+
+
 def _print_degradation(result: MapResult) -> None:
     """Surface what the fault-tolerance layer had to recover from."""
     fallback = result.details.get("pool_fallback")
@@ -290,12 +331,10 @@ def _write_trace_file(
 
 def _run_flows(net, args) -> int:
     from .harness.report import render_table
-    from .runstate.shutdown import RunInterrupted
 
     _check_outputs(args.output, args.trace, args.cache)
     labels = list(FLOWS) if args.flow == "all" else [args.flow]
     jobs = getattr(args, "jobs", 1)
-    governance = _governance_kwargs(args)
     trace_path: Optional[str] = getattr(args, "trace", None)
     recorder = obs.TraceRecorder() if trace_path else None
     rows = []
@@ -305,53 +344,20 @@ def _run_flows(net, args) -> int:
     try:
         with obs.installed(recorder):
             for label in labels:
-                journal = _open_flow_journal(args, net.name, label)
-                flow_kwargs = dict(governance)
-                if getattr(args, "portfolio", False):
-                    if label in PORTFOLIO_FLOWS:
-                        flow_kwargs["portfolio"] = True
-                    elif args.flow != "all":
-                        print(
-                            f"  [--portfolio only applies to "
-                            f"{sorted(PORTFOLIO_FLOWS)}; ignored for "
-                            f"{label}]"
-                        )
-                if journal is not None:
-                    flow_kwargs["journal"] = journal
-                if cache is not None and label in CACHED_FLOWS:
-                    flow_kwargs["cache"] = cache
+                flow_kwargs = _flow_kwargs(args, label, net.name, cache)
                 flow = _load_flow(label, jobs, flow_kwargs)
-                try:
-                    with obs.span(
-                        f"flow:{label}", circuit=net.name, k=args.k,
-                        jobs=jobs,
-                    ):
-                        result = flow(
-                            net.copy(), args.k, verify=args.verify,
-                            jobs=jobs, **flow_kwargs,
-                        )
-                except RunInterrupted as exc:
-                    print(
-                        f"interrupted ({exc.reason}): {exc.completed}/"
-                        f"{exc.total} groups journaled"
-                        + (
-                            f" in {exc.journal_path}"
-                            if exc.journal_path else ""
-                        )
-                    )
-                    print(
-                        "re-run with --resume to pick up where this "
-                        "left off"
-                    )
+                result = _call_flow(
+                    flow, label, net.copy(), args, jobs, flow_kwargs
+                )
+                if result is None:
                     return EXIT_INTERRUPTED
-                if journal is not None:
-                    info = result.details.get("journal") or {}
-                    if info.get("replayed"):
-                        print(
-                            f"  [resumed: {info['replayed']} group(s) "
-                            f"replayed from journal, {info['executed']} "
-                            "executed; equivalence gate passed]"
-                        )
+                info = result.details.get("journal") or {}
+                if info.get("replayed"):
+                    print(
+                        f"  [resumed: {info['replayed']} group(s) "
+                        f"replayed from journal, {info['executed']} "
+                        "executed; equivalence gate passed]"
+                    )
                 _print_degradation(result)
                 _print_portfolio(result)
                 _print_cache_summary(result)
@@ -385,44 +391,25 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     """Run one flow and print its perf-counter report."""
     from .circuits import build
     from .perf import format_perf_report
-    from .runstate.shutdown import RunInterrupted
 
     _check_outputs(args.trace, args.cache)
     net = build(args.circuit)
     trace_path: Optional[str] = getattr(args, "trace", None)
     recorder = obs.TraceRecorder() if trace_path else None
-    journal = _open_flow_journal(args, net.name, args.flow)
-    flow_kwargs = _governance_kwargs(args)
-    if getattr(args, "portfolio", False) and args.flow in PORTFOLIO_FLOWS:
-        flow_kwargs["portfolio"] = True
-    if journal is not None:
-        flow_kwargs["journal"] = journal
     cache = _open_result_cache(args)
-    if cache is not None and args.flow in CACHED_FLOWS:
-        flow_kwargs["cache"] = cache
-    flow = _load_flow(args.flow, args.jobs, flow_kwargs)
-    wall_start = time.time()
     try:
+        flow_kwargs = _flow_kwargs(args, args.flow, net.name, cache)
+        flow = _load_flow(args.flow, args.jobs, flow_kwargs)
+        wall_start = time.time()
         with obs.installed(recorder):
-            with obs.span(
-                f"flow:{args.flow}", circuit=net.name, k=args.k,
-                jobs=args.jobs,
-            ):
-                result = flow(
-                    net, args.k, verify=args.verify, jobs=args.jobs,
-                    **flow_kwargs,
-                )
-    except RunInterrupted as exc:
-        print(
-            f"interrupted ({exc.reason}): {exc.completed}/{exc.total} "
-            "groups journaled"
-            + (f" in {exc.journal_path}" if exc.journal_path else "")
-        )
-        print("re-run with --resume to pick up where this left off")
-        return EXIT_INTERRUPTED
+            result = _call_flow(
+                flow, args.flow, net, args, args.jobs, flow_kwargs
+            )
     finally:
         if cache is not None:
             cache.close()
+    if result is None:
+        return EXIT_INTERRUPTED
     if recorder is not None:
         _write_trace_file(
             trace_path, recorder, [result], args.flow, net.name, args.k,

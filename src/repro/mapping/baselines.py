@@ -20,18 +20,24 @@ under test, so each comparison isolates one of the paper's claims:
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from typing import Dict, Optional
 
 from .. import obs
 from ..bdd import FALSE, TRUE
 from ..decompose import DecompositionOptions, decompose_to_network
-from ..network import GlobalBdds, Network, extract_cone, parse_blif, to_blif
-from ..runstate import RunInterrupted, RunJournal
+from ..network import GlobalBdds, Network
+from ..runstate import RunJournal
 from .clb import pack_xc3000
-from .hyde import MapResult, _check, _resume_gate, _splice, hyde_map
+from .hyde import (
+    MapResult,
+    _check,
+    _map_by_tasks,
+    _resume_gate,
+    _run_details,
+    hyde_map,
+)
 from .lut import cleanup_for_lut_count, count_luts
-from .parallel import GroupTask, TaskPolicy, run_group_tasks
+from .parallel import TaskPolicy
 from .resub import resubstitute
 
 __all__ = [
@@ -108,92 +114,18 @@ def map_per_output(
                 continue
             seen[bdd] = out
             unique.append((oi, out))
-    jobs_used = 1
-    degraded: list = []
-    pool_fallback: Optional[str] = None
-    use_tasks = (
-        (jobs > 1 and len(unique) > 1)
-        or policy is not None
-        or bool(faults)
-        or journal is not None
-        or cache is not None
-        or pool is not None
+    run = _map_by_tasks(
+        net, result, manager, [(oi, [out]) for oi, out in unique], "o",
+        options, driver_of,
+        dict(
+            jobs=jobs, policy=policy, faults=faults, journal=journal,
+            cache=cache, pool=pool, verify=verify,
+        ),
+        fallback_per_output=False,
     )
-    if verify == "finegrain" and use_tasks:
-        # Mirror hyde_map: fine-grained verification upgrades reply
-        # validation to the cut-point engine (explicit settings win).
-        if policy is None:
-            policy = TaskPolicy(verify_mode="finegrain")
-        elif policy.verify_mode == "bdd":
-            policy = replace(policy, verify_mode="finegrain")
     run_report = None
-    if use_tasks and unique:
-        recorder = obs.active()
-        tasks = [
-            GroupTask(
-                blif_text=to_blif(
-                    extract_cone(net, [out], name=f"{net.name}_o{oi}_cone")
-                ),
-                group=[out],
-                gi=oi,
-                options=options,
-                fallback_per_output=False,
-                base_name=f"{net.name}_o{oi}",
-                inject=faults.spec_for(oi) if faults else None,
-                trace=recorder is not None,
-            )
-            for oi, out in unique
-        ]
-        with perf.phase("decompose"), obs.span(
-            "decompose", manager=manager, groups=len(tasks), jobs=jobs
-        ) as dspan:
-            results, run_report = run_group_tasks(
-                tasks,
-                jobs,
-                policy,
-                journal=journal,
-                shutdown_after=getattr(faults, "parent_kill_after", None),
-                cache=cache,
-                pool=pool,
-            )
-            if recorder is not None:
-                for res in results:
-                    if res.spans:
-                        recorder.graft(
-                            res.spans, parent=dspan, offset=dspan.start
-                        )
-        jobs_used = run_report.jobs_used
-        degraded = run_report.degraded
-        pool_fallback = run_report.pool_fallback
-        if run_report.interrupted:
-            obs.event(
-                "interrupted",
-                reason=run_report.interrupt_reason,
-                completed=len(results),
-                total=len(tasks),
-            )
-            raise RunInterrupted(
-                run_report.interrupt_reason or "shutdown",
-                completed=len(results),
-                total=len(tasks),
-                journal_path=run_report.journal_path,
-            )
-        if pool_fallback is not None:
-            obs.event("pool_fallback", reason=pool_fallback)
-        for entry in degraded:
-            obs.event(
-                "degraded",
-                gi=entry.get("gi"),
-                resolution=entry.get("resolution"),
-                attempts=entry.get("attempts"),
-                causes=entry.get("causes"),
-            )
-        perf.merge_dict(run_report.perf)
-        with perf.phase("splice"), obs.span("splice", manager=manager):
-            for (oi, out), res in zip(unique, results):
-                fragment = parse_blif(res.blif_text)
-                rename = _splice(result, fragment, f"o{oi}_")
-                driver_of[out] = rename[fragment.output_driver(out)]
+    if run is not None:
+        run_report, _ = run
     else:
         options.arm_budget(manager)  # serial path: budget on our manager
         with perf.phase("decompose"), obs.span(
@@ -224,7 +156,7 @@ def map_per_output(
     journal_info = _resume_gate(net, result, journal, run_report, verify, perf)
     perf_report = perf.snapshot(manager)
     perf_report["jobs_requested"] = jobs
-    perf_report["jobs_used"] = jobs_used
+    perf_report["jobs_used"] = run_report.jobs_used if run_report else 1
     lut_count = count_luts(result, k)
     clb_count = pack_xc3000(result).num_clbs if pack_clbs else None
     seconds = time.time() - start
@@ -235,16 +167,6 @@ def map_per_output(
             clb_count=clb_count,
             seconds=round(seconds, 6),
         )
-    extra_details: Dict[str, object] = {}
-    if run_report is not None:
-        extra_details.update(run_report.details)
-        if cache is not None:
-            extra_details["cache"] = {
-                "hits": run_report.cache_hits,
-                "misses": run_report.cache_misses,
-                "rejected": run_report.cache_rejected,
-            }
-            extra_details["fragments"] = run_report.fragments
     return MapResult(
         network=result,
         k=k,
@@ -255,10 +177,8 @@ def map_per_output(
         flow=f"per-output/{encoding_policy}",
         details={
             "perf": perf_report,
-            "degraded": degraded,
-            "pool_fallback": pool_fallback,
             "journal": journal_info,
-            **extra_details,
+            **_run_details(run_report, cache),
         },
     )
 

@@ -21,7 +21,7 @@ different policies.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
@@ -38,13 +38,12 @@ from ..network import (
     simulate_equivalence,
     to_blif,
 )
-from ..runstate import RunInterrupted
 from .clb import pack_xc3000
 from .lut import cleanup_for_lut_count, count_luts
 
 if TYPE_CHECKING:
     from ..runstate import RunJournal
-    from .parallel import TaskPolicy
+    from .parallel import RunReport, TaskPolicy
 
 __all__ = ["MapResult", "hyde_map", "cluster_outputs"]
 
@@ -312,10 +311,6 @@ def hyde_map(
     and the scoreboard records ``"budget_exceeded"``), never wrong.
     """
     start = time.time()
-    if portfolio:
-        from .parallel import TaskPolicy
-
-        policy = replace(policy or TaskPolicy(), portfolio=True)
     gb = GlobalBdds(net)
     manager = gb.manager
     perf = manager.perf
@@ -364,131 +359,20 @@ def hyde_map(
     )
     driver_of: Dict[str, str] = {}
     group_infos: List[Dict[str, object]] = []
-    jobs_used = 1
-    degraded: List[Dict[str, object]] = []
-    pool_fallback: Optional[str] = None
-    run_details: Dict[str, object] = {}
-
-    # The task runner is the only path with timeouts / retries / fault /
-    # journal hooks, so any of those routes through it even serially.
-    use_tasks = (
-        (jobs > 1 and len(groups) > 1)
-        or policy is not None
-        or bool(faults)
-        or journal is not None
-        or cache is not None
-        or pool is not None
+    run = _map_by_tasks(
+        net, result, manager, list(enumerate(groups)), "g", options,
+        driver_of,
+        dict(
+            jobs=jobs, policy=policy, faults=faults, journal=journal,
+            cache=cache, pool=pool, portfolio=portfolio, verify=verify,
+        ),
+        ingredient_policy=ingredient_policy,
+        ppi_placement=ppi_placement,
+        fallback_per_output=fallback_per_output,
     )
-    if verify == "finegrain" and use_tasks:
-        # Fine-grained verification extends to reply validation: a
-        # rejected worker reply then carries a cone-level cause (and the
-        # journal, when present, a failing_cone event) instead of a bare
-        # output name.  An explicit non-default verify_mode wins.
-        from .parallel import TaskPolicy
-
-        if policy is None:
-            policy = TaskPolicy(verify_mode="finegrain")
-        elif policy.verify_mode == "bdd":
-            policy = replace(policy, verify_mode="finegrain")
     run_report = None
-    if use_tasks and groups:
-        from .parallel import GroupTask
-
-        recorder = obs.active()
-        tasks = []
-        for gi, group in enumerate(groups):
-            cone = extract_cone(net, group, name=f"{net.name}_g{gi}_cone")
-            tasks.append(
-                GroupTask(
-                    blif_text=to_blif(cone),
-                    group=list(group),
-                    gi=gi,
-                    options=options,
-                    ingredient_policy=ingredient_policy,
-                    ppi_placement=ppi_placement,
-                    fallback_per_output=fallback_per_output,
-                    base_name=f"{net.name}_g{gi}",
-                    inject=faults.spec_for(gi) if faults else None,
-                    trace=recorder is not None,
-                )
-            )
-        with perf.phase("decompose"), obs.span(
-            "decompose", manager=manager, groups=len(tasks), jobs=jobs
-        ) as dspan:
-            results, run_report = run_group_tasks(
-                tasks,
-                jobs,
-                policy,
-                journal=journal,
-                shutdown_after=getattr(faults, "parent_kill_after", None),
-                cache=cache,
-                pool=pool,
-            )
-            if recorder is not None:
-                # Worker span trees come back rebased to 0; anchor each at
-                # the decompose span's start (perf_counter bases are
-                # process-local, so relative placement is the best truth
-                # available).
-                for res in results:
-                    if res.spans:
-                        recorder.graft(
-                            res.spans, parent=dspan, offset=dspan.start
-                        )
-        jobs_used = run_report.jobs_used
-        degraded = run_report.degraded
-        pool_fallback = run_report.pool_fallback
-        run_details.update(run_report.details)
-        if cache is not None:
-            run_details["cache"] = {
-                "hits": run_report.cache_hits,
-                "misses": run_report.cache_misses,
-                "rejected": run_report.cache_rejected,
-            }
-            run_details["fragments"] = run_report.fragments
-            obs.event(
-                "cache",
-                hits=run_report.cache_hits,
-                misses=run_report.cache_misses,
-                rejected=run_report.cache_rejected,
-            )
-        if run_report.interrupted:
-            # The journal already holds every completed group and the
-            # interruption record; stop before the splice would fail on
-            # missing drivers.
-            obs.event(
-                "interrupted",
-                reason=run_report.interrupt_reason,
-                completed=len(results),
-                total=len(tasks),
-            )
-            raise RunInterrupted(
-                run_report.interrupt_reason or "shutdown",
-                completed=len(results),
-                total=len(tasks),
-                journal_path=run_report.journal_path,
-            )
-        if pool_fallback is not None:
-            obs.event("pool_fallback", reason=pool_fallback)
-        for entry in degraded:
-            obs.event(
-                "degraded",
-                gi=entry.get("gi"),
-                resolution=entry.get("resolution"),
-                attempts=entry.get("attempts"),
-                causes=entry.get("causes"),
-            )
-        # Worker counters cross the process boundary merged once in the
-        # run report (the per-reply snapshots would double-count retries'
-        # partial work only in `degraded`; the report merges final
-        # replies only).
-        perf.merge_dict(run_report.perf)
-        with perf.phase("splice"), obs.span("splice", manager=manager):
-            for res in results:
-                fragment = parse_blif(res.blif_text)
-                rename = _splice(result, fragment, f"g{res.gi}_")
-                for out in groups[res.gi]:
-                    driver_of[out] = rename[fragment.output_driver(out)]
-                group_infos.append(res.info)
+    if run is not None:
+        run_report, group_infos = run
     else:
         options.arm_budget(manager)  # serial path: budget on our manager
         with perf.phase("decompose"), obs.span(
@@ -560,7 +444,7 @@ def hyde_map(
         clbs = pack_xc3000(result).num_clbs if pack_clbs else None
     perf_report = perf.snapshot(manager)
     perf_report["jobs_requested"] = jobs
-    perf_report["jobs_used"] = jobs_used
+    perf_report["jobs_used"] = run_report.jobs_used if run_report else 1
     seconds = time.time() - start
     if journal is not None:
         journal.record_done(
@@ -580,12 +464,146 @@ def hyde_map(
             "aliases": alias_of,
             "cost_model": cost_model,
             "perf": perf_report,
-            "degraded": degraded,
-            "pool_fallback": pool_fallback,
             "journal": journal_info,
-            **run_details,
+            **_run_details(run_report, cache),
         },
     )
+
+
+def _map_by_tasks(
+    net: Network,
+    result: Network,
+    manager: BddManager,
+    units: Sequence[Tuple[int, List[str]]],
+    prefix: str,
+    options: DecompositionOptions,
+    driver_of: Dict[str, str],
+    run_args: Dict[str, object],
+    **task_fields,
+) -> Optional[Tuple[RunReport, List[Dict[str, object]]]]:
+    """The governed block :func:`hyde_map` and
+    :func:`~repro.mapping.baselines.map_per_output` share: map ``units``
+    through the task runner and splice the fragments into ``result``.
+
+    ``units`` are ``(gi, outputs)`` pairs; each becomes one
+    :class:`~repro.mapping.parallel.GroupTask` over its standalone cone,
+    named ``{prefix}{gi}`` (``task_fields`` set the rest).  ``run_args``
+    are the flow's run arguments — ``jobs``, ``policy``, ``faults``,
+    ``journal``, ``cache``, ``pool``, ``verify`` and, for hyde,
+    ``portfolio`` — for :func:`~repro.mapping.parallel.run_context`.
+    Each output's driver lands in ``driver_of``.
+
+    Returns ``(report, infos)``, or ``None`` without doing anything when
+    no run argument asks for the runner, which alone has timeout, retry,
+    fault, journal, store and pool hooks: the flow then runs its serial
+    in-manager loop.  Raises :class:`~repro.runstate.RunInterrupted`,
+    with the counts the journal recorded, after a shutdown request.
+    """
+    jobs = run_args["jobs"]
+    if not units or not (
+        (jobs > 1 and len(units) > 1)
+        or run_args.get("portfolio")
+        or run_args["faults"]
+        or any(
+            run_args[name] is not None
+            for name in ("policy", "journal", "cache", "pool")
+        )
+    ):
+        return None
+    from .parallel import GroupTask, run_context
+
+    ctx = run_context(**run_args)
+    perf = manager.perf
+    recorder = obs.active()
+    tasks = [
+        GroupTask(
+            blif_text=to_blif(
+                extract_cone(net, group, name=f"{net.name}_{prefix}{gi}_cone")
+            ),
+            group=list(group),
+            gi=gi,
+            options=options,
+            base_name=f"{net.name}_{prefix}{gi}",
+            inject=ctx.faults.spec_for(gi) if ctx.faults else None,
+            trace=recorder is not None,
+            **task_fields,
+        )
+        for gi, group in units
+    ]
+    with perf.phase("decompose"), obs.span(
+        "decompose", manager=manager, groups=len(tasks), jobs=jobs
+    ) as dspan:
+        results, report = run_group_tasks(tasks, ctx)
+        if recorder is not None:
+            # Worker span trees come back rebased to 0; anchor each at
+            # the decompose span's start (perf_counter bases are
+            # process-local, so relative placement is the best truth
+            # available).
+            for res in results:
+                if res.spans:
+                    recorder.graft(res.spans, parent=dspan, offset=dspan.start)
+    if ctx.cache is not None:
+        obs.event(
+            "cache",
+            hits=report.cache_hits,
+            misses=report.cache_misses,
+            rejected=report.cache_rejected,
+        )
+    stop = report.interrupted
+    if stop is not None:
+        # The journal already holds every completed task and the
+        # interruption record; stop before the splice would fail on
+        # missing drivers.
+        obs.event(
+            "interrupted",
+            reason=stop.reason,
+            completed=stop.completed,
+            total=stop.total,
+        )
+        raise stop
+    if report.pool_fallback is not None:
+        obs.event("pool_fallback", reason=report.pool_fallback)
+    for entry in report.degraded:
+        obs.event(
+            "degraded",
+            gi=entry.get("gi"),
+            resolution=entry.get("resolution"),
+            attempts=entry.get("attempts"),
+            causes=entry.get("causes"),
+        )
+    # Worker counters cross the process boundary merged once, in the run
+    # report (final replies only).
+    perf.merge_dict(report.perf)
+    outputs_of = dict(units)
+    infos: List[Dict[str, object]] = []
+    with perf.phase("splice"), obs.span("splice", manager=manager):
+        for res in results:
+            fragment = parse_blif(res.blif_text)
+            rename = _splice(result, fragment, f"{prefix}{res.gi}_")
+            for out in outputs_of[res.gi]:
+                driver_of[out] = rename[fragment.output_driver(out)]
+            infos.append(res.info)
+    return report, infos
+
+
+def _run_details(report: Optional[RunReport], cache) -> Dict[str, object]:
+    """A run report's entries in ``MapResult.details`` (``report`` is
+    ``None`` when the flow took its serial in-manager path)."""
+    if report is None:
+        return {"degraded": [], "pool_fallback": None}
+    details: Dict[str, object] = {
+        "degraded": report.degraded,
+        "pool_fallback": report.pool_fallback,
+        **report.details,
+    }
+    if cache is not None:
+        details["cache"] = {
+            "hits": report.cache_hits,
+            "misses": report.cache_misses,
+            "rejected": report.cache_rejected,
+        }
+        details["fragments"] = report.fragments
+    return details
 
 
 def _splice(dest: Network, fragment: Network, prefix: str) -> Dict[str, str]:

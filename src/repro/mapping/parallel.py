@@ -15,28 +15,36 @@ memo), and ships the mapped fragment back as BLIF for the parent to
 splice.  BDD node ids are only canonical within one manager, so nothing
 manager-specific ever crosses the process boundary.
 
-Crossing a process boundary also means trusting what comes back.  With a
-:class:`TaskPolicy` the parent stops trusting: each pooled task gets a
-wall-clock timeout, each reply is parsed, checked against the group's
-output set and equivalence-checked against its cone, and any failure
-walks a degradation ladder — in-process retries under budgets halved per
-attempt (:data:`BUDGET_DECAY`), then plain per-output decomposition, then
-a BDD-free structural remap (:func:`structural_fragment`) that cannot
-fail.  The flow therefore always produces a valid network; what it lost
-along the way is recorded in :class:`RunReport`.
+Every batch runs through one staged runner, configured by one
+:class:`RunContext` per flow call:
+
+1. **lookup** — tasks already journaled (:class:`~repro.runstate.RunJournal`)
+   or stored (:class:`~repro.service.ResultStore`) under their
+   content-addressed :func:`~repro.runstate.task_key` are served without
+   execution;
+2. **dispatch** — the rest run once, on a worker pool or in-process;
+3. **recover** — with a :class:`TaskPolicy`, each failed or rejected task
+   walks a degradation ladder: in-process retries under budgets halved per
+   attempt (:data:`BUDGET_DECAY`), then plain per-output decomposition,
+   then a BDD-free structural remap (:func:`structural_fragment`) that
+   cannot fail;
+4. **land** — each fragment is journaled and stored as it arrives (WAL
+   discipline), then the shutdown check runs.
+
+A batch with a policy is *governed*: one validator,
+:func:`check_fragment`, judges every live reply, journal record and
+stored row before it may be spliced, and the flow therefore always
+produces a valid network; what it lost along the way is recorded in
+:class:`RunReport`.  A batch without one (``jobs > 1`` and nothing else)
+is *trusted*: replies are spliced as they come and a failing task raises.
 
 Workers fall back to in-process execution when a pool cannot be created
 (restricted sandboxes without fork/semaphores), so ``jobs>1`` is always
 safe to request; the fallback is recorded in ``RunReport.pool_fallback``.
-
-Runs are additionally *crash-safe* when the caller supplies a
-:class:`~repro.runstate.RunJournal`: every validated fragment is
-journaled as it lands (WAL discipline), already-journaled tasks are
-replayed by content-addressed key instead of re-executed, and a
-SIGINT/SIGTERM while the loop is live unwinds through
-:class:`~repro.runstate.ShutdownRequested` into a partial
-:class:`RunReport` marked ``interrupted`` — workers terminated, journal
-flushed, nothing torn.
+A SIGINT/SIGTERM while a journaled batch is live unwinds through
+:class:`~repro.runstate.ShutdownRequested` into a partial report whose
+``interrupted`` field carries the :class:`~repro.runstate.RunInterrupted`
+the flow raises — workers terminated, journal flushed, nothing torn.
 """
 
 from __future__ import annotations
@@ -53,7 +61,13 @@ from ..boolfunc import TruthTable
 from ..decompose import CostModel, DecompositionOptions
 from ..network import GlobalBdds, Network, check_equivalence, parse_blif, to_blif
 from ..perf import PerfCounters
-from ..runstate import RunJournal, ShutdownRequested, graceful_shutdown, task_key
+from ..runstate import (
+    RunInterrupted,
+    RunJournal,
+    ShutdownRequested,
+    graceful_shutdown,
+    task_key,
+)
 from .hyde import _network_depth, build_group_fragment, per_output_fragment
 from .lut import cleanup_for_lut_count, count_luts
 
@@ -62,10 +76,13 @@ __all__ = [
     "GroupResult",
     "TaskPolicy",
     "RunReport",
+    "RunContext",
     "PORTFOLIO_STRATEGIES",
     "KNOWN_STRATEGIES",
     "build_group_fragment",
+    "check_fragment",
     "per_output_fragment",
+    "run_context",
     "structural_fragment",
     "run_group_tasks",
 ]
@@ -137,9 +154,10 @@ class GroupResult:
 class TaskPolicy:
     """Fault-tolerance knobs for :func:`run_group_tasks`.
 
-    Passing no policy reproduces the historical fire-and-hope behavior
-    byte for byte; any policy turns on reply validation and, for each
-    failed or timed-out task, the degradation ladder:
+    A batch without a policy is trusted (replies spliced unvalidated, a
+    failing task raises); any policy turns on :func:`check_fragment` for
+    every reply and, for each failed or rejected task, the degradation
+    ladder:
 
     1. re-run in-process with every resource budget multiplied by
        :data:`BUDGET_DECAY` per attempt, up to ``retries`` times;
@@ -182,13 +200,16 @@ class RunReport:
     ``degraded`` holds one entry per task that did not succeed on its
     first attempt: ``{"gi", "group", "causes", "resolution", "attempts"}``
     where ``resolution`` names the ladder rung that finally produced the
-    fragment (``"retry"`` / ``"per_output"`` / ``"structural"``).
+    fragment (``"retry"`` / ``"per_output"`` / ``"structural"``, or
+    ``"dropped"`` for an advisory exact variant).
 
     With a run journal, ``replayed`` counts tasks satisfied from the
     journal without execution and ``executed`` counts tasks actually run
-    (and journaled) this time; ``interrupted`` is set when a shutdown
-    request stopped the batch early — the results list is then partial
-    and the journal holds everything that completed.
+    (and journaled) this time.  ``interrupted`` is set when a shutdown
+    request stopped the batch early: it is the
+    :class:`~repro.runstate.RunInterrupted` the flow raises, carrying the
+    counts the journal recorded.  The results list is then partial and
+    the journal holds everything that completed.
 
     With a result cache (:class:`~repro.service.ResultStore`),
     ``cache_hits`` counts tasks served from the store, ``cache_misses``
@@ -214,12 +235,67 @@ class RunReport:
     cache_rejected: int = 0
     # Per-task serving records (populated only when a cache is attached).
     fragments: List[Dict[str, object]] = field(default_factory=list)
-    interrupted: bool = False
-    interrupt_reason: Optional[str] = None
-    journal_path: Optional[str] = None
+    interrupted: Optional[RunInterrupted] = None
     # Merged PerfCounters snapshot across every task reply — the one
     # place worker-side counters survive the process boundary.
     perf: Dict[str, object] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class RunContext:
+    """The run arguments of one flow call, built by :func:`run_context`.
+
+    ``jobs`` is the worker count; ``policy`` (a :class:`TaskPolicy`, or
+    ``None`` for a trusted batch) governs validation and recovery;
+    ``faults`` is a :class:`~repro.testing.FaultPlan` whose
+    ``parent_kill_after`` the land stage honours (its per-group specs
+    already ride in each task's ``inject``); ``journal`` is a
+    :class:`~repro.runstate.RunJournal`, ``cache`` a
+    :class:`~repro.service.ResultStore` and ``pool`` an externally owned
+    warm worker pool that the batch uses but never terminates.
+    """
+
+    jobs: int = 1
+    policy: Optional[TaskPolicy] = None
+    faults: Optional[object] = None
+    journal: Optional[RunJournal] = None
+    cache: Optional[object] = None
+    pool: Optional[object] = None
+
+
+def run_context(
+    jobs: int = 1,
+    policy: Optional[TaskPolicy] = None,
+    faults: Optional[object] = None,
+    journal: Optional[RunJournal] = None,
+    cache=None,
+    pool=None,
+    portfolio: bool = False,
+    verify: str = "bdd",
+) -> RunContext:
+    """One flow call's :class:`RunContext`, with its policy upgraded.
+
+    The three rules that change the caller's policy live here and only
+    here:
+
+    * ``portfolio`` sets ``policy.portfolio``;
+    * ``verify="finegrain"`` extends fine-grained checking to reply
+      validation (an explicit non-default ``verify_mode`` wins), so a
+      rejected reply names its failing cone;
+    * a journal, store, warm pool or fault plan needs validated replies,
+      so it implies a default policy.
+    """
+    if portfolio:
+        policy = replace(policy or TaskPolicy(), portfolio=True)
+    if verify == "finegrain" and (
+        policy is None or policy.verify_mode == "bdd"
+    ):
+        policy = replace(policy or TaskPolicy(), verify_mode="finegrain")
+    if policy is None and (
+        faults or journal is not None or cache is not None or pool is not None
+    ):
+        policy = TaskPolicy()
+    return RunContext(jobs, policy, faults, journal, cache, pool)
 
 
 #: What starting a fork pool must save to be worth it: pool creation,
@@ -241,12 +317,7 @@ def _estimate_task_seconds(task: GroupTask) -> float:
     pool-setup margin a batch falls on.
     """
     nodes = task.blif_text.count(".names")
-    inputs = 0
-    for line in task.blif_text.splitlines():
-        if line.startswith(".inputs"):
-            inputs = len(line.split()) - 1
-            break
-    width_factor = 2.0 ** (max(0, inputs - 8) / 2.0)
+    width_factor = 2.0 ** (max(0, _cone_input_count(task.blif_text) - 8) / 2.0)
     return _EST_SECONDS_PER_NODE * nodes * width_factor
 
 
@@ -369,40 +440,22 @@ def decompose_group_task(task: GroupTask) -> GroupResult:
 
 
 def _decompose_group(task: GroupTask) -> GroupResult:
-    if task.mode == "structural":
-        # The BDD-free strategy: no manager, no budget, cannot blow up.
-        with obs.span(
-            "task.group",
-            gi=task.gi,
-            outputs=len(task.group),
-            mode="structural",
-            attempt=task.attempt,
-        ):
-            cone = parse_blif(task.blif_text)
-            fragment = structural_fragment(
-                cone, task.options.k, name=f"{task.base_name}_struct"
-            )
-            blif_text = to_blif(fragment)
-            if task.inject is not None:
-                from ..testing import faults
+    """One strategy's fragment, under the task's budget and faults.
 
-                blif_text = faults.after_decompose(
-                    task.inject, blif_text, task.attempt
-                )
-        return GroupResult(
-            gi=task.gi,
-            blif_text=blif_text,
-            info={
-                "outputs": list(task.group),
-                "hyper": False,
-                "mode": "structural",
-            },
-        )
+    Every mode but ``structural`` owns a manager: the options' budget is
+    armed on it and the pre-compute fault point fires against it.  The
+    structural remap has neither — no BDDs, no budget, so it cannot
+    blow up — and only the post-compute (corrupt reply) fault applies.
+    """
+    cone = parse_blif(task.blif_text)
+    gb = manager = None
     if task.mode == "exact":
-        return _decompose_group_exact(task)
-    net = parse_blif(task.blif_text)
-    gb = GlobalBdds(net)
-    manager = gb.manager
+        # Only the budget/fault surface of the search: exact_map polls
+        # check_budget inside its loops.
+        manager = BddManager()
+    elif task.mode != "structural":
+        gb = GlobalBdds(cone)
+        manager = gb.manager
     # Global BDDs are lazy (built at of_output below), so this root span's
     # perf delta covers essentially all BDD work the task performs.
     with obs.span(
@@ -413,44 +466,53 @@ def _decompose_group(task: GroupTask) -> GroupResult:
         mode=task.mode,
         attempt=task.attempt,
     ):
-        task.options.arm_budget(manager)
-        if task.inject is not None:
-            from ..testing import faults  # lazy: test machinery stays optional
+        if manager is not None:
+            task.options.arm_budget(manager)
+            if task.inject is not None:
+                # lazy: test machinery stays optional
+                from ..testing import faults
 
-            faults.before_decompose(task.inject, manager, task.attempt)
-        output_bdds = {out: gb.of_output(out) for out in net.output_names}
-        support_union = sorted(
-            {
-                lv
-                for out in task.group
-                for lv in manager.support(output_bdds[out])
-            }
-        )
-        group_inputs = [manager.name_of(lv) for lv in support_union]
-        if task.mode == "per_output" and len(task.group) > 1:
-            ingredients = [(out, output_bdds[out]) for out in task.group]
-            fragment = per_output_fragment(
-                manager, ingredients, group_inputs, task.options,
-                f"{task.base_name}_po",
+                faults.before_decompose(task.inject, manager, task.attempt)
+        info: Dict[str, object] = {
+            "outputs": list(task.group),
+            "hyper": False,
+            "mode": task.mode,
+        }
+        if task.mode == "structural":
+            fragment = structural_fragment(
+                cone, task.options.k, name=f"{task.base_name}_struct"
             )
-            cleanup_for_lut_count(fragment)
-            info: Dict[str, object] = {
-                "outputs": list(task.group),
-                "hyper": False,
-                "mode": "per_output",
-            }
+        elif task.mode == "exact":
+            fragment = _exact_fragment(task, cone, manager, info)
         else:
-            fragment, info = build_group_fragment(
-                manager,
-                output_bdds,
-                task.group,
-                group_inputs,
-                task.options,
-                ingredient_policy=task.ingredient_policy,
-                ppi_placement=task.ppi_placement,
-                fallback_per_output=task.fallback_per_output,
-                base_name=task.base_name,
+            output_bdds = {out: gb.of_output(out) for out in cone.output_names}
+            support_union = sorted(
+                {
+                    lv
+                    for out in task.group
+                    for lv in manager.support(output_bdds[out])
+                }
             )
+            group_inputs = [manager.name_of(lv) for lv in support_union]
+            if task.mode == "per_output" and len(task.group) > 1:
+                ingredients = [(out, output_bdds[out]) for out in task.group]
+                fragment = per_output_fragment(
+                    manager, ingredients, group_inputs, task.options,
+                    f"{task.base_name}_po",
+                )
+                cleanup_for_lut_count(fragment)
+            else:
+                fragment, info = build_group_fragment(
+                    manager,
+                    output_bdds,
+                    task.group,
+                    group_inputs,
+                    task.options,
+                    ingredient_policy=task.ingredient_policy,
+                    ppi_placement=task.ppi_placement,
+                    fallback_per_output=task.fallback_per_output,
+                    base_name=task.base_name,
+                )
         blif_text = to_blif(fragment)
         if task.inject is not None:
             from ..testing import faults
@@ -462,7 +524,7 @@ def _decompose_group(task: GroupTask) -> GroupResult:
         gi=task.gi,
         blif_text=blif_text,
         info=info,
-        perf=manager.perf.snapshot(),
+        perf=manager.perf.snapshot() if manager is not None else {},
     )
 
 
@@ -489,108 +551,87 @@ def _splice_witness(fragment: Network, witness: Network, out: str) -> None:
     fragment.add_output(rename.get(driver, driver), out)
 
 
-def _decompose_group_exact(task: GroupTask) -> GroupResult:
+def _exact_fragment(
+    task: GroupTask,
+    cone: Network,
+    manager: BddManager,
+    info: Dict[str, object],
+) -> Network:
     """The ``exact`` portfolio strategy: provably minimal cones.
 
     Each output of the group is flattened to its truth table
     (:func:`repro.exact.cone_spec`) and mapped by the optimality oracle;
-    the witnesses are spliced into one fragment.  The BDD manager exists
-    only as the budget/fault surface: the options' budget is armed on it
-    and :func:`repro.exact.exact_map` polls ``check_budget`` inside its
-    search loops, so wall-clock limits and injected faults interrupt the
-    search exactly like they interrupt a heuristic worker.  A search
-    that exhausts its budget raises — the portfolio reduce then records
-    ``"budget_exceeded"`` for the missing candidate and keeps the
-    heuristic winner; a wrong-but-on-time result is never produced.
+    the witnesses are spliced into one fragment and the per-output
+    result lands in ``info["exact"]``.  :func:`repro.exact.exact_map`
+    polls the manager's budget inside its search loops, so wall-clock
+    limits and injected faults interrupt the search exactly like they
+    interrupt a heuristic worker.  A search that exhausts its budget
+    raises — the portfolio reduce then records ``"budget_exceeded"`` for
+    the missing candidate and keeps the heuristic winner; a
+    wrong-but-on-time result is never produced.
     """
     from ..exact import DEFAULT_BUDGET_SECONDS, cone_spec, exact_map
 
-    net = parse_blif(task.blif_text)
-    manager = BddManager()
-    with obs.span(
-        "task.group",
-        manager=manager,
-        gi=task.gi,
-        outputs=len(task.group),
-        mode="exact",
-        attempt=task.attempt,
-    ):
-        task.options.arm_budget(manager)
-        if task.inject is not None:
-            from ..testing import faults  # lazy: test machinery stays optional
-
-            faults.before_decompose(task.inject, manager, task.attempt)
-        budget = task.options.exact_budget_seconds
-        if budget is None:
-            budget = DEFAULT_BUDGET_SECONDS
-        if task.options.max_seconds is not None:
-            budget = min(budget, task.options.max_seconds)
-        cost = "delay" if task.options.cost.mode == "delay" else "area"
-        fragment = Network(f"{task.base_name}_exact")
-        detail: Dict[str, object] = {}
-        for out in task.group:
-            spec, support = cone_spec(net, out)
-            res = exact_map(
-                spec,
-                task.options.k,
-                cost=cost,
-                budget_seconds=budget,
-                input_names=support,
-                output_name=out,
-                name=f"{task.base_name}_exact",
-                poll=manager.check_budget,
-            )
-            _splice_witness(fragment, res.network, out)
-            detail[out] = {
-                "luts": res.luts,
-                "depth": res.depth,
-                "source": res.source,
-            }
-        # Same emit pipeline as the heuristic strategies: kills the PO
-        # buffer the BLIF emitter would add for an aliased output (which
-        # the portfolio scorer would count as a LUT) and dedups nodes
-        # shared across the group's witnesses.  Sweep/dedup/absorb are
-        # semantics-preserving and can only keep or lower the count, so
-        # the per-output optimality claim survives.
-        cleanup_for_lut_count(fragment)
-        blif_text = to_blif(fragment)
-        if task.inject is not None:
-            from ..testing import faults
-
-            blif_text = faults.after_decompose(
-                task.inject, blif_text, task.attempt
-            )
-    return GroupResult(
-        gi=task.gi,
-        blif_text=blif_text,
-        info={
-            "outputs": list(task.group),
-            "hyper": False,
-            "mode": "exact",
-            "exact": detail,
-        },
-        perf=manager.perf.snapshot(),
-    )
+    budget = task.options.exact_budget_seconds
+    if budget is None:
+        budget = DEFAULT_BUDGET_SECONDS
+    if task.options.max_seconds is not None:
+        budget = min(budget, task.options.max_seconds)
+    cost = "delay" if task.options.cost.mode == "delay" else "area"
+    fragment = Network(f"{task.base_name}_exact")
+    detail: Dict[str, object] = {}
+    for out in task.group:
+        spec, support = cone_spec(cone, out)
+        res = exact_map(
+            spec,
+            task.options.k,
+            cost=cost,
+            budget_seconds=budget,
+            input_names=support,
+            output_name=out,
+            name=f"{task.base_name}_exact",
+            poll=manager.check_budget,
+        )
+        _splice_witness(fragment, res.network, out)
+        detail[out] = {
+            "luts": res.luts,
+            "depth": res.depth,
+            "source": res.source,
+        }
+    # Same emit pipeline as the heuristic strategies: kills the PO
+    # buffer the BLIF emitter would add for an aliased output (which
+    # the portfolio scorer would count as a LUT) and dedups nodes
+    # shared across the group's witnesses.  Sweep/dedup/absorb are
+    # semantics-preserving and can only keep or lower the count, so
+    # the per-output optimality claim survives.
+    cleanup_for_lut_count(fragment)
+    info["exact"] = detail
+    return fragment
 
 
-def _validate_reply(
+def check_fragment(
     task: GroupTask,
-    result: GroupResult,
-    policy: TaskPolicy,
+    blif,
+    engine: Optional[str] = None,
     journal: Optional[RunJournal] = None,
 ) -> Optional[str]:
-    """``None`` when the reply is usable, else a short cause string.
+    """``None`` when ``blif`` may be spliced as ``task``'s fragment, else
+    a short cause string.
 
-    Validation depth: the BLIF must parse, the fragment must drive
-    exactly the group's outputs from (a subset of) the cone's inputs,
-    and it must be equivalent to the cone it was derived from, via the
-    engine ``policy.verify_mode`` selects.  The fine-grained engine
-    additionally journals the failing cone (root node, cone members,
-    counterexample) so the rejection is diagnosable after the ladder has
-    papered over it.
+    The one validator for every fragment source (live replies, journal
+    records, stored rows; DESIGN.md tabulates which source gets which
+    strength).  The structural check always runs: the BLIF must parse,
+    drive exactly the group's outputs and read only the cone's inputs —
+    a fragment that fails it would break the splice.  ``engine`` adds
+    the equivalence check against the cone: ``"bdd"`` (pass/fail) or
+    ``"finegrain"``, which names the smallest failing cone and, with a
+    ``journal``, journals it as a ``failing_cone`` event so the
+    rejection stays diagnosable after the ladder has papered over it.
     """
+    if not isinstance(blif, str):
+        return "corrupt_reply: no fragment BLIF"
     try:
-        fragment = parse_blif(result.blif_text)
+        fragment = parse_blif(blif)
     except ValueError as exc:
         return f"corrupt_reply: {exc}"
     if sorted(fragment.output_names) != sorted(task.group):
@@ -598,11 +639,13 @@ def _validate_reply(
     cone = parse_blif(task.blif_text)
     if not set(fragment.inputs) <= set(cone.inputs):
         return "corrupt_reply: fragment reads unknown inputs"
+    if engine is None:
+        return None
     padded = fragment.copy()
     for pi in cone.inputs:
         if not padded.has_signal(pi):
             padded.add_input(pi)  # vacuous PI the BDD support dropped
-    if policy.verify_mode == "finegrain":
+    if engine == "finegrain":
         from ..verify.finegrain import finegrain_check
 
         try:
@@ -612,7 +655,12 @@ def _validate_reply(
         if fg.equivalent:
             return None
         worst = fg.failing_cones[0] if fg.failing_cones else None
-        if journal is not None and worst is not None:
+        if worst is None:
+            return (
+                "nonequivalent_reply: outputs "
+                f"{sorted(fg.failing_outputs)} (no cone localized)"
+            )
+        if journal is not None:
             journal.record_event(
                 "failing_cone",
                 gi=task.gi,
@@ -623,15 +671,10 @@ def _validate_reply(
                 counterexample=dict(worst.counterexample),
                 confirmed=worst.confirmed,
             )
-        if worst is not None:
-            return (
-                f"nonequivalent_reply: output {worst.output!r}, cone at "
-                f"{worst.root!r} ({len(worst.cone_nodes)} node(s)), "
-                f"counterexample {worst.counterexample}"
-            )
         return (
-            "nonequivalent_reply: outputs "
-            f"{sorted(fg.failing_outputs)} (no cone localized)"
+            f"nonequivalent_reply: output {worst.output!r}, cone at "
+            f"{worst.root!r} ({len(worst.cone_nodes)} node(s)), "
+            f"counterexample {worst.counterexample}"
         )
     try:
         bad = check_equivalence(cone, padded)
@@ -643,7 +686,10 @@ def _validate_reply(
 
 
 def _effective_task(
-    task: GroupTask, policy: TaskPolicy, attempt: int, mode: Optional[str]
+    task: GroupTask,
+    policy: Optional[TaskPolicy],
+    attempt: int,
+    mode: Optional[str],
 ) -> GroupTask:
     """The task as actually attempted in-process: decayed budgets.
 
@@ -651,8 +697,11 @@ def _effective_task(
     the pool timeout (if any) is mirrored as a cooperative time budget so
     an in-process hang is still bounded.  ``mode=None`` keeps the task's
     own mode (the common case); a ladder rung passes an explicit mode to
-    re-run the task as a different strategy.
+    re-run the task as a different strategy.  A trusted batch (no
+    policy) runs the task as given.
     """
+    if policy is None:
+        return task
     options = task.options
     factor = BUDGET_DECAY ** attempt
     if attempt > 0:
@@ -664,30 +713,22 @@ def _effective_task(
     )
 
 
-def _attempt_inprocess(
-    task: GroupTask,
-    policy: TaskPolicy,
-    attempt: int,
-    mode: Optional[str] = None,
-    journal: Optional[RunJournal] = None,
-) -> Tuple[Optional[str], Optional[GroupResult]]:
-    """Run one in-process attempt; returns ``(cause, result)``."""
-    from ..exact import ExactBudgetExceeded
+def _failure_cause(exc: Exception, policy: TaskPolicy) -> str:
+    """The ladder's cause string for an attempt that raised ``exc``.
 
-    trial = _effective_task(task, policy, attempt, mode)
-    try:
-        result = decompose_group_task(trial)
-    except BddBudgetExceeded as exc:
+    The prefix is the contract: ``timeout`` (counted in
+    ``RunReport.timeouts``; the service recycles its pool on it),
+    ``budget`` (a resource budget, including an exhausted exact search,
+    which is a degradation rather than a crash) or ``crash``.
+    """
+    if isinstance(exc, multiprocessing.TimeoutError):
+        return f"timeout: exceeded {policy.timeout_seconds:g}s wall clock"
+    if isinstance(exc, BddBudgetExceeded):
         prefix = "timeout" if exc.kind == "seconds" else "budget"
-        return f"{prefix}: {exc}", None
-    except ExactBudgetExceeded as exc:
-        return f"budget: {exc}", None
-    except Exception as exc:  # noqa: BLE001 - the ladder owns recovery
-        return f"crash: {type(exc).__name__}: {exc}", None
-    cause = _validate_reply(task, result, policy, journal=journal)
-    if cause is not None:
-        return cause, None
-    return None, result
+        return f"{prefix}: {exc}"
+    if type(exc).__name__ == "ExactBudgetExceeded":
+        return f"budget: {exc}"
+    return f"crash: {type(exc).__name__}: {exc}"
 
 
 def _worker_signal_reset() -> None:
@@ -722,45 +763,12 @@ def _make_pool(workers: int):
     return ctx.Pool(workers, initializer=_worker_signal_reset)
 
 
-def _merge_result_perf(
-    results: Sequence[GroupResult], report: RunReport
-) -> None:
-    """Fold every reply's counter snapshot into ``report.perf``."""
-    merged = PerfCounters()
-    for result in results:
-        if result.perf:
-            merged.merge_dict(result.perf)
-    # Cache traffic is a parent-side fact (the store lives with the
-    # dispatch loop, not the workers) but it belongs in the same merged
-    # snapshot so `repro stats` and traces see one coherent counter set.
-    merged.cache_hits += report.cache_hits
-    merged.cache_misses += report.cache_misses
-    merged.cache_rejected += report.cache_rejected
-    report.perf = merged.snapshot()
-
-
-def _replay_result(
-    task: GroupTask, record: Dict[str, object], source: str = "replayed"
-) -> Optional[GroupResult]:
-    """Rebuild a :class:`GroupResult` from a journaled/cached record.
-
-    Returns ``None`` — forcing re-execution — when the stored fragment
-    does not survive the same checks a live worker reply must pass: the
-    BLIF has to parse and drive exactly the task's outputs.  A corrupt
-    or tampered record therefore degrades to recomputation, never to
-    splicing garbage.  ``source`` names the flag set in the result's
-    info (``"replayed"`` for journal records, ``"cached"`` for result-
-    store rows).
-    """
-    blif_text = record.get("blif")
-    if not isinstance(blif_text, str):
-        return None
-    try:
-        fragment = parse_blif(blif_text)
-    except ValueError:
-        return None
-    if sorted(fragment.output_names) != sorted(task.group):
-        return None
+def _stored_result(
+    task: GroupTask, record: Dict[str, object], source: str
+) -> GroupResult:
+    """Rebuild a :class:`GroupResult` from a journal record or store row
+    that :func:`check_fragment` accepted; ``source`` (``"replayed"`` or
+    ``"cached"``) is flagged in its info."""
     info = dict(record.get("info") or {})
     info[source] = True
     try:
@@ -768,153 +776,298 @@ def _replay_result(
     except (TypeError, ValueError):
         seconds = 0.0
     return GroupResult(
-        gi=task.gi, blif_text=blif_text, info=info, seconds=seconds
+        gi=task.gi, blif_text=record["blif"], info=info, seconds=seconds
     )
 
 
-def _cache_lookup(
-    task: GroupTask,
-    key: str,
-    cache,
-    policy: TaskPolicy,
-    journal: Optional[RunJournal],
-    report: RunReport,
-) -> Optional[GroupResult]:
-    """Serve one task from the result store, or ``None`` on a miss.
+class _Batch:
+    """One batch of tasks through lookup → dispatch → recover → land."""
 
-    A stored row is *never trusted blindly*: every hit must rebuild
-    through :func:`_replay_result` (parse + output-set check), and a row
-    that has not yet passed the full reply-validation gate (the
-    ``verified`` stamp) additionally runs :func:`_validate_reply` — the
-    same equivalence engine live worker replies face — before its first
-    reuse.  A row that fails either check is deleted from the store so
-    the task recomputes and overwrites it.
-    """
-    record = cache.get(key)
-    if record is None:
-        return None
-    result = _replay_result(task, record, source="cached")
-    cause: Optional[str] = None
-    if result is None:
-        cause = "corrupt_row: fragment does not rebuild"
-    elif not record.get("verified"):
-        cause = _validate_reply(task, result, policy, journal=journal)
-        if cause is None:
-            cache.mark_verified(key)
-    if cause is not None:
-        cache.invalidate(key)
-        report.cache_rejected += 1
-        obs.event("cache_rejected", gi=task.gi, key=key, cause=cause)
-        if journal is not None:
-            journal.record_event(
-                "cache_rejected", gi=task.gi, key=key, cause=cause
+    def __init__(
+        self, tasks: List[GroupTask], ctx: RunContext, report: RunReport
+    ):
+        self.tasks = tasks
+        self.ctx = ctx
+        self.policy = ctx.policy
+        self.report = report
+        self.results: List[Optional[GroupResult]] = [None] * len(tasks)
+        self.causes: List[List[str]] = [[] for _ in tasks]
+        keyed = ctx.journal is not None or ctx.cache is not None
+        self.keys = [task_key(task) if keyed else None for task in tasks]
+        self.kill_after = getattr(ctx.faults, "parent_kill_after", None)
+
+    def run(self) -> List[GroupResult]:
+        """Every stage in order; returns the landed results in task order.
+
+        With a journal (or the test-only parent-kill fault), SIGINT and
+        SIGTERM stop the batch gracefully: the pool is torn down, the
+        interruption is journaled, and ``report.interrupted`` is set.
+        """
+        ctx, report = self.ctx, self.report
+        todo = [i for i in range(len(self.tasks)) if not self.lookup(i)]
+        guard = (
+            graceful_shutdown()
+            if ctx.journal is not None or self.kill_after is not None
+            else contextlib.nullcontext()
+        )
+        try:
+            with guard:
+                for i in self.dispatch(todo):
+                    self.recover(i)
+        except ShutdownRequested as exc:
+            completed = sum(1 for r in self.results if r is not None)
+            path = None
+            if ctx.journal is not None:
+                path = ctx.journal.path
+                ctx.journal.record_interrupted(
+                    exc.reason, completed=completed, total=len(self.tasks)
+                )
+            report.interrupted = RunInterrupted(
+                exc.reason, completed, len(self.tasks), journal_path=path
             )
-        return None
-    return result
+        report.fragments.sort(key=lambda f: f["gi"])
+        final = [r for r in self.results if r is not None]
+        merged = PerfCounters()
+        for result in final:
+            if result.perf:
+                merged.merge_dict(result.perf)
+        # Cache traffic is a parent-side fact (the store lives with the
+        # dispatch loop, not the workers) but it belongs in the same
+        # merged snapshot so `repro stats` and traces see one counter set.
+        merged.cache_hits += report.cache_hits
+        merged.cache_misses += report.cache_misses
+        merged.cache_rejected += report.cache_rejected
+        report.perf = merged.snapshot()
+        return final
 
+    def lookup(self, i: int) -> bool:
+        """Stage 1: serve task ``i`` from the journal, then the store.
 
-def _run_governed(
-    tasks: List[GroupTask],
-    jobs: int,
-    policy: TaskPolicy,
-    report: RunReport,
-    journal: Optional[RunJournal] = None,
-    shutdown_after: Optional[int] = None,
-    cache=None,
-    pool=None,
-) -> Tuple[List[GroupResult], RunReport]:
-    """The policy path: timeouts, validation, and the degradation ladder.
-
-    With a ``journal``, completed tasks are first replayed by
-    content-addressed key (stale keys simply miss), every fragment that
-    lands is journaled before the loop moves on, and SIGINT/SIGTERM —
-    or the test-only ``shutdown_after`` parent-kill injection — stops
-    the batch gracefully: the pool is torn down, the interruption is
-    journaled, and the partial results are returned with
-    ``report.interrupted`` set.
-
-    ``cache`` (a :class:`~repro.service.ResultStore`) memoizes results
-    *across* runs by the same content-addressed key the journal uses:
-    tasks the store already knows are served (after revalidation — see
-    :func:`_cache_lookup`) without execution, and every freshly landed
-    fragment is written back.  ``pool`` is an externally owned, already
-    warm worker pool (the mapping service's): it is used instead of
-    creating one and is **not** terminated when the batch ends — pool
-    lifecycle then belongs to the caller.
-    """
-    results: List[Optional[GroupResult]] = [None] * len(tasks)
-    causes: Dict[int, List[str]] = {i: [] for i in range(len(tasks))}
-    pending: List[int] = []
-    keys: List[Optional[str]] = [None] * len(tasks)
-
-    todo = list(range(len(tasks)))
-    if journal is not None or cache is not None:
-        keys = [task_key(task) for task in tasks]
-    if journal is not None:
-        report.journal_path = journal.path
-        remaining: List[int] = []
-        for i in todo:
-            record = journal.lookup(keys[i])
-            replayed = (
-                _replay_result(tasks[i], record)
-                if record is not None
-                else None
-            )
-            if replayed is not None:
-                results[i] = replayed
+        A journal record must pass the structural check (the resume gate
+        proves the whole network later).  A stored row is never trusted
+        blindly either: a row not yet stamped ``verified`` must also
+        pass the equivalence check before its first reuse.  A row that
+        fails is deleted so the task recomputes and overwrites it.
+        """
+        task, key = self.tasks[i], self.keys[i]
+        ctx, report = self.ctx, self.report
+        if ctx.journal is not None:
+            record = ctx.journal.lookup(key)
+            if record and check_fragment(task, record.get("blif")) is None:
+                self.results[i] = _stored_result(task, record, "replayed")
                 report.replayed += 1
-            else:
-                remaining.append(i)
-        todo = remaining
-    if cache is not None:
-        remaining = []
-        for i in todo:
-            hit = _cache_lookup(
-                tasks[i], keys[i], cache, policy, journal, report
-            )
-            if hit is not None:
-                results[i] = hit
+                return True
+        if ctx.cache is None:
+            return False
+        record = ctx.cache.get(key)
+        if record is not None:
+            engine = None if record["verified"] else self.policy.verify_mode
+            cause = check_fragment(task, record["blif"], engine, ctx.journal)
+            if cause is None:
+                if engine is not None:
+                    ctx.cache.mark_verified(key)
+                hit = _stored_result(task, record, "cached")
+                self.results[i] = hit
                 report.cache_hits += 1
                 report.fragments.append(
                     {
-                        "gi": tasks[i].gi,
-                        "group": list(tasks[i].group),
-                        "key": keys[i],
+                        "gi": task.gi,
+                        "group": list(task.group),
+                        "key": key,
                         "cached": True,
                         "seconds": hit.seconds,
                         "blif": hit.blif_text,
                     }
                 )
-            else:
-                report.cache_misses += 1
-                remaining.append(i)
-        todo = remaining
+                return True
+            ctx.cache.invalidate(key)
+            report.cache_rejected += 1
+            obs.event("cache_rejected", gi=task.gi, key=key, cause=cause)
+            if ctx.journal is not None:
+                ctx.journal.record_event(
+                    "cache_rejected", gi=task.gi, key=key, cause=cause
+                )
+        report.cache_misses += 1
+        return False
 
-    def _land(
+    def dispatch(self, todo: List[int]) -> List[int]:
+        """Stage 2: run each remaining task once; returns the failures.
+
+        A warm external pool is used whenever there is pooled work (its
+        setup cost is already paid, and it is never terminated here).
+        Otherwise ``jobs > 1`` forks a per-batch pool, unless the
+        auto-serial estimate says the batch is too small to repay it.
+        That estimate must not pre-empt policies that rely on the pool's
+        *real* (parent-enforced) preemption: a wall-clock timeout or an
+        injected fault can hang an in-process attempt that only a worker
+        kill recovers.
+        """
+        ctx, report = self.ctx, self.report
+        workers = min(ctx.jobs, len(todo)) if todo else 1
+        pool, owns_pool = None, False
+        if ctx.pool is not None and todo and ctx.jobs > 1:
+            pool = ctx.pool
+            report.details["warm_pool"] = True
+        elif ctx.jobs > 1 and len(todo) > 1:
+            serial = False
+            if (
+                self.policy is None or self.policy.timeout_seconds is None
+            ) and all(task.inject is None for task in self.tasks):
+                serial, decision = _auto_serial_decision(
+                    [self.tasks[i] for i in todo], ctx.jobs
+                )
+                report.details["auto_serial"] = decision
+                if serial:
+                    report.pool_fallback = (
+                        "auto_serial: estimated savings "
+                        f"{decision['estimated_savings']:.3f}s below "
+                        f"pool setup cost {_POOL_SETUP_SECONDS:g}s"
+                    )
+            if not serial:
+                try:
+                    pool, owns_pool = _make_pool(workers), True
+                except (OSError, PermissionError, RuntimeError) as exc:
+                    # No usable process pool (sandboxed /dev/shm, …).
+                    report.pool_fallback = f"{type(exc).__name__}: {exc}"
+        report.jobs_used = workers if pool is not None else 1
+
+        failed: List[int] = []
+        handles: Dict[int, object] = {}
+        try:
+            if pool is not None:
+                handles = {
+                    i: pool.apply_async(decompose_group_task, (self.tasks[i],))
+                    for i in todo
+                }
+            for i in todo:
+                result = self.attempt(i, handle=handles.get(i))
+                if result is None:
+                    failed.append(i)
+                else:
+                    self.land(i, result)
+        finally:
+            if owns_pool:
+                # terminate, not close: a hung worker would block join
+                # forever (and a shutdown request must not wait either).
+                # An external pool is the caller's to recycle — a timeout
+                # here may have left a hung worker, which report.timeouts
+                # surfaces.
+                pool.terminate()
+                pool.join()
+        return failed
+
+    def attempt(
+        self,
         i: int,
-        result: GroupResult,
-        seconds: float,
-        resolution: Optional[str] = None,
-    ) -> None:
-        """Accept a validated fragment: journal it, then check shutdown."""
-        results[i] = result
-        report.executed += 1
-        if journal is not None:
-            journal.record_group(
-                keys[i], tasks[i], result, seconds, resolution=resolution
+        attempt: int = 0,
+        mode: Optional[str] = None,
+        handle=None,
+    ) -> Optional[GroupResult]:
+        """One attempt at task ``i``: its pooled reply when ``handle`` is
+        given, else an in-process run (budgets decayed per ``attempt``,
+        optionally as another ``mode``).
+
+        A governed batch returns ``None`` for an attempt that raised or
+        whose reply :func:`check_fragment` rejected, and records the
+        cause; a trusted batch lets the failure raise and splices the
+        reply as it comes.
+        """
+        policy, task = self.policy, self.tasks[i]
+        try:
+            if handle is not None:
+                result = handle.get(
+                    timeout=policy.timeout_seconds if policy else None
+                )
+            else:
+                result = decompose_group_task(
+                    _effective_task(task, policy, attempt, mode)
+                )
+        except Exception as exc:  # noqa: BLE001 - the ladder owns recovery
+            if policy is None:
+                raise
+            cause = _failure_cause(exc, policy)
+        else:
+            if policy is None:
+                return result
+            cause = check_fragment(
+                task, result.blif_text, policy.verify_mode, self.ctx.journal
             )
-        if cache is not None:
-            # Live replies already passed _validate_reply, so the row is
-            # born verified; replays validate again on their first reuse.
-            # The cache is an accelerator: a write that fails (disk
-            # full, cross-process lock) is counted and skipped — it must
-            # never fail a request that already computed its fragment.
+            if cause is None:
+                return result
+        self.causes[i].append(cause)
+        if cause.startswith("timeout"):
+            self.report.timeouts += 1
+        return None
+
+    def recover(self, i: int) -> None:
+        """Stage 3: walk failed task ``i`` down the degradation ladder.
+
+        In-process from here on (the remaining work is recovery, not
+        throughput): decayed retries, then the per-output rung for
+        multi-output hyper tasks, then the structural remap — run without
+        the task's fault spec, so it is immune to worker faults.  An
+        exact variant that lost its budget race is *dropped*, never
+        substituted: a structural stand-in labeled "exact" would defeat
+        the point of an optimality oracle, and the portfolio reduce
+        keeps the heuristic winner instead.
+        """
+        task = self.tasks[i]
+        landed: Optional[GroupResult] = None
+        resolution = "retry"
+        attempt = 0
+        for attempt in range(1, self.policy.retries + 1):
+            self.report.retries += 1
+            landed = self.attempt(i, attempt)
+            if landed is not None:
+                break
+        if landed is None and task.mode == "hyper" and len(task.group) > 1:
+            attempt += 1
+            resolution = "per_output"
+            landed = self.attempt(i, attempt, mode="per_output")
+        if landed is None and task.mode == "exact":
+            resolution = "dropped"
+        elif landed is None:
+            resolution = "structural"
+            landed = decompose_group_task(
+                replace(task, mode="structural", inject=None)
+            )
+        self.report.degraded.append(
+            {
+                "gi": task.gi,
+                "group": list(task.group),
+                "causes": list(self.causes[i]),
+                "resolution": resolution,
+                "attempts": attempt + 1,
+            }
+        )
+        if landed is not None:
+            self.land(i, landed, resolution)
+
+    def land(
+        self, i: int, result: GroupResult, resolution: Optional[str] = None
+    ) -> None:
+        """Stage 4: accept a fragment — journal it, store it, then check
+        for a shutdown request."""
+        task, key = self.tasks[i], self.keys[i]
+        ctx, report = self.ctx, self.report
+        self.results[i] = result
+        report.executed += 1
+        if ctx.journal is not None:
+            ctx.journal.record_group(
+                key, task, result, result.seconds, resolution=resolution
+            )
+        if ctx.cache is not None:
+            # Live replies already passed check_fragment, so the row is
+            # born verified.  The cache is an accelerator: a write that
+            # fails (disk full, cross-process lock) is counted and
+            # skipped — it must never fail a request that already
+            # computed its fragment.
             try:
-                cache.put(
-                    keys[i],
+                ctx.cache.put(
+                    key,
                     result.blif_text,
                     info=result.info,
-                    seconds=seconds,
+                    seconds=result.seconds,
                     verified=True,
                 )
             except Exception as exc:  # noqa: BLE001 — any storage failure
@@ -923,243 +1076,23 @@ def _run_governed(
                 )
                 obs.event(
                     "cache_write_error",
-                    gi=tasks[i].gi,
-                    key=keys[i],
+                    gi=task.gi,
+                    key=key,
                     error=f"{type(exc).__name__}: {exc}",
                 )
             report.fragments.append(
                 {
-                    "gi": tasks[i].gi,
-                    "group": list(tasks[i].group),
-                    "key": keys[i],
+                    "gi": task.gi,
+                    "group": list(task.group),
+                    "key": key,
                     "cached": False,
-                    "seconds": seconds,
+                    "seconds": result.seconds,
                     "blif": result.blif_text,
                     **({"resolution": resolution} if resolution else {}),
                 }
             )
-        if (
-            shutdown_after is not None
-            and report.executed >= shutdown_after
-        ):
+        if self.kill_after is not None and report.executed >= self.kill_after:
             raise ShutdownRequested("injected_parent_kill")
-
-    guard = (
-        graceful_shutdown()
-        if journal is not None or shutdown_after is not None
-        else contextlib.nullcontext()
-    )
-    try:
-        with guard:
-            worker_pool = None
-            owns_pool = False
-            workers = min(jobs, len(todo)) if todo else 1
-            if pool is not None and todo and jobs > 1:
-                # A warm externally owned pool: setup cost is already
-                # paid, so the auto-serial economics never apply — use
-                # it whenever there is any pooled work at all.
-                worker_pool = pool
-                report.details["warm_pool"] = True
-            else:
-                want_pool = jobs > 1 and len(todo) > 1
-                # The heuristic must not pre-empt policies that rely on
-                # the pool's *real* (parent-enforced) preemption: a
-                # wall-clock timeout or an injected fault can hang an
-                # in-process attempt that only a worker kill recovers.
-                if (
-                    want_pool
-                    and policy.timeout_seconds is None
-                    and all(task.inject is None for task in tasks)
-                ):
-                    serial, decision = _auto_serial_decision(
-                        [tasks[i] for i in todo], jobs
-                    )
-                    report.details["auto_serial"] = decision
-                    if serial:
-                        want_pool = False
-                        report.pool_fallback = (
-                            "auto_serial: estimated savings "
-                            f"{decision['estimated_savings']:.3f}s below "
-                            f"pool setup cost {_POOL_SETUP_SECONDS:g}s"
-                        )
-                if want_pool:
-                    try:
-                        worker_pool = _make_pool(workers)
-                        owns_pool = True
-                    except (OSError, PermissionError, RuntimeError) as exc:
-                        report.pool_fallback = f"{type(exc).__name__}: {exc}"
-            report.jobs_used = workers if worker_pool is not None else 1
-
-            if worker_pool is not None:
-                try:
-                    handles = [
-                        (
-                            i,
-                            worker_pool.apply_async(
-                                decompose_group_task, (tasks[i],)
-                            ),
-                        )
-                        for i in todo
-                    ]
-                    for i, handle in handles:
-                        try:
-                            result = handle.get(timeout=policy.timeout_seconds)
-                        except multiprocessing.TimeoutError:
-                            report.timeouts += 1
-                            causes[i].append(
-                                f"timeout: exceeded {policy.timeout_seconds:g}s"
-                                " wall clock"
-                            )
-                            pending.append(i)
-                            continue
-                        except BddBudgetExceeded as exc:
-                            prefix = (
-                                "timeout" if exc.kind == "seconds" else "budget"
-                            )
-                            if prefix == "timeout":
-                                report.timeouts += 1
-                            causes[i].append(f"{prefix}: {exc}")
-                            pending.append(i)
-                            continue
-                        except Exception as exc:  # noqa: BLE001 - worker died
-                            # A budget-exhausted exact search is a
-                            # degradation, not a crash: the cause prefix
-                            # keeps the two distinguishable downstream
-                            # (pool recycling keys on "timeout"/faults).
-                            if type(exc).__name__ == "ExactBudgetExceeded":
-                                causes[i].append(f"budget: {exc}")
-                            else:
-                                causes[i].append(
-                                    f"crash: {type(exc).__name__}: {exc}"
-                                )
-                            pending.append(i)
-                            continue
-                        cause = _validate_reply(
-                            tasks[i], result, policy, journal=journal
-                        )
-                        if cause is None:
-                            _land(i, result, result.seconds)
-                        else:
-                            causes[i].append(cause)
-                            pending.append(i)
-                finally:
-                    if owns_pool:
-                        # terminate, not close: a hung worker would block
-                        # join forever (and a shutdown request must not
-                        # wait either).  An external pool is the caller's
-                        # to recycle — a timeout here may have left a
-                        # hung worker, which report.timeouts surfaces.
-                        worker_pool.terminate()
-                        worker_pool.join()
-            else:
-                for i in todo:
-                    cause, result = _attempt_inprocess(
-                        tasks[i], policy, attempt=0, journal=journal
-                    )
-                    if cause is None:
-                        _land(i, result, result.seconds)
-                    else:
-                        if cause.startswith("timeout"):
-                            report.timeouts += 1
-                        causes[i].append(cause)
-                        pending.append(i)
-
-            # The ladder, per still-failing task (in-process from here on:
-            # the remaining work is recovery, not throughput).
-            for i in pending:
-                task = tasks[i]
-                resolution: Optional[str] = None
-                landed: Optional[GroupResult] = None
-                attempt = 0
-                for retry in range(1, policy.retries + 1):
-                    attempt = retry
-                    report.retries += 1
-                    cause, result = _attempt_inprocess(
-                        task, policy, attempt, journal=journal
-                    )
-                    if cause is None:
-                        landed = result
-                        resolution = "retry"
-                        break
-                    if cause.startswith("timeout"):
-                        report.timeouts += 1
-                    causes[i].append(cause)
-                if (
-                    resolution is None
-                    and task.mode == "hyper"
-                    and len(task.group) > 1
-                ):
-                    attempt += 1
-                    cause, result = _attempt_inprocess(
-                        task, policy, attempt, mode="per_output",
-                        journal=journal,
-                    )
-                    if cause is None:
-                        landed = result
-                        resolution = "per_output"
-                    else:
-                        if cause.startswith("timeout"):
-                            report.timeouts += 1
-                        causes[i].append(cause)
-                if resolution is None and task.mode == "exact":
-                    # The advisory rung: an exact search that lost its
-                    # budget race is *dropped*, never substituted — a
-                    # structural stand-in labeled "exact" would defeat
-                    # the whole point of an optimality oracle.  The
-                    # portfolio reduce records "budget_exceeded" and
-                    # keeps the heuristic winner.
-                    report.degraded.append(
-                        {
-                            "gi": task.gi,
-                            "group": list(task.group),
-                            "causes": list(causes[i]),
-                            "resolution": "dropped",
-                            "attempts": attempt + 1,
-                        }
-                    )
-                    continue
-                if resolution is None:
-                    # Parent-side and deterministic: immune to worker faults.
-                    struct_start = time.perf_counter()
-                    cone = parse_blif(task.blif_text)
-                    fragment = structural_fragment(
-                        cone, task.options.k, name=f"{task.base_name}_struct"
-                    )
-                    landed = GroupResult(
-                        gi=task.gi,
-                        blif_text=to_blif(fragment),
-                        info={
-                            "outputs": list(task.group),
-                            "hyper": False,
-                            "mode": "structural",
-                        },
-                        seconds=time.perf_counter() - struct_start,
-                    )
-                    resolution = "structural"
-                report.degraded.append(
-                    {
-                        "gi": task.gi,
-                        "group": list(task.group),
-                        "causes": list(causes[i]),
-                        "resolution": resolution,
-                        "attempts": attempt + 1,
-                    }
-                )
-                _land(i, landed, landed.seconds, resolution=resolution)
-    except ShutdownRequested as exc:
-        report.interrupted = True
-        report.interrupt_reason = exc.reason
-        if journal is not None:
-            journal.record_interrupted(
-                exc.reason,
-                completed=sum(1 for r in results if r is not None),
-                total=len(tasks),
-            )
-
-    report.fragments.sort(key=lambda f: f["gi"])
-    final = [r for r in results if r is not None]
-    _merge_result_perf(final, report)
-    return final, report
 
 
 def _cone_input_count(blif_text: str) -> int:
@@ -1237,22 +1170,15 @@ def _variant_task(task: GroupTask, strategy: str, gi: int) -> GroupTask:
 
 
 def _run_portfolio(
-    tasks: List[GroupTask],
-    jobs: int,
-    policy: TaskPolicy,
-    report: RunReport,
-    journal: Optional[RunJournal] = None,
-    shutdown_after: Optional[int] = None,
-    cache=None,
-    pool=None,
-) -> Tuple[List[GroupResult], RunReport]:
+    tasks: List[GroupTask], ctx: RunContext, report: RunReport
+) -> List[GroupResult]:
     """Race every strategy per group; keep the cost-model winner.
 
     Each group expands into one pure-strategy variant task per raced
-    strategy; all variants run through :func:`_run_governed` — the same
-    budgets, timeouts, journal replay and cache the recovery ladder uses
-    — and the candidates are then reduced per group under the task
-    options' cost model (ties break toward the earlier strategy in
+    strategy; all variants run as one governed batch — the same budgets,
+    timeouts, journal replay and cache the recovery ladder uses — and
+    the candidates are then reduced per group under the task options'
+    cost model (ties break toward the earlier strategy in
     :data:`PORTFOLIO_STRATEGIES`).  The winning fragment is returned
     under the group's original index; the full per-group scoreboard
     lands in ``report.details["portfolio"]``.
@@ -1261,7 +1187,7 @@ def _run_portfolio(
     origin: List[Tuple[int, str]] = []
     strategies_of: List[List[str]] = []
     for ti, task in enumerate(tasks):
-        strategies = _portfolio_strategies(task, policy)
+        strategies = _portfolio_strategies(task, ctx.policy)
         strategies_of.append(strategies)
         for strategy in strategies:
             origin.append((ti, strategy))
@@ -1274,11 +1200,7 @@ def _run_portfolio(
         variants=len(variants),
         cost=cost.spec,
     ):
-        vresults, report = _run_governed(
-            variants, jobs, policy, report,
-            journal=journal, shutdown_after=shutdown_after,
-            cache=cache, pool=pool,
-        )
+        vresults = _Batch(variants, ctx, report).run()
 
         by_task: Dict[int, Dict[str, GroupResult]] = {}
         for res in vresults:
@@ -1347,97 +1269,23 @@ def _run_portfolio(
                 cost=cost.spec,
             )
         report.details["portfolio"] = decisions
-    return final, report
+    return final
 
 
 def run_group_tasks(
-    tasks: Sequence[GroupTask],
-    jobs: int,
-    policy: Optional[TaskPolicy] = None,
-    journal: Optional[RunJournal] = None,
-    shutdown_after: Optional[int] = None,
-    cache=None,
-    pool=None,
+    tasks: Sequence[GroupTask], ctx: RunContext
 ) -> Tuple[List[GroupResult], RunReport]:
-    """Execute group tasks, fanning out to ``jobs`` processes when >1.
+    """Execute group tasks under ``ctx``; returns ``(results, report)``.
 
-    Returns ``(results, report)`` with results in task order.  Without a
-    ``policy`` (and with no task carrying a fault injection) this is the
-    historical fire-and-hope path — no timeouts, no reply validation,
-    workers trusted absolutely — except that a refused pool is now
-    *recorded* in ``report.pool_fallback`` instead of being silently
-    swallowed.  With a policy, every reply is validated and failures walk
-    the degradation ladder (see :class:`TaskPolicy`): the call then
-    returns one usable fragment per task, or raises only after every
-    rung, including the cannot-fail structural one, was disabled or
-    exhausted.
-
-    ``journal`` (a :class:`~repro.runstate.RunJournal`) makes the batch
-    crash-safe and resumable: journaled tasks replay by key, fresh
-    completions are journaled as they land, and shutdown signals stop
-    the batch cleanly (``report.interrupted``).  ``shutdown_after`` is
-    the deterministic test hook for exactly that path: it raises the
-    same :class:`~repro.runstate.ShutdownRequested` after N landed
-    groups that a real SIGTERM would.  Either option implies the
-    governed path (a default :class:`TaskPolicy` is used when none is
-    given) — replies must be validated before they may be journaled.
-
-    ``cache`` (a :class:`~repro.service.ResultStore`) memoizes validated
-    fragments across runs by content-addressed key, and ``pool`` runs
-    the batch on an externally owned warm worker pool instead of a
-    per-call one (the pool is left running afterwards).  Both also imply
-    the governed path: cached rows and warm workers only serve
-    validated replies.
+    Results come back in task order.  A portfolio policy expands each
+    task into its strategy variants and returns one winner per group;
+    otherwise the tasks run as one staged batch (see the module
+    docstring).  A governed batch returns one usable fragment per task —
+    or fewer only when ``report.interrupted`` is set or an advisory exact
+    variant was dropped.
     """
     tasks = list(tasks)
     report = RunReport()
-    if policy is None and (
-        journal is not None
-        or shutdown_after is not None
-        or cache is not None
-        or pool is not None
-        or any(t.inject is not None for t in tasks)
-    ):
-        policy = TaskPolicy()  # journaling/caching/faults need validation
-    if policy is not None and policy.portfolio:
-        return _run_portfolio(
-            tasks, jobs, policy, report,
-            journal=journal, shutdown_after=shutdown_after,
-            cache=cache, pool=pool,
-        )
-    if policy is not None:
-        return _run_governed(
-            tasks, jobs, policy, report,
-            journal=journal, shutdown_after=shutdown_after,
-            cache=cache, pool=pool,
-        )
-    if jobs <= 1 or len(tasks) <= 1:
-        results = [decompose_group_task(t) for t in tasks]
-        _merge_result_perf(results, report)
-        return results, report
-    serial, decision = _auto_serial_decision(tasks, jobs)
-    report.details["auto_serial"] = decision
-    if serial:
-        report.jobs_used = 1
-        report.pool_fallback = (
-            "auto_serial: estimated savings "
-            f"{decision['estimated_savings']:.3f}s below pool setup cost "
-            f"{_POOL_SETUP_SECONDS:g}s"
-        )
-        results = [decompose_group_task(t) for t in tasks]
-        _merge_result_perf(results, report)
-        return results, report
-    workers = min(jobs, len(tasks))
-    try:
-        with _make_pool(workers) as pool:
-            results = list(pool.map(decompose_group_task, tasks))
-        report.jobs_used = workers
-        _merge_result_perf(results, report)
-        return results, report
-    except (OSError, PermissionError, RuntimeError) as exc:
-        # No usable process pool (sandboxed /dev/shm, missing sem_open…).
-        report.jobs_used = 1
-        report.pool_fallback = f"{type(exc).__name__}: {exc}"
-        results = [decompose_group_task(t) for t in tasks]
-        _merge_result_perf(results, report)
-        return results, report
+    if ctx.policy is not None and ctx.policy.portfolio:
+        return _run_portfolio(tasks, ctx, report), report
+    return _Batch(tasks, ctx, report).run(), report

@@ -86,7 +86,9 @@ def map_structural(
             prefix=f"s{index}",
         )
 
-    for out, driver in net.outputs:
+    # The algebraic script sweeps PO buffers in ``work``, so read the
+    # output drivers from it, not from the untouched ``net``.
+    for out, driver in work.outputs:
         result.add_output(signal_map[driver], out)
 
     cleanup_for_lut_count(result)

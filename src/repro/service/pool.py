@@ -4,9 +4,10 @@
 vs 0.164s) is pure pool-setup cost: every ``hyde_map`` call forked a
 pool, paid interpreter copy-on-write and semaphore setup, and tore it
 down again.  A daemon can pay that cost once.  :class:`WarmPool` owns
-one fork pool across requests and hands it to the task runner via the
-``pool=`` argument of :func:`~repro.mapping.parallel.run_group_tasks`,
-which then skips both pool creation and the auto-serial heuristic.
+one fork pool across requests and hands it to the task runner as the
+``pool`` of its :class:`~repro.mapping.parallel.RunContext` (the flows'
+``pool=`` argument); the runner then skips both pool creation and the
+auto-serial heuristic.
 
 Reuse across requests needs hygiene that per-call pools got for free:
 

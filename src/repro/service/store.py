@@ -26,10 +26,11 @@ Three safety properties, in decreasing order of paranoia:
 
 * **Verified-on-first-reuse.**  Rows are written with a ``verified``
   flag (set when the producing reply already passed the task runner's
-  reply validation).  The dispatch loop in
-  :mod:`repro.mapping.parallel` re-validates any unverified row against
-  its cone — the same equivalence engine live replies face — before its
-  first reuse and stamps it; see ``_cache_lookup`` there.
+  reply validation).  The lookup stage in
+  :mod:`repro.mapping.parallel` runs every row through
+  :func:`~repro.mapping.parallel.check_fragment`: the structural check
+  always, and for an unverified row also the equivalence engine live
+  replies face, before its first reuse and stamp.
 
 The store is safe for multi-threaded use (one connection guarded by a
 lock, WAL journaling for concurrent readers from other processes).

@@ -1,7 +1,7 @@
 """Deterministic fault injection for the parallel mapping flow.
 
 The fault-tolerance layer (budgets, timeouts, retries, the degradation
-ladder in :func:`repro.mapping.parallel.run_group_tasks`) is only worth
+ladder of the task runner in :mod:`repro.mapping.parallel`) is only worth
 having if every recovery path can be exercised on demand.  This module
 provides seeded fault points that a :class:`~repro.mapping.parallel.GroupTask`
 carries across the process boundary:
@@ -97,9 +97,9 @@ class FaultSpec:
 class FaultPlan:
     """Fault specs keyed by group index (``GroupTask.gi``).
 
-    ``parent_kill_after`` is a *parent-side* fault: the dispatch loop in
-    :func:`repro.mapping.parallel.run_group_tasks` raises
-    :class:`~repro.runstate.ShutdownRequested` after that many groups
+    ``parent_kill_after`` is a *parent-side* fault: the task runner's
+    land stage (:mod:`repro.mapping.parallel`) raises
+    :class:`~repro.runstate.ShutdownRequested` after that many tasks
     have landed (and been journaled), exercising the exact graceful-
     shutdown path a real SIGTERM takes — deterministically, with no
     signal-delivery race.  Interrupted-then-resumed tests are built on

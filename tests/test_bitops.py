@@ -223,7 +223,11 @@ class TestAutoSerial:
         from repro.circuits import build
         from repro.network.transform import extract_cone
         from repro.decompose import DecompositionOptions
-        from repro.mapping.parallel import GroupTask, run_group_tasks
+        from repro.mapping.parallel import (
+            GroupTask,
+            run_context,
+            run_group_tasks,
+        )
         from repro.network import to_blif
 
         net = build("misex1")
@@ -239,7 +243,7 @@ class TestAutoSerial:
                     base_name=f"as{gi}",
                 )
             )
-        results, report = run_group_tasks(tasks, jobs=2)
+        results, report = run_group_tasks(tasks, run_context(jobs=2))
         assert len(results) == 3
         assert report.jobs_used == 1
         assert report.pool_fallback is not None

@@ -135,7 +135,7 @@ class TestJournalRejectsCorruptFragments:
     @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
     def test_replay_rejects(self, name):
         from repro.decompose import DecompositionOptions
-        from repro.mapping.parallel import GroupTask, _replay_result
+        from repro.mapping.parallel import GroupTask, check_fragment
 
         task = GroupTask(
             blif_text=self.FRAGMENT,
@@ -143,9 +143,9 @@ class TestJournalRejectsCorruptFragments:
             gi=0,
             options=DecompositionOptions(),
         )
-        assert _replay_result(task, {"blif": self.CORRUPTIONS[name]}) is None
+        assert check_fragment(task, self.CORRUPTIONS[name]) is not None
         # The intact fragment, by contrast, replays fine.
-        assert _replay_result(task, {"blif": self.FRAGMENT}) is not None
+        assert check_fragment(task, self.FRAGMENT) is None
 
 
 def test_manager_stats():

@@ -26,7 +26,12 @@ from repro.circuits import build
 from repro.decompose import DecompositionOptions
 from repro.mapping import hyde_map, map_per_output
 from repro.mapping import parallel as par
-from repro.mapping.parallel import GroupTask, TaskPolicy, run_group_tasks
+from repro.mapping.parallel import (
+    GroupTask,
+    TaskPolicy,
+    run_context,
+    run_group_tasks,
+)
 from repro.network import check_equivalence, extract_cone, to_blif
 from repro.testing import FaultPlan, FaultSpec
 
@@ -111,7 +116,7 @@ class TestFaultMatrix:
     def test_transient_fault_recovers_by_retry(self, kind, jobs):
         spec = FaultSpec(kind, times=1, hang_seconds=30.0)
         net, tasks = _group_tasks(inject_at=0, spec=spec)
-        results, report = run_group_tasks(tasks, jobs, POLICY)
+        results, report = run_group_tasks(tasks, run_context(jobs, POLICY))
         assert len(results) == len(tasks)
         assert len(report.degraded) == 1
         entry = report.degraded[0]
@@ -125,7 +130,7 @@ class TestFaultMatrix:
     def test_persistent_fault_falls_to_structural(self, kind, jobs):
         spec = FaultSpec(kind, times=99, hang_seconds=30.0)
         net, tasks = _group_tasks(inject_at=0, spec=spec)
-        results, report = run_group_tasks(tasks, jobs, POLICY)
+        results, report = run_group_tasks(tasks, run_context(jobs, POLICY))
         entry = report.degraded[0]
         assert entry["resolution"] == "structural"
         # Retry, per-output and the original attempt all saw the fault.
@@ -137,7 +142,7 @@ class TestFaultMatrix:
         policy = TaskPolicy(timeout_seconds=5.0, retries=0)
         spec = FaultSpec("crash", times=1)
         net, tasks = _group_tasks(inject_at=0, spec=spec)
-        results, report = run_group_tasks(tasks, 1, policy)
+        results, report = run_group_tasks(tasks, run_context(1, policy))
         assert report.degraded[0]["resolution"] == "per_output"
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -194,13 +199,15 @@ class TestLadderEdges:
     def test_timeout_is_counted(self):
         spec = FaultSpec("hang", times=1, hang_seconds=30.0)
         _, tasks = _group_tasks(inject_at=0, spec=spec)
-        _, report = run_group_tasks(tasks, 2, TaskPolicy(timeout_seconds=2.0))
+        _, report = run_group_tasks(
+            tasks, run_context(2, TaskPolicy(timeout_seconds=2.0))
+        )
         assert report.timeouts >= 1
         assert report.retries >= 1
 
     def test_policy_without_faults_is_clean(self):
         _, tasks = _group_tasks()
-        results, report = run_group_tasks(tasks, 1, POLICY)
+        results, report = run_group_tasks(tasks, run_context(1, POLICY))
         assert len(results) == len(tasks)
         assert report.degraded == []
 
@@ -221,7 +228,7 @@ class TestPoolFallbackRecorded:
     def test_legacy_path_records_fallback(self, monkeypatch):
         self._break_pool(monkeypatch)
         _, tasks = _group_tasks()
-        results, report = run_group_tasks(tasks, 2)
+        results, report = run_group_tasks(tasks, run_context(2))
         assert len(results) == len(tasks)
         assert report.jobs_used == 1
         assert "no semaphores" in report.pool_fallback
@@ -229,7 +236,7 @@ class TestPoolFallbackRecorded:
     def test_governed_path_records_fallback(self, monkeypatch):
         self._break_pool(monkeypatch)
         _, tasks = _group_tasks()
-        results, report = run_group_tasks(tasks, 2, POLICY)
+        results, report = run_group_tasks(tasks, run_context(2, POLICY))
         assert len(results) == len(tasks)
         assert report.jobs_used == 1
         assert "no semaphores" in report.pool_fallback

@@ -14,7 +14,12 @@ import pytest
 
 from repro.circuits import build
 from repro.mapping import hyde_map, map_per_output
-from repro.mapping.parallel import GroupTask, decompose_group_task, run_group_tasks
+from repro.mapping.parallel import (
+    GroupTask,
+    decompose_group_task,
+    run_context,
+    run_group_tasks,
+)
 from repro.decompose import DecompositionOptions
 from repro.network import check_equivalence, extract_cone, parse_blif, to_blif
 
@@ -73,8 +78,8 @@ class TestGroupWorker:
                     base_name=f"w{gi}",
                 )
             )
-        serial, report1 = run_group_tasks(tasks, jobs=1)
-        pooled, report2 = run_group_tasks(tasks, jobs=2)
+        serial, report1 = run_group_tasks(tasks, run_context(jobs=1))
+        pooled, report2 = run_group_tasks(tasks, run_context(jobs=2))
         assert report1.jobs_used == 1 and report2.jobs_used >= 1
         # A refused pool is a recorded (not silent) serial fallback.
         if report2.jobs_used == 1:

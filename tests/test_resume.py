@@ -17,16 +17,38 @@ journaled flows at ``jobs=1`` and ``jobs=2``:
 from __future__ import annotations
 
 import json
+import os
+import re
 
 import pytest
 
 from repro.circuits import build
+from repro.cli import EXIT_INTERRUPTED, main
 from repro.mapping import hyde_map, map_per_output
 from repro.network import check_equivalence, to_blif
-from repro.runstate import RunInterrupted, load_journal, open_journal
+from repro.runstate import (
+    RunInterrupted,
+    journal_path,
+    load_journal,
+    open_journal,
+)
 from repro.testing import FaultPlan
 
 CIRCUIT = "misex1"
+
+INPUTS = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "benchmarks", "e2e", "inputs",
+)
+
+
+def rename_first_input(blif: str, new: str = "zz_unknown") -> str:
+    """The fragment with its first PI renamed everywhere it is read."""
+    first = next(
+        line.split()[1] for line in blif.splitlines()
+        if line.startswith(".inputs")
+    )
+    return re.sub(rf"(?<!\S){re.escape(first)}(?!\S)", new, blif)
 
 
 def run_flow(flow, journal, jobs=1, faults=None, **kwargs):
@@ -157,6 +179,64 @@ class TestKeyInvalidation:
         info = result.details["journal"]
         assert info["executed"] >= 1  # the corrupt record was not spliced
         assert check_equivalence(build(CIRCUIT), result.network) is None
+
+
+    def test_fragment_reading_unknown_input_forces_reexecution(
+        self, tmp_path
+    ):
+        # A well-formed record with a fixed-up hash whose fragment reads
+        # an input outside its cone: only the validator's inputs check
+        # stands between it and a splice that cannot resolve the fanin.
+        from repro.runstate.journal import _record_hash
+
+        journal = open_journal(tmp_path, CIRCUIT, "hyde", 4)
+        ref = hyde_map(build(CIRCUIT), k=4, journal=journal, pack_clbs=False)
+        lines = open(journal.path, encoding="utf-8").read().splitlines()
+        for index, line in enumerate(lines):
+            record = json.loads(line)
+            if record["type"] == "group" and record["gi"] == 0:
+                record["blif"] = rename_first_input(record["blif"])
+                record.pop("h")
+                record["h"] = _record_hash(record)
+                lines[index] = json.dumps(
+                    record, sort_keys=True, separators=(",", ":")
+                )
+                break
+        with open(journal.path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+        assert journal_records(journal)  # the tampered record loads
+        result = hyde_map(
+            build(CIRCUIT), k=4, pack_clbs=False,
+            journal=open_journal(tmp_path, CIRCUIT, "hyde", 4, resume=True),
+        )
+        assert result.details["journal"]["executed"] == 1
+        assert to_blif(result.network) == to_blif(ref.network)
+
+
+def test_interrupted_portfolio_reports_journaled_counts(tmp_path, capsys):
+    """The interruption message and the resume report count the tasks the
+    journal holds — under ``--portfolio`` those are strategy variants."""
+    argv = [
+        "blif", os.path.join(INPUTS, "5xp1.blif"), "--portfolio",
+        "--checkpoint", str(tmp_path),
+    ]
+    code = main(argv + ["--inject-faults", "parent_kill@3"])
+    assert code == EXIT_INTERRUPTED
+    out = capsys.readouterr().out
+    path = journal_path(str(tmp_path), "5xp1", "hyde", 5)
+    records, problems = load_journal(path)
+    assert problems == []
+    event = next(r for r in records if r.get("kind") == "interrupted")
+    done, total = event["completed"], event["total"]
+    assert done == 3 == sum(1 for r in records if r["type"] == "group")
+    assert f"interrupted (injected_parent_kill): {done}/{total} groups" in out
+
+    assert main(argv + ["--resume"]) == 0
+    out = capsys.readouterr().out
+    assert (
+        f"{done} group(s) replayed from journal, {total - done} executed"
+        in out
+    )
 
 
 class TestHarnessResume:

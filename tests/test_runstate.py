@@ -28,7 +28,13 @@ from repro.harness import (
     load_record,
     save_record,
 )
-from repro.mapping.parallel import GroupResult, GroupTask, _replay_result
+from repro.mapping.parallel import (
+    GroupResult,
+    GroupTask,
+    check_fragment,
+    run_context,
+    run_group_tasks,
+)
 from repro.runstate import (
     JournalError,
     RunJournal,
@@ -250,31 +256,34 @@ class TestRunJournal:
 
 
 class TestReplayValidation:
-    def test_replay_round_trip(self):
+    def test_replay_round_trip(self, tmp_path):
+        journal = open_journal(tmp_path, "cone", "hyde", 5)
         task = make_task()
-        record = {"blif": FRAGMENT_BLIF, "info": {"mode": "hyper"},
-                  "seconds": 0.5}
-        result = _replay_result(task, record)
-        assert result is not None
-        assert result.info["replayed"] is True
-        assert result.seconds == 0.5
+        journal.record_group(task_key(task), task, make_result(), 0.5)
+        results, report = run_group_tasks(
+            [task], run_context(journal=journal)
+        )
+        assert report.replayed == 1 and report.executed == 0
+        assert results[0].blif_text == FRAGMENT_BLIF
+        assert results[0].info["replayed"] is True
+        assert results[0].seconds == 0.5
 
     def test_corrupt_fragment_is_rejected(self):
         from repro.testing.faults import corrupt_blif_text
 
         task = make_task()
         corrupt = corrupt_blif_text(FRAGMENT_BLIF, seed=1)  # truncation
-        assert _replay_result(task, {"blif": corrupt}) is None
+        assert check_fragment(task, corrupt) is not None
 
     def test_wrong_outputs_are_rejected(self):
         task = make_task()
         wrong = FRAGMENT_BLIF.replace(".outputs f", ".outputs g").replace(
             "a b f", "a b g"
         )
-        assert _replay_result(task, {"blif": wrong}) is None
+        assert check_fragment(task, wrong) is not None
 
     def test_missing_blif_is_rejected(self):
-        assert _replay_result(make_task(), {"info": {}}) is None
+        assert check_fragment(make_task(), None) is not None
 
     def test_validate_journal_flags_corrupt_fragment(self, tmp_path):
         journal = open_journal(tmp_path, "cone", "hyde", 5)

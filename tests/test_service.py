@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
 import sqlite3
 import subprocess
@@ -267,6 +268,34 @@ def test_wrong_content_row_is_rejected_by_revalidation(tmp_path):
 
         after = hyde_map(parse_blif(MISEX1), 5, verify="none", cache=store)
         assert after.lut_count == before.lut_count
+        assert after.details["cache"]["rejected"] == 1
+        assert after.details["cache"]["misses"] == 1
+        assert to_blif(after.network) == to_blif(before.network)
+
+
+def test_verified_row_reading_unknown_input_is_rejected(tmp_path):
+    """A hash-consistent row stamped verified skips the equivalence check,
+    but not the structural one: a fragment that reads an input outside
+    its cone is rejected and recomputed, never spliced."""
+    path = str(tmp_path / "store.db")
+    with ResultStore(path) as store:
+        before = hyde_map(parse_blif(MISEX1), 4, verify="none", cache=store)
+        frag = before.details["fragments"][0]
+        first = parse_blif(frag["blif"]).inputs[0]
+        wrong_blif = re.sub(
+            rf"(?<!\S){re.escape(first)}(?!\S)", "zz_unknown", frag["blif"]
+        )
+        row = store._conn.execute(
+            "SELECT info, seconds FROM results WHERE key = ?", (frag["key"],)
+        ).fetchone()
+        h = _row_hash(frag["key"], store.schema, wrong_blif, row[0], row[1])
+        store._conn.execute(
+            "UPDATE results SET blif = ?, verified = 1, h = ? WHERE key = ?",
+            (wrong_blif, h, frag["key"]),
+        )
+        store._conn.commit()
+
+        after = hyde_map(parse_blif(MISEX1), 4, verify="none", cache=store)
         assert after.details["cache"]["rejected"] == 1
         assert after.details["cache"]["misses"] == 1
         assert to_blif(after.network) == to_blif(before.network)

@@ -198,12 +198,7 @@ def test_shrunk_witness_passes_replay_validator():
 
 def test_finegrain_reply_validation_journals_failing_cone(tmp_path):
     from repro.decompose import DecompositionOptions
-    from repro.mapping.parallel import (
-        GroupResult,
-        GroupTask,
-        TaskPolicy,
-        _validate_reply,
-    )
+    from repro.mapping.parallel import GroupTask, check_fragment
     from repro.network import extract_cone, to_blif
     from repro.runstate import load_journal, open_journal, validate_journal
     from repro.verify import apply_mutation, sample_mutations
@@ -219,18 +214,10 @@ def test_finegrain_reply_validation_journals_failing_cone(tmp_path):
         blif_text=to_blif(cone), group=[out], gi=0,
         options=DecompositionOptions(k=4), base_name="c_g0",
     )
-    policy = TaskPolicy(verify_mode="finegrain")
-
-    ok = _validate_reply(
-        task, GroupResult(gi=0, blif_text=to_blif(frag), info={}),
-        policy, journal=journal,
-    )
+    ok = check_fragment(task, to_blif(frag), "finegrain", journal=journal)
     assert ok is None
 
-    cause = _validate_reply(
-        task, GroupResult(gi=0, blif_text=to_blif(bad), info={}),
-        policy, journal=journal,
-    )
+    cause = check_fragment(task, to_blif(bad), "finegrain", journal=journal)
     assert cause is not None and cause.startswith("nonequivalent_reply")
     assert "cone at" in cause and "counterexample" in cause
 
