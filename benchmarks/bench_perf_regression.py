@@ -15,8 +15,10 @@ one environment variable away.
 ``--check`` compares the fresh record against the committed
 ``BENCH_hyde.json`` per circuit: LUT counts must match *exactly* (a
 perf change that alters the mapping is a correctness bug, not a perf
-result), and wall time must not regress more than 20% past a small
-noise floor.  New circuits (absent from the baseline) pass with a note.
+result), so must the default flow's deterministic work counters
+(:data:`WORK_COUNTERS`) wherever the baseline records them, and wall
+time must not regress more than 20% past a small noise floor.  New
+circuits (absent from the baseline) pass with a note.
 
 Usage::
 
@@ -43,6 +45,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.circuits import build
+from repro.fastpath import bitops
 from repro.mapping import hyde_map
 from repro.network import check_equivalence
 
@@ -82,6 +85,16 @@ def fleet() -> List[str]:
 #: runs only ever add scheduler/GC noise, never remove work).
 REPEATS = 5
 
+#: Deterministic work counters of the default flow, recorded per circuit
+#: and gated for exact equality: a kernel change that keeps the bytes
+#: but creates one more BDD node or re-counts one more bound set shows
+#: up here even when wall time drowns in noise.
+WORK_COUNTERS = (
+    "nodes_allocated",
+    "cofactor_enumerations",
+    "fastpath_global_misses",
+)
+
 #: A fresh time may exceed baseline * LIMIT before the gate fails ...
 TIME_REGRESSION_LIMIT = 1.20
 #: ... unless both sides sit under the noise floor, where scheduler
@@ -93,6 +106,10 @@ def _timed_map(name: str, repeats: int = REPEATS, **kwargs) -> Dict[str, object]
     best = None
     for _ in range(repeats):
         net = build(name)  # fresh network and manager: no cache carryover
+        # Every repeat starts like a fresh process: without this, repeats
+        # 2..N are served by the first repeat's global class counts and
+        # their work counters differ from a cold run's.
+        bitops.clear_global_memo()
         start = time.perf_counter()
         result = hyde_map(net, verify="none", pack_clbs=False, **kwargs)
         seconds = time.perf_counter() - start
@@ -107,6 +124,7 @@ def _timed_map(name: str, repeats: int = REPEATS, **kwargs) -> Dict[str, object]
         # repeat; the breakdown is for reading where time goes, the
         # headline number stays the min of the repeats).
         "phase_seconds": perf.get("phase_seconds", {}),
+        "counters": {key: perf.get(key) for key in WORK_COUNTERS},
         "network": result.network,
     }
 
@@ -154,6 +172,7 @@ def run_suite(
             "depth": flow["depth"],
             "seconds": flow["seconds"],
             "phase_seconds": flow["phase_seconds"],
+            **flow["counters"],
         }
         if jobs > 1:
             parallel = _timed_map(name, repeats=min(repeats, 2), jobs=jobs)
@@ -291,7 +310,8 @@ def compare_to_baseline(
 ) -> List[str]:
     """Per-circuit regression gate; returns the list of failures.
 
-    LUT counts must match the committed baseline exactly.  Wall time
+    LUT counts must match the committed baseline exactly, and so must
+    every :data:`WORK_COUNTERS` entry the baseline has.  Wall time
     (``seconds``, the default flow) may not exceed baseline *
     ``TIME_REGRESSION_LIMIT`` unless both sides are under
     ``NOISE_FLOOR_SECONDS``.  Circuits new to the fleet pass with a
@@ -314,6 +334,13 @@ def compare_to_baseline(
                 f"{name}: depth changed {base['depth']} -> "
                 f"{entry['depth']} (mappings must be identical)"
             )
+        for counter in WORK_COUNTERS:
+            expected = base.get(counter)
+            if expected is not None and entry.get(counter) != expected:
+                failures.append(
+                    f"{name}: {counter} changed {expected} -> "
+                    f"{entry.get(counter)} (work counters must be identical)"
+                )
         # Strict no-depth-regression gate for --cost delay: a fresh
         # delay-mode run may match or beat the committed depth, never
         # exceed it.
@@ -381,7 +408,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--check",
         action="store_true",
         help="gate against the committed BENCH_hyde.json (per-circuit "
-        "LUT equality + time thresholds) and exit non-zero on failure",
+        "LUT and work-counter equality + time thresholds) and exit "
+        "non-zero on failure",
     )
     args = parser.parse_args(argv)
     circuits = SMOKE_SET if args.smoke else fleet()

@@ -17,12 +17,18 @@ Design notes
   the order.  Named variables are layered on top via :meth:`add_var` /
   :meth:`var`.
 * There is no garbage collection; managers are cheap to create and callers
-  working on throwaway problems simply drop the manager.  Long-running
-  flows call :meth:`clear_caches` between unrelated operations.
-* Recursive walks are methods with explicit arguments, never closures
-  that call themselves: such a closure sits in a reference cycle with
-  the manager, so a dropped manager's node arrays would stay alive until
-  the cyclic garbage collector happened to run.
+  working on throwaway problems simply drop the manager (the flows build
+  one per run or per group).  A caller that keeps one manager across
+  unrelated problems can drop every memo keyed by node id with
+  :meth:`clear_caches`; the nodes themselves stay.
+* Node ids are the order of creation, and every tie-break downstream
+  (sorted residual sets, first-occurrence dedup) rests on them, so an
+  operation may only be made cheaper without changing which nodes it
+  creates or the order it creates them in.
+* Recursive walks are methods or module functions with explicit
+  arguments, never closures that call themselves: such a closure sits in
+  a reference cycle with the manager, so a dropped manager's node arrays
+  would stay alive until the cyclic garbage collector happened to run.
 """
 
 from __future__ import annotations
@@ -97,7 +103,8 @@ class BddManager:
         self._apply_cache: Dict[Tuple[int, int, int], int] = {}
         self._not_cache: Dict[int, int] = {}
         self._ite_cache: Dict[Tuple[int, int, int], int] = {}
-        self._cof1_cache: Dict[Tuple[int, int, int], int] = {}
+        # Single-variable cofactors: (level, value) -> {node id: result}.
+        self._cofactor_memos: Dict[Tuple[int, int], Dict[int, int]] = {}
         self._names: List[str] = []
         self._name_to_level: Dict[str, int] = {}
         #: Engine performance counters (always on; see :mod:`repro.perf`).
@@ -278,15 +285,27 @@ class BddManager:
             "apply_cache": len(self._apply_cache),
             "not_cache": len(self._not_cache),
             "ite_cache": len(self._ite_cache),
-            "cofactor_cache": len(self._cof1_cache),
+            "cofactor_cache": sum(
+                len(memo) for memo in self._cofactor_memos.values()
+            ),
         }
 
     def clear_caches(self) -> None:
-        """Drop all operation caches (the unique table is kept)."""
+        """Drop every memo keyed by node id; the nodes and the unique
+        table are kept.
+
+        That is the apply, NOT, ITE and cofactor caches, the bound-set
+        search's class counts and the packed-table conversions of
+        :mod:`repro.fastpath.bitops`.  Later operations return the same
+        node ids; they only recompute (and count) what was dropped.
+        """
         self._apply_cache.clear()
         self._not_cache.clear()
         self._ite_cache.clear()
-        self._cof1_cache.clear()
+        self._cofactor_memos.clear()
+        # Cleared in place: a live search holds this dict.
+        self._class_counts.clear()
+        self._fastpath = None
 
     # ------------------------------------------------------------------ #
     # Core boolean operations
@@ -459,9 +478,9 @@ class BddManager:
     def cofactor(self, f: int, level: int, value: int) -> int:
         """Shannon cofactor of ``f`` with the variable at ``level`` fixed.
 
-        Results are memoised persistently (keyed on the node id), which
-        makes the bound-set search's repeated single-variable cofactoring
-        cheap across calls.
+        Results are memoised persistently, one dict per ``(level,
+        value)`` keyed by node id, which makes the bound-set search's
+        repeated single-variable cofactoring cheap across calls.
         """
         if f <= TRUE:
             return f
@@ -474,21 +493,20 @@ class BddManager:
             # case bypasses the cache (and the counters, which track only
             # non-trivial cofactor work).
             return self._hi[f] if value else self._lo[f]
-        key = (f, level, value)
         perf = self.perf
         perf.cofactor_calls += 1
-        cached = self._cof1_cache.get(key)
-        if cached is not None:
-            perf.cofactor_hits += 1
-            return cached
+        memo = self._cofactor_memos.get((level, value))
+        if memo is None:
+            memo = self._cofactor_memos[level, value] = {}
+        else:
+            cached = memo.get(f)
+            if cached is not None:
+                perf.cofactor_hits += 1
+                return cached
         self._ensure_recursion_capacity()
-        result = self._mk(
-            f_level,
-            self.cofactor(self._lo[f], level, value),
-            self.cofactor(self._hi[f], level, value),
+        return _cofactor_rec(
+            self, f, level, value, memo, self._var, self._lo, self._hi
         )
-        self._cof1_cache[key] = result
-        return result
 
     def restrict(self, f: int, assignment: Dict[int, int]) -> int:
         """Simultaneously fix several variables (``level -> 0/1``)."""
@@ -882,6 +900,70 @@ class BddManager:
                 stack.append((hi, depth, index | (1 << (depth - 1))))
             result[index] = node
         return result
+
+
+def _cofactor_rec(
+    manager: BddManager,
+    f: int,
+    level: int,
+    value: int,
+    memo: Dict[int, int],
+    var: List[int],
+    lo: List[int],
+    hi: List[int],
+) -> int:
+    """The recursive body of :meth:`BddManager.cofactor`.
+
+    ``f`` lies strictly above ``level`` and is not in ``memo`` (the
+    memo of this ``(level, value)``).  Each child's trivial cases are
+    resolved inline and each memo probe is made here (the two children
+    are unrolled, not looped), so only a child that needs work costs a
+    call; the counters count exactly what the method would.  The whole lo branch is built before the whole hi
+    branch, and both before the parent: node ids rest on that order.
+    The unique table is probed before :meth:`~BddManager._mk`, which
+    only runs for a fresh node and so keeps the node budget and the
+    deadline probe in one place.
+    """
+    perf = manager.perf
+    r0 = lo[f]
+    if r0 > TRUE:
+        child_level = var[r0]
+        if child_level == level:
+            r0 = hi[r0] if value else lo[r0]
+        elif child_level < level:
+            perf.cofactor_calls += 1
+            cached = memo.get(r0)
+            if cached is None:
+                r0 = _cofactor_rec(
+                    manager, r0, level, value, memo, var, lo, hi
+                )
+            else:
+                perf.cofactor_hits += 1
+                r0 = cached
+    r1 = hi[f]
+    if r1 > TRUE:
+        child_level = var[r1]
+        if child_level == level:
+            r1 = hi[r1] if value else lo[r1]
+        elif child_level < level:
+            perf.cofactor_calls += 1
+            cached = memo.get(r1)
+            if cached is None:
+                r1 = _cofactor_rec(
+                    manager, r1, level, value, memo, var, lo, hi
+                )
+            else:
+                perf.cofactor_hits += 1
+                r1 = cached
+    if r0 == r1:
+        result = r0
+    else:
+        f_level = var[f]
+        result = manager._unique.get((f_level, r0, r1))
+        if result is None:
+            result = manager._mk(f_level, r0, r1)
+    memo[f] = result
+    return result
 
 
 def build_cube(manager: BddManager, assignment: Dict[int, int]) -> int:

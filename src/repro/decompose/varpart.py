@@ -38,9 +38,10 @@ Three performance notes:
   ``(on, dc, bound)`` — from the swap pass and from re-decompositions of
   the same sub-function at other recursion levels — are answered from
   the memo instead of re-counted.  The packed backend keys a
-  manager-independent global memo by the packed bits themselves; the
-  BDD backend keys a per-manager dict by node ids, which are canonical
-  and never recycled within one manager.
+  manager-independent global memo by the packed pair, which hashes its
+  bits once and compares equal by them; the BDD backend keys a
+  per-manager dict by node ids, which are canonical and never recycled
+  within one manager.
 
 Ties are broken toward lexicographically smallest level tuples so results
 are deterministic.

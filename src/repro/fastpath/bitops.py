@@ -32,11 +32,13 @@ the BDD path above :data:`DEFAULT_MAX_WIDTH`.  All fallbacks are
 transparent and counted in ``PerfCounters.fastpath_fallbacks``.
 
 Class counts are memoized **manager-independently** in a module-level
-table keyed by the packed bits themselves (not node ids), so warm worker
-processes and repeated managers over the same cone reuse counts across
-:class:`~repro.bdd.BddManager` lifetimes.  This is the packed backend's
-only count memo; the BDD backend of :mod:`repro.decompose.varpart` keeps
-its own per-manager memo over node ids.
+table keyed by the :class:`PackedPair` and the bound positions.  A pair
+hashes its tables once and compares equal by their bits (not by node
+ids), so warm worker processes and repeated managers over the same cone
+reuse counts across :class:`~repro.bdd.BddManager` lifetimes without
+rehashing a 2**n-bit int per probe.  This is the packed backend's only
+count memo; the BDD backend of :mod:`repro.decompose.varpart` keeps its
+own per-manager memo over node ids.
 """
 
 from __future__ import annotations
@@ -67,9 +69,10 @@ DEFAULT_MAX_WIDTH = 20
 #: 512 KiB; beyond this the big-int ops lose to the BDD's sparsity.
 HARD_MAX_WIDTH = 22
 
-#: Manager-independent class-count memo: (on_bits, dc_bits, n, positions)
-#: -> count.  Cleared wholesale when it outgrows _GLOBAL_MEMO_MAX.
-_GLOBAL_COUNTS: Dict[Tuple[int, int, int, Tuple[int, ...]], int] = {}
+#: Manager-independent class-count memo: (pair, positions) -> count, the
+#: pair standing for its (on, dc, n) bits.  Cleared wholesale when it
+#: outgrows _GLOBAL_MEMO_MAX.
+_GLOBAL_COUNTS: Dict[tuple, int] = {}
 _GLOBAL_MEMO_MAX = 1 << 17
 _global_hits = 0
 _global_misses = 0
@@ -231,9 +234,14 @@ class PackedPair:
 
     ``pos`` uses the kernel's descending convention of
     :func:`bdd_to_packed`: ``levels[j]`` is index bit ``n - 1 - j``.
+
+    Pairs key the global count memo: the hash of the tables is computed
+    once here (CPython does not cache an int's hash, and a table has up
+    to 2**22 bits), and equality compares the bits themselves, so two
+    pairs share memo entries exactly when their tables are equal.
     """
 
-    __slots__ = ("on", "dc", "n", "levels", "pos")
+    __slots__ = ("on", "dc", "n", "levels", "pos", "_hash")
 
     def __init__(self, on: int, dc: int, levels: Tuple[int, ...]):
         self.on = on
@@ -241,6 +249,22 @@ class PackedPair:
         n = self.n = len(levels)
         self.levels = levels
         self.pos = {lv: n - 1 - j for j, lv in enumerate(levels)}
+        self._hash = hash((on, dc, n))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, PackedPair):
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.n == other.n
+            and self.on == other.on
+            and self.dc == other.dc
+        )
 
 
 def pack_pair(manager, on: int, dc: int, levels: Sequence[int]) -> PackedPair:
@@ -300,9 +324,30 @@ def _split_chunks(value: int, total_bits: int, chunk_bits: int) -> List[int]:
 
 
 def _count_chunks(on: int, dc: int, n: int, b: int) -> int:
-    """Distinct (on, dc) column pairs with the bound in the top b bits."""
+    """Distinct (on, dc) column pairs with the bound in the top b bits.
+
+    Columns of at least a byte are compared as slices of one
+    little-endian ``to_bytes`` image per table (slice ``i`` holds the
+    bits of chunk ``i``), which is one linear pass; narrower columns
+    are split by recursive halving.  Only the size of the set is read.
+    """
     chunk = 1 << (n - b)
     total = 1 << n
+    if chunk >= 8:
+        width = chunk >> 3
+        size = total >> 3
+        on_bytes = on.to_bytes(size, "little")
+        if dc == 0:
+            return len(
+                {on_bytes[i:i + width] for i in range(0, size, width)}
+            )
+        dc_bytes = dc.to_bytes(size, "little")
+        return len(
+            {
+                (on_bytes[i:i + width], dc_bytes[i:i + width])
+                for i in range(0, size, width)
+            }
+        )
     if dc == 0:
         return len(set(_split_chunks(on, total, chunk)))
     return len(
@@ -428,13 +473,9 @@ def count_merged_classes(pair: PackedPair, bound_levels: Sequence[int]) -> int:
 
 def _global_key(
     pair: PackedPair, bound: Sequence[int]
-) -> Tuple[int, int, int, Tuple[int, ...]]:
-    return (
-        pair.on,
-        pair.dc,
-        pair.n,
-        tuple(sorted(pair.pos[lv] for lv in bound)),
-    )
+) -> Tuple[PackedPair, Tuple[int, ...]]:
+    pos = pair.pos
+    return pair, tuple(sorted([pos[lv] for lv in bound]))
 
 
 def _global_get(key) -> Optional[int]:
@@ -570,13 +611,8 @@ class PackedSearch:
         bound positions *in order* (unlike the syntactic key, which may
         sort: distinct-column counts are permutation-invariant).
         """
-        key = (
-            self.pair.on,
-            self.pair.dc,
-            self.pair.n,
-            tuple(self.pair.pos[lv] for lv in bound),
-            "merged",
-        )
+        pos = self.pair.pos
+        key = (self.pair, tuple([pos[lv] for lv in bound]), "merged")
         cached = _global_get(key)
         if cached is not None:
             self.perf.fastpath_global_hits += 1

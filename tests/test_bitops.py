@@ -186,6 +186,16 @@ class TestCountParity:
         stats = bitops.global_memo_stats()
         assert stats["hits"] >= 1  # second manager reused the first's count
 
+    def test_pairs_key_the_memo_by_their_bits(self):
+        pair = bitops.PackedPair(0b1011, 0, (0, 1))
+        same_bits = bitops.PackedPair(0b1011, 0, (4, 9))
+        other = bitops.PackedPair(0b0111, 0, (0, 1))
+        assert pair == same_bits and hash(pair) == hash(same_bits)
+        assert pair != other
+        other._hash = pair._hash  # a matching hash alone is not equality
+        assert pair != other
+        assert len({(pair, (1,)), (same_bits, (1,)), (other, (1,))}) == 2
+
 
 class TestDifferentialNetworks:
     """Packed vs BDD across >= 200 seed-stamped random networks."""

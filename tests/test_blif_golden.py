@@ -9,6 +9,11 @@ The ``area`` and ``delay`` modes pin the serial in-manager path; the
 bytes differ from the serial ones on some inputs.  The ``cache`` mode
 maps twice on one fresh store (all misses, then all hits), and both
 runs must emit the pinned bytes.
+
+The four medium inputs are the only ones whose searches run over
+supports wider than the packed kernels take, on the BDD backend; their
+area and delay bytes are pinned together with the flow's work counters
+(a slow test: about 20 s).
 """
 
 from __future__ import annotations
@@ -19,6 +24,9 @@ import os
 import pytest
 
 from repro.cli import main
+from repro.fastpath import bitops
+from repro.mapping import hyde_map
+from repro.network import read_blif, to_blif
 
 INPUTS = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -103,3 +111,63 @@ def test_emitted_blif_is_pinned(name, mode, tmp_path, capsys):
             assert (" 0 hit(s)" if run == 0 else " 0 miss(es)") in out
         digest = hashlib.sha256(target.read_bytes()).hexdigest()
         assert digest == GOLDEN[name, mode]
+
+
+#: The work counters pinned with each medium input's bytes.
+COUNTERS = (
+    "nodes_allocated",
+    "cofactor_calls",
+    "cofactor_enumerations",
+    "fastpath_global_misses",
+)
+
+#: (input, mode) -> (sha256 of the emitted BLIF, *COUNTERS) of one
+#: in-process run that starts with an empty global count memo.
+MEDIUM_GOLDEN = {
+    ("apex7", "area"): (
+        "0b71d67daf6078e769bb14228319af060b02152bc4a6fe605706e92c3b701aa2",
+        402_537, 863_164, 1_302, 13_939,
+    ),
+    ("apex7", "delay"): (
+        "cc85bdf1fc54fc75b655c686cd869f517896705e3bad5b83f84b0e50b83f0158",
+        402_936, 854_380, 1_502, 14_618,
+    ),
+    ("count", "area"): (
+        "4c682da4ab24b85afe325fee296b1c9fa87199388cd742b403be75fc8c70ac73",
+        68_882, 198_324, 1_951, 11_539,
+    ),
+    ("count", "delay"): (
+        "89d4a16c1ed6fdbcfb4a844d48943e708fef80987a4f2b12dd2c486e6a509e03",
+        76_224, 198_930, 2_257, 13_860,
+    ),
+    ("duke2", "area"): (
+        "dd61d97874bd2083ad87f368716d84a3c997dd36a3c53b44f65f61a6c620392d",
+        100_736, 167_794, 1_166, 13_810,
+    ),
+    ("duke2", "delay"): (
+        "dd61d97874bd2083ad87f368716d84a3c997dd36a3c53b44f65f61a6c620392d",
+        65_311, 118_066, 654, 10_658,
+    ),
+    ("misex2", "area"): (
+        "2d8a8b9826ceef9e201eb4a0cb86fbb0289902bede610bc526a6d18479f5eab2",
+        355_595, 928_664, 496, 5_652,
+    ),
+    ("misex2", "delay"): (
+        "b085abbde06ce0922d4bd74d97b2536557f77e4ec93215f9c7ea2747186eaabb",
+        364_157, 939_026, 630, 8_443,
+    ),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name, mode", sorted(MEDIUM_GOLDEN))
+def test_medium_blif_and_work_are_pinned(name, mode):
+    # A fresh process starts with an empty memo; earlier tests filled it.
+    bitops.clear_global_memo()
+    net = read_blif(os.path.join(INPUTS, f"{name}.blif"))
+    cost = {"cost_model": "delay"} if mode == "delay" else {}
+    result = hyde_map(net, 5, **cost)
+    perf = result.details["perf"]
+    digest = hashlib.sha256(to_blif(result.network).encode()).hexdigest()
+    pinned = (digest, *(perf[counter] for counter in COUNTERS))
+    assert pinned == MEDIUM_GOLDEN[name, mode]

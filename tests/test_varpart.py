@@ -93,3 +93,43 @@ class TestSelectBoundSet:
         assert before > 0
         assert select_bound_set(*args, **kwargs) == first
         assert m.perf.cofactor_enumerations == before
+
+    def test_clear_caches_drops_every_memo_keyed_by_node_id(self):
+        m = BddManager(6)
+        dc = m.apply_and(m.var_at_level(0), m.var_at_level(5))
+        on = m.apply_and(adder_like(m), m.apply_not(dc))
+        args = (m, on, list(range(6)), 3)
+        runs = {
+            "bdd": dict(dc=dc, exhaustive_limit=1, fast_path="bdd"),
+            "bitpack": dict(dc=dc, fast_path="bitpack"),
+        }
+        perf = m.perf
+
+        def work():
+            return (
+                perf.cofactor_calls - perf.cofactor_hits,
+                perf.cofactor_enumerations,
+                perf.fastpath_conversions,
+            )
+
+        def search(mode):
+            before = work()
+            partition = select_bound_set(*args, **runs[mode])
+            return partition, [b - a for a, b in zip(before, work())]
+
+        first = {mode: search(mode) for mode in runs}
+        assert m._class_counts and m._fastpath
+        assert m.stats()["cofactor_cache"] > 0
+        nodes = m.num_nodes
+        m.clear_caches()
+        assert not m._class_counts and not m._fastpath
+        stats = m.stats()
+        for cache in ("apply_cache", "not_cache", "ite_cache",
+                      "cofactor_cache"):
+            assert stats[cache] == 0
+        # The same searches recount from scratch: the same partitions,
+        # the same cofactor misses, enumerations and table conversions,
+        # and no new node (the unique table is kept).
+        assert {mode: search(mode) for mode in runs} == first
+        assert first["bdd"][1][0] > 0 and first["bitpack"][1][2] > 0
+        assert m.num_nodes == nodes
