@@ -16,15 +16,18 @@ Design notes
 * Variables are identified by *levels*: level 0 is the topmost variable in
   the order.  Named variables are layered on top via :meth:`add_var` /
   :meth:`var`.
-* There is no garbage collection; managers are cheap to create and callers
-  working on throwaway problems simply drop the manager (the flows build
-  one per run or per group).  A caller that keeps one manager across
-  unrelated problems can drop every memo keyed by node id with
-  :meth:`clear_caches`; the nodes themselves stay.
-* Node ids are the order of creation, and every tie-break downstream
-  (sorted residual sets, first-occurrence dedup) rests on them, so an
-  operation may only be made cheaper without changing which nodes it
-  creates or the order it creates them in.
+* There is no garbage collection during operations; managers are cheap
+  to create and callers working on throwaway problems simply drop the
+  manager (the pooled flows build one per group).  A caller that keeps
+  one manager across unrelated problems can drop every memo keyed by
+  node id with :meth:`clear_caches`, or also every node its roots do
+  not reach with :meth:`compact`, which renumbers the survivors.
+* Node ids are the order of creation.  They identify functions within
+  one manager and nothing more: no result of the flows may depend on
+  their values or on the order nodes were allocated in (compaction and
+  skipped work both change them).  The cofactor kernel still creates
+  the nodes its reference recursion would, in the same order, so its
+  node counts and budget trip points are pinned by a differential test.
 * Recursive walks are methods or module functions with explicit
   arguments, never closures that call themselves: such a closure sits in
   a reference cycle with the manager, so a dropped manager's node arrays
@@ -126,6 +129,9 @@ class BddManager:
         self._max_nodes: Optional[int] = None
         self._max_seconds: Optional[float] = None
         self._deadline: Optional[float] = None
+        # Nodes dropped by compact(): with the live arrays, the count of
+        # nodes ever allocated, which is what the node budget caps.
+        self._dropped = 0
         for _ in range(num_vars):
             self.add_var()
 
@@ -141,8 +147,9 @@ class BddManager:
         """Arm (or, with both ``None``, disarm) the resource budget.
 
         ``max_nodes`` caps the total allocated node count (terminals
-        included); ``max_seconds`` starts a wall-clock deadline measured
-        from this call.  Once a limit is crossed, node allocation and
+        included, and the nodes :meth:`compact` dropped, so compaction
+        never lets a budgeted run go further); ``max_seconds`` starts a
+        wall-clock deadline measured from this call.  Once a limit is crossed, node allocation and
         :meth:`check_budget` raise :class:`BddBudgetExceeded`.  With no
         budget armed (the default) the manager behaves exactly as before:
         the only cost is two ``is None`` tests per fresh allocation.
@@ -172,9 +179,11 @@ class BddManager:
         their loops so a time budget fires even when the work is all
         cache hits and no node is ever allocated.
         """
-        if self._max_nodes is not None and len(self._var) > self._max_nodes:
-            self.perf.budget_exceeded += 1
-            raise BddBudgetExceeded("nodes", self._max_nodes, len(self._var))
+        if self._max_nodes is not None:
+            allocated = len(self._var) + self._dropped
+            if allocated > self._max_nodes:
+                self.perf.budget_exceeded += 1
+                raise BddBudgetExceeded("nodes", self._max_nodes, allocated)
         if self._deadline is not None:
             now = time.monotonic()
             if now > self._deadline:
@@ -196,7 +205,8 @@ class BddManager:
 
     @property
     def num_nodes(self) -> int:
-        """Total number of allocated nodes, terminals included."""
+        """Number of live nodes, terminals included: the survivors of
+        the last :meth:`compact` and every node allocated since."""
         return len(self._var)
 
     def add_var(self, name: Optional[str] = None) -> int:
@@ -247,9 +257,14 @@ class BddManager:
         node = self._unique.get(key)
         if node is None:
             node = len(self._var)
-            if self._max_nodes is not None and node >= self._max_nodes:
+            if (
+                self._max_nodes is not None
+                and node + self._dropped >= self._max_nodes
+            ):
                 self.perf.budget_exceeded += 1
-                raise BddBudgetExceeded("nodes", self._max_nodes, node + 1)
+                raise BddBudgetExceeded(
+                    "nodes", self._max_nodes, node + self._dropped + 1
+                )
             # Amortised deadline probe: one clock read per 256 fresh nodes
             # keeps a runaway build bounded without taxing the hot path.
             if self._deadline is not None and (node & 0xFF) == 0:
@@ -306,6 +321,46 @@ class BddManager:
         # Cleared in place: a live search holds this dict.
         self._class_counts.clear()
         self._fastpath = None
+
+    def compact(self, roots: Iterable[int]) -> Dict[int, int]:
+        """Keep only the nodes reachable from ``roots``; renumber them.
+
+        The node arrays and the unique table are rebuilt in allocation
+        order (a node's children precede it, as before), every memo
+        keyed by node id is dropped through :meth:`clear_caches`, and
+        the old-to-new id map of the survivors (terminals included) is
+        returned: any id the caller still holds must go through it.
+        Functions are unchanged; only their ids are.  The node budget
+        keeps counting the dropped nodes as allocated.
+        """
+        var, lo, hi = self._var, self._lo, self._hi
+        live = bytearray(len(var))
+        live[FALSE] = live[TRUE] = 1
+        stack = list(roots)
+        while stack:
+            node = stack.pop()
+            if live[node]:
+                continue
+            live[node] = 1
+            stack.append(lo[node])
+            stack.append(hi[node])
+        remap: Dict[int, int] = {FALSE: FALSE, TRUE: TRUE}
+        new_var, new_lo, new_hi = [-1, -1], [-1, -1], [-1, -1]
+        unique: Dict[Tuple[int, int, int], int] = {}
+        for node in range(2, len(var)):
+            if live[node]:
+                new = len(new_var)
+                level, low, high = var[node], remap[lo[node]], remap[hi[node]]
+                new_var.append(level)
+                new_lo.append(low)
+                new_hi.append(high)
+                unique[level, low, high] = new
+                remap[node] = new
+        self._dropped += len(var) - len(new_var)
+        self._var, self._lo, self._hi = new_var, new_lo, new_hi
+        self._unique = unique
+        self.clear_caches()
+        return remap
 
     # ------------------------------------------------------------------ #
     # Core boolean operations
@@ -918,8 +973,10 @@ def _cofactor_rec(
     memo of this ``(level, value)``).  Each child's trivial cases are
     resolved inline and each memo probe is made here (the two children
     are unrolled, not looped), so only a child that needs work costs a
-    call; the counters count exactly what the method would.  The whole lo branch is built before the whole hi
-    branch, and both before the parent: node ids rest on that order.
+    call; the counters count exactly what the method would.  The whole
+    lo branch is built before the whole hi branch, and both before the
+    parent, as the reference recursion builds them, so the nodes, the
+    counters and a budget's trip point match it.
     The unique table is probed before :meth:`~BddManager._mk`, which
     only runs for a fresh node and so keeps the node budget and the
     deadline probe in one place.

@@ -210,15 +210,20 @@ def row_merge_benefit(
     """The paper's merging benefit sigma*Br + tau*Bc for two row sets.
 
     ``da``/``db`` are the disjunction partitions representing the rows.
+    Bc sums ``count_a(s) + count_b(s) - m/n`` over the shared symbols;
+    it is computed from the integer sum with one division, so its value
+    does not depend on the order the symbol set iterates in (the symbols
+    are node-id pairs, whose hash order follows the ids).
     """
     m = da.num_positions + db.num_positions
     n = total_symbol_kinds
     sym_a, sym_b = da.symbol_set(), db.symbol_set()
     n_ij = len(sym_a | sym_b)
     br = n - (n_ij - len(sym_a)) - (n_ij - len(sym_b))
-    k = m / n if n else 0.0
     counts_a, counts_b = da.symbol_counts(), db.symbol_counts()
-    bc = sum(counts_a[s] + counts_b[s] - k for s in (sym_a & sym_b))
+    common = sym_a & sym_b
+    shared = sum(counts_a[s] + counts_b[s] for s in common)
+    bc = (shared * n - len(common) * m) / n if n else shared
     return sigma * br + tau * bc
 
 

@@ -2,9 +2,11 @@
 
 Repeats :func:`repro.decompose.rothkarp.decompose_step` on the image
 function until every produced node has at most ``k`` inputs, emitting LUT
-nodes into a :class:`~repro.network.Network`.  The same driver serves the
-single-output flow and the hyper-function flow (the latter passes pseudo
-primary inputs through ``options``).
+nodes into a :class:`~repro.network.Network`.  A step whose bound set
+cannot shrink the support (ceil(log2 #classes) >= |λ|) is replaced by a
+Shannon split, decided from the bound-set search's class count alone.
+The same recursion serves the single-output flow and the hyper-function
+flow (the latter passes pseudo primary inputs through ``options``).
 """
 
 from __future__ import annotations
@@ -17,7 +19,13 @@ from ..bdd import FALSE, BddManager
 from ..boolfunc import TruthTable
 from ..network import Network
 from .compatible import Column
-from .rothkarp import DecompositionOptions, DecompositionStep, decompose_step
+from .rothkarp import (
+    DecompositionOptions,
+    DecompositionStep,
+    alpha_count,
+    decompose_step,
+    select_step_bound,
+)
 
 __all__ = ["decompose_to_network", "DecompositionTrace"]
 
@@ -82,22 +90,25 @@ def decompose_to_network(
                 lv: sig_depth.get(sig, 0)
                 for lv, sig in signal_of_level.items()
             }
-        step = decompose_step(
-            manager, on, support, options, dc=dc,
-            level_depths=level_depths,
+        partition = select_step_bound(
+            manager, on, support, options, dc=dc, level_depths=level_depths
         )
-
-        if step.alpha_levels and len(step.alpha_levels) >= len(
-            step.bound_levels
-        ):
-            # No progress: as many alpha functions as bound variables (the
+        n = partition.num_classes
+        if n >= 2 and alpha_count(n) >= len(partition.bound_levels):
+            # No progress: as many α functions as bound variables (the
             # function is essentially undecomposable for this bound set).
-            # Fall back to a Shannon split, which always shrinks the
-            # support.
+            # Decided on the search's class count, so a step that could
+            # not be used builds no α level, class function or encoder.
+            # A Shannon split always shrinks the support.
+            manager.perf.shannon_splits += 1
             return _shannon_split(
                 manager, on, dc, support, net, signal_of_level, options,
                 prefix, trace,
             )
+        step = decompose_step(
+            manager, on, support, options, dc=dc,
+            bound_levels=partition.bound_levels,
+        )
         trace.steps.append(step)
 
         if step.num_classes < 2:

@@ -23,9 +23,15 @@ from .encoding import (
     canonical_codes,
     encode_classes,
 )
-from .varpart import select_bound_set
+from .varpart import VariablePartition, select_bound_set
 
-__all__ = ["DecompositionStep", "decompose_step", "DecompositionOptions"]
+__all__ = [
+    "DecompositionStep",
+    "decompose_step",
+    "DecompositionOptions",
+    "alpha_count",
+    "select_step_bound",
+]
 
 
 @dataclass
@@ -155,7 +161,7 @@ def decompose_step(
 
     ``support`` is the variable universe of f (its true support).  When
     ``bound_levels`` is given the bound set is forced; otherwise it is
-    selected by :func:`repro.decompose.varpart.select_bound_set`.
+    selected by :func:`select_step_bound`.
     ``level_depths`` maps variable levels to the logic depth of the
     signal behind each level; delay-aware cost models use it to keep
     bound sets over shallow signals (ignored in area mode).
@@ -166,24 +172,10 @@ def decompose_step(
     manager.check_budget()
 
     perf = manager.perf
-    cost = options.cost
     if bound_levels is None:
-        with perf.phase("step.varpart"), obs.span(
-            "step.varpart", manager=manager, support=len(support)
-        ):
-            bound = select_bound_set(
-                manager,
-                on,
-                support,
-                min(k, len(support) - 1),
-                dc=dc,
-                use_dontcares=options.use_dontcares,
-                forbidden=options.forbidden_bound_levels,
-                preferred_free=options.preferred_free_levels,
-                fast_path=options.fast_path,
-                cost=cost,
-                level_depths=level_depths,
-            ).bound_levels
+        bound = select_step_bound(
+            manager, on, support, options, dc=dc, level_depths=level_depths
+        ).bound_levels
     else:
         bound = tuple(sorted(bound_levels))
     free = tuple(lv for lv in support if lv not in set(bound))
@@ -214,7 +206,7 @@ def decompose_step(
             num_classes=n,
         )
 
-    t = max(1, math.ceil(math.log2(n)))
+    t = alpha_count(n)
     alpha_levels = tuple(_fresh_levels(manager, t))
 
     with perf.phase("step.encode"), obs.span(
@@ -243,7 +235,7 @@ def decompose_step(
                 forbidden_bound_levels=options.forbidden_bound_levels,
                 preferred_free_levels=options.preferred_free_levels,
                 fast_path=options.fast_path,
-                benefit_weights=cost.encoder_weights(),
+                benefit_weights=options.cost.encoder_weights(),
             )
 
     alpha_tables = _alpha_tables(
@@ -259,6 +251,46 @@ def decompose_step(
         encoding=encoding,
         num_classes=n,
     )
+
+
+def alpha_count(num_classes: int) -> int:
+    """The code bits t = max(1, ceil(log2 n)) that ``num_classes``
+    compatible classes need: one α function per bit."""
+    return max(1, math.ceil(math.log2(num_classes)))
+
+
+def select_step_bound(
+    manager: BddManager,
+    on: int,
+    support: Sequence[int],
+    options: DecompositionOptions,
+    dc: int = FALSE,
+    level_depths: Optional[Dict[int, int]] = None,
+) -> VariablePartition:
+    """The bound-set search of one step (the ``step.varpart`` phase).
+
+    The partition's ``num_classes`` is exact for its bound set, merged
+    over don't cares exactly when the step merges them, so it equals
+    the class count :func:`decompose_step` computes for that bound set.
+    The recursion decides whether the step can shrink the support from
+    it, before any α level, class function or encoder work exists.
+    """
+    with manager.perf.phase("step.varpart"), obs.span(
+        "step.varpart", manager=manager, support=len(support)
+    ):
+        return select_bound_set(
+            manager,
+            on,
+            support,
+            min(options.k, len(support) - 1),
+            dc=dc,
+            use_dontcares=options.use_dontcares,
+            forbidden=options.forbidden_bound_levels,
+            preferred_free=options.preferred_free_levels,
+            fast_path=options.fast_path,
+            cost=options.cost,
+            level_depths=level_depths,
+        )
 
 
 def _fresh_levels(manager: BddManager, count: int) -> List[int]:

@@ -40,8 +40,9 @@ Three performance notes:
   the memo instead of re-counted.  The packed backend keys a
   manager-independent global memo by the packed pair, which hashes its
   bits once and compares equal by them; the BDD backend keys a
-  per-manager dict by node ids, which are canonical and never recycled
-  within one manager.
+  per-manager dict by node ids, which are canonical within one manager
+  and recycled only by :meth:`~repro.bdd.BddManager.compact`, which
+  clears the dict.
 
 Ties are broken toward lexicographically smallest level tuples so results
 are deterministic.

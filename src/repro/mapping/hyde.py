@@ -47,6 +47,11 @@ if TYPE_CHECKING:
 
 __all__ = ["MapResult", "hyde_map", "cluster_outputs"]
 
+#: The serial loop compacts its manager after a group once the node
+#: arrays have grown to this many times their size after the last
+#: compaction, so the copying stays linear in the nodes allocated.
+_COMPACT_GROWTH = 2
+
 
 def run_group_tasks(*args, **kwargs):
     """:func:`repro.mapping.parallel.run_group_tasks`, imported on the
@@ -316,6 +321,8 @@ def hyde_map(
     perf = manager.perf
     with perf.phase("bdd_build"), obs.span("bdd_build", manager=manager):
         output_bdds = {out: gb.of_output(out) for out in net.output_names}
+    # Its per-signal memo would hold ids that compaction invalidates.
+    del gb
 
     # Deduplicate identical output functions; constants are split off.
     canonical: Dict[int, str] = {}
@@ -375,10 +382,19 @@ def hyde_map(
         run_report, group_infos = run
     else:
         options.arm_budget(manager)  # serial path: budget on our manager
+        kept = manager.num_nodes
         with perf.phase("decompose"), obs.span(
             "decompose", manager=manager, groups=len(groups), jobs=1
         ):
             for gi, group in enumerate(groups):
+                if gi and manager.num_nodes >= _COMPACT_GROWTH * kept:
+                    # Finished groups leave nodes nothing reaches again.
+                    with obs.span("compact", manager=manager):
+                        remap = manager.compact(output_bdds.values())
+                    output_bdds = {
+                        out: remap[bdd] for out, bdd in output_bdds.items()
+                    }
+                    kept = manager.num_nodes
                 with obs.span(
                     "group", manager=manager, gi=gi, outputs=len(group)
                 ):
@@ -510,7 +526,7 @@ def _map_by_tasks(
         )
     ):
         return None
-    from .parallel import GroupTask, run_context
+    from .parallel import GroupTask, graft_reply, run_context
 
     ctx = run_context(**run_args)
     perf = manager.perf
@@ -535,13 +551,11 @@ def _map_by_tasks(
     ) as dspan:
         results, report = run_group_tasks(tasks, ctx)
         if recorder is not None:
-            # Worker span trees come back rebased to 0; anchor each at
-            # the decompose span's start (perf_counter bases are
-            # process-local, so relative placement is the best truth
-            # available).
+            # Worker span trees come back rebased to 0 (perf_counter
+            # bases are process-local); each is anchored where its
+            # reply landed.
             for res in results:
-                if res.spans:
-                    recorder.graft(res.spans, parent=dspan, offset=dspan.start)
+                graft_reply(dspan, res)
     if ctx.cache is not None:
         obs.event(
             "cache",

@@ -148,6 +148,10 @@ class GroupResult:
     # Wall-clock of the producing attempt, measured where the work ran
     # (worker-side for pooled tasks); journaled and restored on replay.
     seconds: float = 0.0
+    # The parent's perf_counter when the reply reached its batch (0.0
+    # for journal and store hits): where the span tree ends on the
+    # parent's timeline.
+    received: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -628,6 +632,16 @@ def check_fragment(
     ``journal``, journals it as a ``failing_cone`` event so the
     rejection stays diagnosable after the ladder has papered over it.
     """
+    with obs.span("check", gi=task.gi, engine=engine or "structural"):
+        return _check_fragment(task, blif, engine, journal)
+
+
+def _check_fragment(
+    task: GroupTask,
+    blif,
+    engine: Optional[str],
+    journal: Optional[RunJournal],
+) -> Optional[str]:
     if not isinstance(blif, str):
         return "corrupt_reply: no fragment BLIF"
     try:
@@ -761,6 +775,22 @@ def _make_pool(workers: int):
     except ValueError:  # pragma: no cover - non-POSIX platforms
         ctx = multiprocessing.get_context()
     return ctx.Pool(workers, initializer=_worker_signal_reset)
+
+
+def graft_reply(parent, result: GroupResult, **attrs) -> None:
+    """Graft ``result``'s span tree under the open span ``parent``.
+
+    The tree is placed to end where the reply reached the batch, which
+    is where an in-process run ended and a pooled one at most that late
+    (never before ``parent`` opened).  ``attrs`` go on the tree's root.
+    """
+    recorder = obs.active()
+    if recorder is None or not result.spans:
+        return
+    end = max(float(record["t1"]) for record in result.spans)
+    offset = max(parent.start, result.received - end)
+    for root in recorder.graft(result.spans, parent=parent, offset=offset):
+        root.attrs.update(attrs)
 
 
 def _stored_result(
@@ -987,6 +1017,7 @@ class _Batch:
                 raise
             cause = _failure_cause(exc, policy)
         else:
+            result.received = time.perf_counter()
             if policy is None:
                 return result
             cause = check_fragment(
@@ -1031,6 +1062,7 @@ class _Batch:
             landed = decompose_group_task(
                 replace(task, mode="structural", inject=None)
             )
+            landed.received = time.perf_counter()
         self.report.degraded.append(
             {
                 "gi": task.gi,
@@ -1181,7 +1213,10 @@ def _run_portfolio(
     cost model (ties break toward the earlier strategy in
     :data:`PORTFOLIO_STRATEGIES`).  The winning fragment is returned
     under the group's original index; the full per-group scoreboard
-    lands in ``report.details["portfolio"]``.
+    lands in ``report.details["portfolio"]``.  Every variant's span tree
+    is grafted under the ``portfolio`` span, its root marked with the
+    ``strategy`` and whether it ``won``; the winners go back without
+    spans, so nothing grafts them twice.
     """
     variants: List[GroupTask] = []
     origin: List[Tuple[int, str]] = []
@@ -1199,7 +1234,7 @@ def _run_portfolio(
         groups=len(tasks),
         variants=len(variants),
         cost=cost.spec,
-    ):
+    ) as pspan:
         vresults = _Batch(variants, ctx, report).run()
 
         by_task: Dict[int, Dict[str, GroupResult]] = {}
@@ -1250,7 +1285,7 @@ def _run_portfolio(
             _, _, winner, res, luts, depth = scored[0]
             info = dict(res.info)
             info["portfolio"] = winner
-            final.append(replace(res, gi=task.gi, info=info))
+            final.append(replace(res, gi=task.gi, info=info, spans=[]))
             decisions.append(
                 {
                     "gi": task.gi,
@@ -1269,6 +1304,14 @@ def _run_portfolio(
                 cost=cost.spec,
             )
         report.details["portfolio"] = decisions
+        if pspan is not None:
+            won = {(d["gi"], d["winner"]) for d in decisions}
+            for res in vresults:
+                ti, strategy = origin[res.gi]
+                graft_reply(
+                    pspan, res, strategy=strategy,
+                    won=(tasks[ti].gi, strategy) in won,
+                )
     return final
 
 

@@ -201,8 +201,8 @@ def coverage(records: Sequence[Dict[str, object]]) -> Optional[float]:
     """Fraction of root-span wall time their children account for.
 
     Only parent-process (``proc == "main"``) children are measured
-    against their root — worker trees are rebased to the enclosing span's
-    start, so their raw intervals say nothing about parent wall time.
+    against their root — worker trees are placed by when their replies
+    arrived, so their intervals say nothing exact about parent wall time.
     Returns ``None`` when the trace has no root span with positive
     duration (coverage is then meaningless, not zero).
     """

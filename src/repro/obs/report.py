@@ -189,6 +189,7 @@ def render_trace_summary(records: Sequence[Dict[str, object]]) -> str:
             ("cofactor calls", "cofactor_calls",
              _rate(perf.get("cofactor_hits"), perf.get("cofactor_calls"))),
             ("BDD nodes allocated", "nodes_allocated", None),
+            ("Shannon fallbacks", "shannon_splits", None),
         ]:
             count = perf.get(calls_key) or 0
             text = f"  {label:<28s} {count:>12}"

@@ -18,9 +18,10 @@ owns the run installs a recorder and everything below lands in it.
 Crossing a process boundary: a pool worker builds its own recorder,
 serialises it with :meth:`TraceRecorder.to_dicts` (times rebased so the
 worker's root starts at 0), ships the plain dicts in its task reply, and
-the parent grafts the tree under its own ``decompose`` span with
-:meth:`TraceRecorder.graft`.  ``time.perf_counter`` bases differ between
-processes, so rebasing is what makes the merged timeline coherent.
+the parent grafts the tree under its own ``decompose`` (or
+``portfolio``) span with :meth:`TraceRecorder.graft`.
+``time.perf_counter`` bases differ between processes, so rebasing is
+what makes the merged timeline coherent.
 """
 
 from __future__ import annotations

@@ -33,7 +33,9 @@ __all__ = ["INT_SLOTS", "PerfCounters", "format_perf_report"]
 #: The integer counters, in report order.  ``nodes_allocated`` counts
 #: fresh BDD nodes only (never a unique-table hit), so it is the
 #: engine's work and memory measure independent of which operation
-#: built the nodes.
+#: built the nodes.  ``shannon_splits`` counts the recursion steps whose
+#: bound set could not shrink the support and fell back to a Shannon
+#: split (no class functions or encoder are built for them).
 INT_SLOTS = (
     "apply_calls",
     "apply_hits",
@@ -43,6 +45,7 @@ INT_SLOTS = (
     "ite_hits",
     "cofactor_enumerations",
     "nodes_allocated",
+    "shannon_splits",
     "fastpath_selects",
     "fastpath_fallbacks",
     "fastpath_conversions",
@@ -131,6 +134,7 @@ class PerfCounters:
             "ite_hits": self.ite_hits,
             "cofactor_enumerations": self.cofactor_enumerations,
             "nodes_allocated": self.nodes_allocated,
+            "shannon_splits": self.shannon_splits,
             "fastpath_selects": self.fastpath_selects,
             "fastpath_fallbacks": self.fastpath_fallbacks,
             "fastpath_conversions": self.fastpath_conversions,
@@ -181,6 +185,7 @@ def format_perf_report(perf: Dict[str, object]) -> str:
             None,
         ),
         ("BDD nodes allocated", perf.get("nodes_allocated"), None),
+        ("Shannon fallbacks", perf.get("shannon_splits"), None),
         ("fastpath searches", perf.get("fastpath_selects"), None),
         ("fastpath fallbacks", perf.get("fastpath_fallbacks"), None),
         (

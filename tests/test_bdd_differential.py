@@ -104,10 +104,12 @@ def test_vector_compose_differential(seed):
 # Node identity of the cofactor kernel
 # --------------------------------------------------------------------- #
 #
-# Node ids are the order in which nodes are created, and every tie-break
-# of the flows rests on them, so a faster cofactor must create the same
-# nodes in the same order: the whole lo branch, then the whole hi branch,
-# then the parent.  The reference is the straightforward recursive body,
+# Emitted BLIF does not depend on node ids or on the order nodes are
+# allocated in (tests/test_node_id_invariance.py), but the kernel's work
+# does: the nodes it creates, its counters, and where a node budget stops
+# it.  So a faster cofactor must create the same nodes in the same order
+# as the straightforward recursive body (the whole lo branch, then the
+# whole hi branch, then the parent), which is the reference here,
 # memoized on (node, level, value) tuples.
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bdd import FALSE, TRUE, BddManager, build_cube
+from repro.bdd import FALSE, TRUE, BddBudgetExceeded, BddManager, build_cube
 
 N_VARS = 4
 TABLE_BITS = st.integers(min_value=0, max_value=(1 << (1 << N_VARS)) - 1)
@@ -274,3 +274,64 @@ def test_build_cube():
     assert m.eval(cube, {0: 1, 1: 0, 2: 0}) == 1
     assert m.eval(cube, {0: 1, 1: 1, 2: 1}) == 0
     assert build_cube(m, {}) == TRUE
+
+
+class TestCompact:
+    """Compaction keeps the functions its roots reach, renumbered."""
+
+    @given(st.lists(TABLE_BITS, min_size=3, max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_functions_survive_with_new_ids(self, tables):
+        m = BddManager(N_VARS)
+        levels = list(range(N_VARS))
+        kept, dropped, _ = (m.from_truth_table(t, levels) for t in tables)
+        m.apply_xor(kept, dropped)  # more garbage
+        allocated = m.perf.nodes_allocated
+        remap = m.compact([kept])
+        assert remap[FALSE] == FALSE and remap[TRUE] == TRUE
+        new = remap[kept]
+        assert m.to_truth_table(new, levels) == tables[0]
+        assert m.num_nodes == 2 + m.size(new)
+        # The unique table holds exactly the survivors: rebuilding the
+        # kept function allocates nothing and returns its new id.
+        assert m.from_truth_table(tables[0], levels) == new
+        assert m.perf.nodes_allocated == allocated
+        # Rebuilding a dropped function is correct (fresh nodes).
+        again = m.from_truth_table(tables[1], levels)
+        assert m.to_truth_table(again, levels) == tables[1]
+
+    def test_survivors_keep_allocation_order_and_drop_memos(self):
+        m = BddManager(N_VARS)
+        f = m.apply_and(m.var_at_level(0), m.var_at_level(3))
+        g = m.apply_or(m.var_at_level(1), m.var_at_level(2))
+        h = m.apply_xor(f, g)
+        m.cofactor(h, 1, 1)
+        tables = [m.to_truth_table(x, range(N_VARS)) for x in (g, h)]
+        remap = m.compact([g, h])
+        assert sorted(remap, key=remap.get) == sorted(remap)
+        assert all(
+            c < n and (m.is_terminal(c) or m.level(c) > m.level(n))
+            for n in range(2, m.num_nodes)
+            for c in (m.low(n), m.high(n))
+        )
+        assert m.stats()["apply_cache"] == m.stats()["cofactor_cache"] == 0
+        assert [
+            m.to_truth_table(remap[x], range(N_VARS)) for x in (g, h)
+        ] == tables
+
+    def test_node_budget_counts_dropped_nodes(self):
+        m = BddManager(8)
+        f = FALSE
+        for lv in range(8):
+            f = m.apply_xor(f, m.var_at_level(lv))
+        before = m.num_nodes
+        m.set_budget(max_nodes=before + 4)
+        m.compact([])
+        assert m.num_nodes == 2  # live count fell far below the budget
+        m.check_budget()
+        m.var_at_level(0)
+        m.var_at_level(1)
+        with pytest.raises(BddBudgetExceeded) as info:
+            for lv in range(2, 8):
+                m.var_at_level(lv)
+        assert info.value.used == before + 5

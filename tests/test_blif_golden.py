@@ -119,6 +119,7 @@ COUNTERS = (
     "cofactor_calls",
     "cofactor_enumerations",
     "fastpath_global_misses",
+    "shannon_splits",
 )
 
 #: (input, mode) -> (sha256 of the emitted BLIF, *COUNTERS) of one
@@ -126,35 +127,35 @@ COUNTERS = (
 MEDIUM_GOLDEN = {
     ("apex7", "area"): (
         "0b71d67daf6078e769bb14228319af060b02152bc4a6fe605706e92c3b701aa2",
-        402_537, 863_164, 1_302, 13_939,
+        375_359, 770_748, 1_034, 13_731, 3,
     ),
     ("apex7", "delay"): (
         "cc85bdf1fc54fc75b655c686cd869f517896705e3bad5b83f84b0e50b83f0158",
-        402_936, 854_380, 1_502, 14_618,
+        376_208, 761_912, 1_178, 14_111, 4,
     ),
     ("count", "area"): (
         "4c682da4ab24b85afe325fee296b1c9fa87199388cd742b403be75fc8c70ac73",
-        68_882, 198_324, 1_951, 11_539,
+        68_897, 198_324, 1_951, 11_539, 0,
     ),
     ("count", "delay"): (
         "89d4a16c1ed6fdbcfb4a844d48943e708fef80987a4f2b12dd2c486e6a509e03",
-        76_224, 198_930, 2_257, 13_860,
+        75_506, 198_380, 2_181, 13_745, 2,
     ),
     ("duke2", "area"): (
         "dd61d97874bd2083ad87f368716d84a3c997dd36a3c53b44f65f61a6c620392d",
-        100_736, 167_794, 1_166, 13_810,
+        78_299, 150_836, 848, 13_099, 9,
     ),
     ("duke2", "delay"): (
         "dd61d97874bd2083ad87f368716d84a3c997dd36a3c53b44f65f61a6c620392d",
-        65_311, 118_066, 654, 10_658,
+        51_164, 115_940, 504, 9_754, 7,
     ),
     ("misex2", "area"): (
         "2d8a8b9826ceef9e201eb4a0cb86fbb0289902bede610bc526a6d18479f5eab2",
-        355_595, 928_664, 496, 5_652,
+        198_477, 656_070, 428, 5_652, 1,
     ),
     ("misex2", "delay"): (
         "b085abbde06ce0922d4bd74d97b2536557f77e4ec93215f9c7ea2747186eaabb",
-        364_157, 939_026, 630, 8_443,
+        202_092, 664_768, 364, 6_505, 8,
     ),
 }
 

@@ -206,6 +206,27 @@ class TestRowSets:
         n = 8
         assert row_merge_benefit(a, b, n, 1, 0) > row_merge_benefit(a, c, n, 1, 0)
 
+    def test_benefit_ignores_symbol_labels(self):
+        # Symbols are (on, dc) node-id pairs, and ids are only names:
+        # relabelling them reorders the shared-symbol set, and Bc must
+        # come out the same, the correctly rounded exact value.
+        from fractions import Fraction
+
+        from repro.decompose import Partition
+        rng = random.Random(7)
+        kinds = 40
+        base_a = [rng.randrange(kinds) for _ in range(96)]
+        base_b = [rng.randrange(kinds) for _ in range(64)]
+        common = set(base_a) & set(base_b)
+        shared = sum(base_a.count(s) + base_b.count(s) for s in common)
+        m, n = len(base_a) + len(base_b), kinds + 1
+        exact = float(Fraction(shared * n - len(common) * m, n))
+        for seed in range(20):
+            ids = rng.sample(range(2, 100_000), kinds)
+            a = Partition(tuple((ids[s], ids[s] + 1) for s in base_a))
+            b = Partition(tuple((ids[s], ids[s] + 1) for s in base_b))
+            assert row_merge_benefit(a, b, n, sigma=0, tau=1) == exact
+
 
 class TestAbsorbSingletons:
     """The in-place singleton absorption of Step 6/7's fitting loop."""

@@ -83,6 +83,40 @@ class TestBddBudget:
         decayed = options.decayed(0.5)
         assert decayed.max_bdd_nodes == 61
 
+    def test_serial_budget_counts_nodes_compaction_dropped(
+        self, monkeypatch
+    ):
+        # The serial flow compacts its manager between groups (here
+        # before every group but the first); the node budget still
+        # counts every node allocated, so a later group trips it at the
+        # same allocation an uncompacted manager would.
+        from repro.fastpath import bitops
+        from repro.mapping import hyde
+
+        monkeypatch.setattr(hyde, "_COMPACT_GROWTH", 1)
+        compactions = []
+        compact = BddManager.compact
+
+        def counted(manager, roots):
+            compactions.append(manager.num_nodes)
+            return compact(manager, roots)
+
+        monkeypatch.setattr(BddManager, "compact", counted)
+        net = build("misex1")
+        bitops.clear_global_memo()
+        perf = hyde_map(net, 4, verify="none").details["perf"]
+        allocated = perf["nodes_allocated"] + 2  # the terminals too
+        assert compactions
+        assert perf["engine"]["num_nodes"] < allocated // 4
+        bitops.clear_global_memo()
+        hyde_map(net, 4, verify="none", max_bdd_nodes=allocated)
+        compactions.clear()
+        bitops.clear_global_memo()
+        with pytest.raises(BddBudgetExceeded) as err:
+            hyde_map(net, 4, verify="none", max_bdd_nodes=allocated - 1)
+        assert compactions  # it tripped in a group after a compaction
+        assert err.value.used == allocated
+
 
 def _group_tasks(circuit="misex1", inject_at=None, spec=None, k=4):
     """Two multi-output group tasks over a benchmark's outputs."""

@@ -286,11 +286,13 @@ class TestCli:
         assert records[0]["circuit"] == "misex1"
         assert records[0]["perf"]["apply_calls"] > 0
         assert records[0]["perf"]["nodes_allocated"] > 0
+        assert records[0]["perf"]["shannon_splits"] == 1
 
         assert main(["trace", path]) == 0
         rendered = capsys.readouterr().out
         assert "span tree" in rendered
         assert "BDD nodes allocated" in rendered
+        assert "Shannon fallbacks" in rendered
 
         assert main(
             ["trace", path, "--check", "--min-coverage", "0.9"]
@@ -306,6 +308,53 @@ class TestCli:
             if "BDD nodes allocated" in line
         )
         assert int(line.split()[-1]) > 0
+
+    def test_stats_reports_shannon_fallbacks(self, capsys):
+        from repro.cli import main
+
+        assert main(["stats", "misex1"]) == 0
+        line = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if "Shannon fallbacks" in line
+        )
+        assert int(line.split()[-1]) == 1
+
+    def test_portfolio_trace_grafts_every_variant(self, tmp_path, capsys):
+        # Every raced variant's task tree hangs under the portfolio
+        # span, winners and losers alike, so its children account for
+        # its time.
+        import os
+
+        from repro.cli import main
+
+        source = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "benchmarks", "e2e", "inputs", "b9.blif",
+        )
+        path = str(tmp_path / "out.jsonl")
+        argv = ["blif", source, "-o", str(tmp_path / "b9.blif")]
+        assert main(argv + ["--portfolio", "--trace", path]) == 0
+        capsys.readouterr()
+        records = read_trace(path)
+        assert validate_trace(records) == []
+        spans = [r for r in records if r.get("type") == "span"]
+        (portfolio,) = [r for r in spans if r["name"] == "portfolio"]
+        children = [r for r in spans if r["parent"] == portfolio["id"]]
+        trees = [r for r in children if r["name"] == "task.group"]
+        assert len(trees) == portfolio["attrs"]["variants"]
+        wins = {}
+        for tree in trees:
+            attrs = tree["attrs"]
+            assert attrs["strategy"] in ("hyper", "per_output", "column",
+                                         "structural")
+            wins[attrs["won"]] = wins.get(attrs["won"], 0) + 1
+        assert wins[True] == portfolio["attrs"]["groups"]
+        assert wins[False] > 0
+        covered, last = 0.0, portfolio["t0"]
+        for child in sorted(children, key=lambda r: r["t0"]):
+            covered += max(0.0, child["t1"] - max(child["t0"], last))
+            last = max(last, child["t1"])
+        assert covered >= 0.9 * (portfolio["t1"] - portfolio["t0"])
 
     def test_check_rejects_corrupt_trace(self, tmp_path, capsys):
         from repro.cli import main
