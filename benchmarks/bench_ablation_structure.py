@@ -4,9 +4,10 @@ The paper prepares small circuits by collapsing and large ones with the
 SIS algebraic script before node-wise decomposition.  This ablation runs
 both of our corresponding paths on the same circuits: `hyde_map`
 (collapse to global functions, then decompose) vs `map_structural`
-(algebraic preprocessing + per-node local decomposition) and reports
-LUTs and runtime — quantifying what the global view buys and what it
-costs.
+(per-node local decomposition of the input's nodes as given; the
+algebraic script is not reproduced, see docs/ALGORITHMS.md §8) and
+reports LUTs and runtime — quantifying what the global view buys and
+what it costs.
 """
 
 from __future__ import annotations

@@ -13,12 +13,13 @@ set, so the per-PR gate stays fast while the full-fleet numbers remain
 one environment variable away.
 
 ``--check`` compares the fresh record against the committed
-``BENCH_hyde.json`` per circuit: LUT counts must match *exactly* (a
-perf change that alters the mapping is a correctness bug, not a perf
-result), so must the default flow's deterministic work counters
-(:data:`WORK_COUNTERS`) wherever the baseline records them, and wall
-time must not regress more than 20% past a small noise floor.  New
-circuits (absent from the baseline) pass with a note.
+``BENCH_hyde.json`` per circuit: LUT counts and depths of the default,
+``--cost delay`` and portfolio variants (:data:`MAPPING_COLUMNS`) must
+match *exactly* (a perf change that alters the mapping is a correctness
+bug, not a perf result), so must the default flow's deterministic work
+counters (:data:`WORK_COUNTERS`) wherever the baseline records them,
+and wall time must not regress more than 20% past a small noise floor.
+New circuits (absent from the baseline) pass with a note.
 
 Usage::
 
@@ -93,6 +94,18 @@ WORK_COUNTERS = (
     "nodes_allocated",
     "cofactor_enumerations",
     "fastpath_global_misses",
+)
+
+#: LUT count and depth of every variant, gated for exact equality
+#: wherever the baseline has them.  All are deterministic: the default
+#: portfolio races no time-budgeted strategy (``exact`` is opt-in).
+MAPPING_COLUMNS = (
+    "luts",
+    "depth",
+    "delay_luts",
+    "delay_depth",
+    "portfolio_luts",
+    "portfolio_depth",
 )
 
 #: A fresh time may exceed baseline * LIMIT before the gate fails ...
@@ -186,11 +199,9 @@ def run_suite(
                         f"jobs={jobs} mapping of {name} differs from "
                         f"jobs=1 on output {bad!r}"
                     )
-        # Delay-cost variant: same flow under --cost delay.  Its depth
-        # is recorded per circuit and gated strictly against the
-        # committed baseline in ``compare_to_baseline`` — a fresh
-        # delay-mode run may match or beat the committed depth, never
-        # exceed it.
+        # Delay-cost variant: same flow under --cost delay.  Its LUTs and
+        # depth are gated exactly against the committed baseline in
+        # ``compare_to_baseline``.
         delay = _timed_map(name, repeats=1, cost_model="delay")
         entry["delay_luts"] = delay["luts"]
         entry["delay_depth"] = delay["depth"]
@@ -310,8 +321,8 @@ def compare_to_baseline(
 ) -> List[str]:
     """Per-circuit regression gate; returns the list of failures.
 
-    LUT counts must match the committed baseline exactly, and so must
-    every :data:`WORK_COUNTERS` entry the baseline has.  Wall time
+    Every :data:`MAPPING_COLUMNS` and :data:`WORK_COUNTERS` entry the
+    baseline has must match it exactly.  Wall time
     (``seconds``, the default flow) may not exceed baseline *
     ``TIME_REGRESSION_LIMIT`` unless both sides are under
     ``NOISE_FLOOR_SECONDS``.  Circuits new to the fleet pass with a
@@ -324,16 +335,13 @@ def compare_to_baseline(
         if base is None:
             print(f"baseline: {name} is new (no committed numbers) — pass")
             continue
-        if entry["luts"] != base["luts"]:
-            failures.append(
-                f"{name}: LUT count changed {base['luts']} -> "
-                f"{entry['luts']} (mappings must be identical)"
-            )
-        if base.get("depth") is not None and entry["depth"] != base["depth"]:
-            failures.append(
-                f"{name}: depth changed {base['depth']} -> "
-                f"{entry['depth']} (mappings must be identical)"
-            )
+        for column in MAPPING_COLUMNS:
+            expected = base.get(column)
+            if expected is not None and entry.get(column) != expected:
+                failures.append(
+                    f"{name}: {column} changed {expected} -> "
+                    f"{entry.get(column)} (mappings must be identical)"
+                )
         for counter in WORK_COUNTERS:
             expected = base.get(counter)
             if expected is not None and entry.get(counter) != expected:
@@ -341,18 +349,6 @@ def compare_to_baseline(
                     f"{name}: {counter} changed {expected} -> "
                     f"{entry.get(counter)} (work counters must be identical)"
                 )
-        # Strict no-depth-regression gate for --cost delay: a fresh
-        # delay-mode run may match or beat the committed depth, never
-        # exceed it.
-        if (
-            base.get("delay_depth") is not None
-            and entry.get("delay_depth") is not None
-            and entry["delay_depth"] > base["delay_depth"]
-        ):
-            failures.append(
-                f"{name}: --cost delay depth regressed "
-                f"{base['delay_depth']} -> {entry['delay_depth']}"
-            )
         new_s, base_s = entry["seconds"], base["seconds"]
         if max(new_s, base_s) < NOISE_FLOOR_SECONDS:
             continue

@@ -5,7 +5,7 @@ Layering (each package documented in DESIGN.md):
 
 * :mod:`repro.bdd` — from-scratch ROBDD engine.
 * :mod:`repro.boolfunc` — truth tables, BDD-backed functions, don't cares.
-* :mod:`repro.network` — Boolean networks, BLIF/PLA I/O, simulation,
+* :mod:`repro.network` — Boolean networks, BLIF I/O, simulation,
   equivalence checking.
 * :mod:`repro.decompose` — Roth-Karp decomposition with the paper's
   compatible class encoding (Section 3).

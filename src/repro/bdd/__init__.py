@@ -5,17 +5,14 @@ Public surface:
 * :class:`BddManager` — node store and core operations.
 * :mod:`repro.bdd.ops` — derived operations (conjoin, minterms, cofactor
   counting, renaming).
-* :mod:`repro.bdd.transfer` — cross-manager copies / order changes.
 * :mod:`repro.bdd.io` — DOT / cube-list export.
 """
 
 from .._lazy import lazy_exports
 
-# Each of these three modules exports a function of its own name; imported
-# lazily, the submodule would rebind the package attribute to the module.
+# The isop module exports a function of its own name; imported lazily, the
+# submodule would rebind the package attribute to the module.
 from .isop import cube_count, cubes_to_bdd, isop, literal_count
-from .reorder import sift_order, size_with_order, window_permute
-from .transfer import copy_into, reorder, transfer
 
 __getattr__ = lazy_exports(__name__, globals(), {
     "manager": ("FALSE", "TRUE", "BddBudgetExceeded", "BddManager", "build_cube"),
@@ -47,12 +44,6 @@ __all__ = [
     "is_contradiction",
     "swap_rename",
     "count_distinct_cofactors",
-    "transfer",
-    "copy_into",
-    "reorder",
-    "sift_order",
-    "window_permute",
-    "size_with_order",
     "isop",
     "cubes_to_bdd",
     "cube_count",

@@ -193,9 +193,6 @@ def _governance_kwargs(args) -> Dict[str, object]:
         from .testing import FaultPlan
 
         kw["faults"] = FaultPlan.parse(args.inject_faults)
-    fast_path = getattr(args, "fast_path", None)
-    if fast_path is not None:
-        kw["fast_path"] = fast_path
     cost = getattr(args, "cost", None)
     if cost is not None:
         from .decompose import parse_cost_model
@@ -1116,10 +1113,6 @@ def main(argv=None) -> int:
                        choices=["bdd", "sim", "none", "finegrain"])
         p.add_argument("--jobs", type=int, default=1,
                        help="decompose ingredient groups in N processes")
-        p.add_argument("--fast-path", default="auto",
-                       choices=["auto", "bitpack", "bdd"],
-                       help="class-counting backend (packed tables vs "
-                            "BDD walks; results are identical)")
         _add_cost_flags(p)
         _add_governance_flags(p)
         p.add_argument("--trace", default=None, metavar="FILE",
@@ -1162,10 +1155,6 @@ def main(argv=None) -> int:
                    choices=["bdd", "sim", "none", "finegrain"])
     p.add_argument("--jobs", type=int, default=1,
                    help="decompose ingredient groups in N processes")
-    p.add_argument("--fast-path", default="auto",
-                   choices=["auto", "bitpack", "bdd"],
-                   help="class-counting backend (packed tables vs "
-                        "BDD walks; results are identical)")
     _add_cost_flags(p)
     _add_governance_flags(p)
     p.add_argument("--trace", default=None, metavar="FILE",

@@ -438,7 +438,6 @@ def encode_classes(
     policy: str = "chart",
     forbidden_bound_levels: Sequence[int] = (),
     preferred_free_levels: Sequence[int] = (),
-    fast_path: str = "auto",
     benefit_weights: Tuple[float, float] = (1.0, 1.0),
 ) -> EncodingResult:
     """Run the Figure-3 encoding procedure.
@@ -502,7 +501,6 @@ def encode_classes(
             use_dontcares=use_dontcares,
             forbidden=forbidden_bound_levels,
             preferred_free=preferred_free_levels,
-            fast_path=fast_path,
         )
     result.suggested_bound = vp.bound_levels
     alpha_set = set(alpha_levels)
@@ -548,7 +546,7 @@ def encode_classes(
     ):
         random_classes = count_classes(
             manager, draft.on, list(vp.bound_levels), draft.dc,
-            use_dontcares, fast_path=fast_path,
+            use_dontcares,
         )
     result.image_classes_random = random_classes
     if rows is None:
@@ -583,7 +581,6 @@ def encode_classes(
             list(vp.bound_levels),
             chart_image.dc,
             use_dontcares,
-            fast_path=fast_path,
         )
     result.image_classes_chart = chart_classes
     result.trace["row_sets"] = row_sets

@@ -57,13 +57,6 @@ class DecompositionOptions:
         pins pseudo primary inputs with this).
     preferred_free_levels:
         Levels kept free on cost ties (HYDE's PPI placement preference).
-    fast_path:
-        Class-counting backend policy: ``"auto"`` (packed truth tables
-        for supports up to
-        :data:`repro.fastpath.bitops.DEFAULT_MAX_WIDTH` variables, BDD
-        walk beyond), ``"bitpack"`` (force packed up to the kernel's
-        hard cap) or ``"bdd"`` (never packed).  All modes produce
-        bit-identical results; see :mod:`repro.fastpath.bitops`.
     max_bdd_nodes / max_seconds:
         Resource budget for one governed decomposition: callers that own
         the manager (the group workers, the fault-tolerant flows) arm it
@@ -90,7 +83,6 @@ class DecompositionOptions:
     use_dontcares: bool = True
     forbidden_bound_levels: Tuple[int, ...] = ()
     preferred_free_levels: Tuple[int, ...] = ()
-    fast_path: str = "auto"
     max_bdd_nodes: Optional[int] = None
     max_seconds: Optional[float] = None
     cost_model: str = "area"
@@ -189,7 +181,6 @@ def decompose_step(
             list(bound),
             dc,
             options.use_dontcares,
-            fast_path=options.fast_path,
         )
     n = classes.num_classes
     if n < 2:
@@ -234,7 +225,6 @@ def decompose_step(
                 ),
                 forbidden_bound_levels=options.forbidden_bound_levels,
                 preferred_free_levels=options.preferred_free_levels,
-                fast_path=options.fast_path,
                 benefit_weights=options.cost.encoder_weights(),
             )
 
@@ -287,7 +277,6 @@ def select_step_bound(
             use_dontcares=options.use_dontcares,
             forbidden=options.forbidden_bound_levels,
             preferred_free=options.preferred_free_levels,
-            fast_path=options.fast_path,
             cost=options.cost,
             level_depths=level_depths,
         )
@@ -433,7 +422,6 @@ def _worst_encoding(
         min(options.k, len(support) - 1),
         dc=draft.dc,
         use_dontcares=options.use_dontcares,
-        fast_path=options.fast_path,
     )
     worst_codes = base
     worst_image = draft
@@ -454,7 +442,6 @@ def _worst_encoding(
             list(vp.bound_levels),
             image.dc,
             options.use_dontcares,
-            fast_path=options.fast_path,
         )
         if count > worst_count:
             worst_count = count

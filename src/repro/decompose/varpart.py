@@ -20,10 +20,11 @@ bit-identical selections):
   :data:`~repro.fastpath.bitops.DEFAULT_MAX_WIDTH` variables, where
   extending a prefix is a single masked-shift delta swap instead of a
   residual-set cofactor sweep (see docs/ALGORITHMS.md, "Bit-parallel
-  kernels").  Selected per call by ``fast_path`` =
-  ``"auto"`` (width cutoff) | ``"bitpack"`` (force, up to a hard cap) |
-  ``"bdd"`` (never), falling back transparently when the support is too
-  wide or not coverable.
+  kernels").  The support width picks the backend (``fast_path="auto"``),
+  falling back transparently when the support is too wide or not
+  coverable.  The flows always take that default; ``"bitpack"`` (force,
+  up to a hard cap) and ``"bdd"`` (never) are the seam through which the
+  differential tests reach each backend.
 
 Three performance notes:
 

@@ -72,7 +72,6 @@ def decompose_hyper_function(
         options.k,
         policy=ingredient_policy,
         preferred_free_ppis=(ppi_placement != "unrestricted"),
-        fast_path=options.fast_path,
         benefit_weights=options.cost.encoder_weights(),
     )
 

@@ -56,7 +56,6 @@ def map_per_output(
     verify: str = "bdd",
     pack_clbs: bool = True,
     jobs: int = 1,
-    fast_path: str = "auto",
     policy: Optional[TaskPolicy] = None,
     faults: Optional[object] = None,
     max_bdd_nodes: Optional[int] = None,
@@ -88,7 +87,6 @@ def map_per_output(
         k=k,
         encoding_policy=encoding_policy,
         use_dontcares=use_dontcares,
-        fast_path=fast_path,
         max_bdd_nodes=max_bdd_nodes,
         max_seconds=max_seconds,
         cost_model=cost_model,
@@ -192,7 +190,6 @@ def map_per_output_resub(
     pack_clbs: bool = True,
     max_pis: int = 14,
     jobs: int = 1,
-    fast_path: str = "auto",
     policy: Optional[TaskPolicy] = None,
     faults: Optional[object] = None,
     max_bdd_nodes: Optional[int] = None,
@@ -212,7 +209,6 @@ def map_per_output_resub(
         pack_clbs=False,
         jobs=jobs,
         cost_model=cost_model,
-        fast_path=fast_path,
         policy=policy,
         faults=faults,
         max_bdd_nodes=max_bdd_nodes,
@@ -253,7 +249,6 @@ def map_column_encoding(
     verify: str = "bdd",
     pack_clbs: bool = True,
     jobs: int = 1,
-    fast_path: str = "auto",
     policy: Optional[TaskPolicy] = None,
     faults: Optional[object] = None,
     max_bdd_nodes: Optional[int] = None,
@@ -271,7 +266,6 @@ def map_column_encoding(
         verify=verify,
         pack_clbs=pack_clbs,
         jobs=jobs,
-        fast_path=fast_path,
         policy=policy,
         faults=faults,
         max_bdd_nodes=max_bdd_nodes,

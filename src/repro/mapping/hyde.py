@@ -237,7 +237,6 @@ def hyde_map(
     pack_clbs: bool = True,
     fallback_per_output: bool = True,
     jobs: int = 1,
-    fast_path: str = "auto",
     policy: Optional[TaskPolicy] = None,
     faults: Optional[object] = None,
     max_bdd_nodes: Optional[int] = None,
@@ -260,11 +259,8 @@ def hyde_map(
 
     ``jobs > 1`` fans the ingredient groups out to a process pool (each
     worker decomposes its group's fan-in cone in a private manager; see
-    :mod:`repro.mapping.parallel`).  ``fast_path`` selects the
-    class-counting backend — ``"auto"`` (packed tables for narrow
-    supports, BDD walks beyond), ``"bitpack"`` or ``"bdd"`` — the mapping
-    is identical either way.  Counter and phase-time telemetry lands in
-    ``MapResult.details["perf"]``.
+    :mod:`repro.mapping.parallel`).  Counter and phase-time telemetry
+    lands in ``MapResult.details["perf"]``.
 
     ``policy`` (a :class:`~repro.mapping.parallel.TaskPolicy`) turns on
     fault tolerance: per-group timeouts, reply validation and the
@@ -358,7 +354,6 @@ def hyde_map(
         k=k,
         encoding_policy=encoding_policy,
         use_dontcares=use_dontcares,
-        fast_path=fast_path,
         max_bdd_nodes=max_bdd_nodes,
         max_seconds=max_seconds,
         cost_model=cost_model,
@@ -526,29 +521,32 @@ def _map_by_tasks(
         )
     ):
         return None
-    from .parallel import GroupTask, graft_reply, run_context
-
-    ctx = run_context(**run_args)
     perf = manager.perf
     recorder = obs.active()
-    tasks = [
-        GroupTask(
-            blif_text=to_blif(
-                extract_cone(net, group, name=f"{net.name}_{prefix}{gi}_cone")
-            ),
-            group=list(group),
-            gi=gi,
-            options=options,
-            base_name=f"{net.name}_{prefix}{gi}",
-            inject=ctx.faults.spec_for(gi) if ctx.faults else None,
-            trace=recorder is not None,
-            **task_fields,
-        )
-        for gi, group in units
-    ]
     with perf.phase("decompose"), obs.span(
-        "decompose", manager=manager, groups=len(tasks), jobs=jobs
+        "decompose", manager=manager, groups=len(units), jobs=jobs
     ) as dspan:
+        # Loading the runner and cutting the cones is part of the
+        # decomposition's cost, not time outside every span.
+        with obs.span("tasks", groups=len(units)):
+            from .parallel import GroupTask, graft_reply, run_context
+
+            ctx = run_context(**run_args)
+            tasks = [
+                GroupTask(
+                    blif_text=to_blif(extract_cone(
+                        net, group, name=f"{net.name}_{prefix}{gi}_cone"
+                    )),
+                    group=list(group),
+                    gi=gi,
+                    options=options,
+                    base_name=f"{net.name}_{prefix}{gi}",
+                    inject=ctx.faults.spec_for(gi) if ctx.faults else None,
+                    trace=recorder is not None,
+                    **task_fields,
+                )
+                for gi, group in units
+            ]
         results, report = run_group_tasks(tasks, ctx)
         if recorder is not None:
             # Worker span trees come back rebased to 0 (perf_counter

@@ -2,16 +2,13 @@
 
 The BDD-global flows (:func:`~repro.mapping.hyde.hyde_map` and friends)
 collapse every output to a primary-input-level function first.  For very
-large circuits SIS instead optimises the multi-level structure
-algebraically and decomposes node by node — "large circuits are
-optimized by applying SIS algebraic script" in the paper's Section 5.
-This module provides that path:
+large circuits the paper instead decomposes the multi-level network node
+by node (Section 5).  This module provides that path:
 
-1. optional algebraic preprocessing (:func:`repro.opt.algebraic_script`),
-2. local Roth-Karp decomposition of every node with more than ``k``
+1. local Roth-Karp decomposition of every node with more than ``k``
    fan-ins (the node's own truth table is the function; its fan-in
    signals are the variables),
-3. the usual cleanup and costing.
+2. the usual cleanup and costing.
 
 Because each decomposition is local, no global BDD is ever built: the
 flow scales to circuits whose collapsed functions would be intractable,
@@ -21,12 +18,11 @@ at the cost of missing cross-node optimisation the global flow sees.
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Dict
 
 from ..bdd import BddManager
 from ..decompose import DecompositionOptions, decompose_to_network
 from ..network import Network
-from ..opt import algebraic_script
 from .clb import pack_xc3000
 from .hyde import MapResult, _check
 from .lut import cleanup_for_lut_count, count_luts
@@ -37,26 +33,19 @@ __all__ = ["map_structural"]
 def map_structural(
     net: Network,
     k: int = 5,
-    encoding_policy: str = "chart",
-    preoptimize: bool = True,
     verify: str = "bdd",
     pack_clbs: bool = True,
 ) -> MapResult:
     """Map ``net`` to k-LUTs by per-node local decomposition."""
     start = time.time()
-    work = net.copy(f"{net.name}_structural")
-    opt_stats: Dict[str, int] = {}
-    if preoptimize:
-        opt_stats = algebraic_script(work)
-
     result = Network(f"{net.name}_struct")
     for pi in net.inputs:
         result.add_input(pi)
 
-    options = DecompositionOptions(k=k, encoding_policy=encoding_policy)
-    signal_map: Dict[str, str] = {pi: pi for pi in work.inputs}
-    for index, name in enumerate(work.topological_order()):
-        node = work.node(name)
+    options = DecompositionOptions(k=k)
+    signal_map: Dict[str, str] = {pi: pi for pi in net.inputs}
+    for index, name in enumerate(net.topological_order()):
+        node = net.node(name)
         fanins = [signal_map[fi] for fi in node.fanins]
         if node.table.num_inputs == 0:
             new_name = result.fresh_name(f"s{index}_const")
@@ -86,9 +75,7 @@ def map_structural(
             prefix=f"s{index}",
         )
 
-    # The algebraic script sweeps PO buffers in ``work``, so read the
-    # output drivers from it, not from the untouched ``net``.
-    for out, driver in work.outputs:
+    for out, driver in net.outputs:
         result.add_output(signal_map[driver], out)
 
     cleanup_for_lut_count(result)
@@ -99,6 +86,5 @@ def map_structural(
         lut_count=count_luts(result, k),
         clb_count=pack_xc3000(result).num_clbs if pack_clbs else None,
         seconds=time.time() - start,
-        flow="structural" + ("+algebraic" if preoptimize else ""),
-        details={"opt_stats": opt_stats},
+        flow="structural",
     )

@@ -18,7 +18,6 @@ __getattr__ = lazy_exports(__name__, globals(), {
     "dot": ("network_to_dot",),
     "globalbdd": ("GlobalBdds", "build_global_bdds"),
     "netlist": ("Network", "Node"),
-    "pla": ("parse_pla", "read_pla", "to_pla", "write_pla"),
     "stats": ("NetworkStats", "is_k_feasible", "network_stats", "node_depths"),
     "transform": (
         "collapse_network",
@@ -39,10 +38,6 @@ __all__ = [
     "read_blif",
     "to_blif",
     "write_blif",
-    "parse_pla",
-    "read_pla",
-    "to_pla",
-    "write_pla",
     "simulate",
     "simulate_vectors",
     "random_vectors",

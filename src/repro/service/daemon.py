@@ -117,7 +117,6 @@ _COMMON_KNOBS = (
     "use_dontcares",
     "verify",
     "pack_clbs",
-    "fast_path",
     "max_bdd_nodes",
     "max_seconds",
     "cost_model",

@@ -1,10 +1,6 @@
-"""Tests for derived BDD operations, cross-manager transfer and export."""
+"""Tests for derived BDD operations and export."""
 
 from __future__ import annotations
-
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.bdd import (
     FALSE,
@@ -18,15 +14,9 @@ from repro.bdd import (
     is_contradiction,
     is_tautology,
     minterm,
-    reorder,
     swap_rename,
-    transfer,
 )
 from repro.bdd.io import format_cubes, to_cubes, to_dot
-
-N = 4
-TABLE_BITS = st.integers(min_value=0, max_value=(1 << (1 << N)) - 1)
-
 
 class TestDerivedOps:
     def test_conjoin_disjoin_empty(self):
@@ -80,39 +70,6 @@ class TestDerivedOps:
             parity = m.apply_xor(parity, m.var_at_level(lv))
         for bound in ([0, 1], [2, 3, 4], [0, 5]):
             assert count_distinct_cofactors(m, parity, bound) == 2
-
-
-class TestTransfer:
-    @given(TABLE_BITS)
-    @settings(max_examples=30, deadline=None)
-    def test_transfer_identity(self, bits):
-        src = BddManager(N)
-        dst = BddManager(N)
-        f = src.from_truth_table(bits, list(range(N)))
-        g = transfer(src, dst, f)
-        assert dst.to_truth_table(g, list(range(N))) == bits
-
-    @given(TABLE_BITS)
-    @settings(max_examples=30, deadline=None)
-    def test_reorder_preserves_function(self, bits):
-        src = BddManager(N)
-        f = src.from_truth_table(bits, list(range(N)))
-        new_order = [3, 1, 0, 2]
-        dst, g = reorder(src, f, new_order)
-        # Evaluate both under the same named assignment.
-        for bits_a in range(1 << N):
-            src_assign = {lv: (bits_a >> lv) & 1 for lv in range(N)}
-            dst_assign = {
-                dst.level_of(src.name_of(lv)): v for lv, v in src_assign.items()
-            }
-            assert src.eval(f, src_assign) == dst.eval(g, dst_assign)
-
-    def test_transfer_with_level_map(self):
-        src = BddManager(2)
-        dst = BddManager(4)
-        f = src.apply_and(src.var_at_level(0), src.var_at_level(1))
-        g = transfer(src, dst, f, {0: 2, 1: 3})
-        assert dst.support(g) == [2, 3]
 
 
 class TestIo:

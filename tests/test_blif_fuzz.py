@@ -1,4 +1,4 @@
-"""Fuzz round-trips: random networks through BLIF/PLA serialisation.
+"""Fuzz round-trips: random networks through BLIF serialisation.
 
 Plus structured-error tests: :class:`~repro.network.BlifError` must
 carry the offending line number for every malformed-input class, and the
@@ -17,11 +17,8 @@ from repro.network import (
     BlifError,
     Network,
     check_equivalence,
-    collapse_network,
     parse_blif,
-    parse_pla,
     to_blif,
-    to_pla,
 )
 
 
@@ -48,14 +45,6 @@ def test_blif_round_trip_fuzz(seed):
     net = random_network(seed)
     again = parse_blif(to_blif(net))
     assert check_equivalence(net, again) is None
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_pla_round_trip_fuzz(seed):
-    net = random_network(seed + 50)
-    flat = collapse_network(net)
-    again = parse_pla(to_pla(flat))
-    assert check_equivalence(flat, again) is None
 
 
 class TestBlifErrors:

@@ -1,18 +1,11 @@
-"""Tests for BLIF and PLA parsing / serialisation."""
+"""Tests for BLIF parsing / serialisation."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.boolfunc import TruthTable
-from repro.network import (
-    Network,
-    check_equivalence,
-    parse_blif,
-    parse_pla,
-    to_blif,
-    to_pla,
-)
+from repro.network import Network, check_equivalence, parse_blif, to_blif
 
 
 def demo_net() -> Network:
@@ -123,45 +116,3 @@ class TestBlif:
         with pytest.raises(ValueError):
             parse_blif(text)
 
-
-class TestPla:
-    def test_round_trip_via_flat(self):
-        from repro.network import collapse_network
-        flat = collapse_network(demo_net())
-        again = parse_pla(to_pla(flat))
-        assert check_equivalence(flat, again) is None
-
-    def test_parse_basic(self):
-        text = """
-.i 3
-.o 2
-.ilb x y z
-.ob f g
-.p 2
-1-1 10
-011 01
-.e
-"""
-        net = parse_pla(text)
-        assert net.inputs == ["x", "y", "z"]
-        assert net.output_names == ["f", "g"]
-        from repro.network import simulate
-        assert simulate(net, {"x": 1, "y": 0, "z": 1})["f"] == 1
-        assert simulate(net, {"x": 1, "y": 1, "z": 1})["f"] == 1
-        assert simulate(net, {"x": 0, "y": 1, "z": 1})["g"] == 1
-        assert simulate(net, {"x": 0, "y": 1, "z": 1})["f"] == 0
-
-    def test_default_names(self):
-        net = parse_pla(".i 2\n.o 1\n11 1\n.e\n")
-        assert net.inputs == ["i0", "i1"]
-        assert net.output_names == ["o0"]
-
-    def test_missing_header_rejected(self):
-        with pytest.raises(ValueError):
-            parse_pla("11 1\n")
-
-    def test_joined_cube_format(self):
-        # Some PLA writers omit the space between input and output parts.
-        net = parse_pla(".i 2\n.o 1\n111\n.e\n")
-        from repro.network import simulate
-        assert simulate(net, {"i0": 1, "i1": 1})["o0"] == 1

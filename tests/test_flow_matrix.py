@@ -1,4 +1,5 @@
-"""Every ``repro blif --flow`` label maps every small e2e input.
+"""Every ``repro blif --flow`` label maps every small e2e input, under
+the area cost and, for the flows that take ``--cost``, under delay.
 
 Each run goes through the CLI with ``--verify none``, so the flow's own
 equivalence check stays out of the verdict: the emitted BLIF is read
@@ -27,6 +28,16 @@ SMALL = (
     "5xp1", "9sym", "alu2", "b9", "clip", "f51m",
     "misex1", "rd73", "rd84", "sao2", "vg2", "z4ml",
 )
+
+#: Flows that read ``--cost``; ``shannon`` and ``structural`` ignore it.
+COST_FLOWS = ("column", "hyde", "per-output", "random", "resub")
+
+#: ``--flow structural``'s LUTs: the input's own nodes, each decomposed
+#: only where it has more than k fan-ins.
+STRUCTURAL_LUTS = {
+    "5xp1": 18, "9sym": 6, "alu2": 30, "b9": 24, "clip": 19, "f51m": 14,
+    "misex1": 9, "rd73": 7, "rd84": 9, "sao2": 8, "vg2": 13, "z4ml": 6,
+}
 
 EXHAUSTIVE_INPUTS = 16
 SAMPLED_VECTORS = 4096
@@ -127,15 +138,19 @@ def test_evaluator_catches_a_flipped_cube():
     assert bad["f"] != good["f"]
 
 
-@pytest.mark.parametrize("label", sorted(FLOWS))
-@pytest.mark.parametrize("name", SMALL)
-def test_flow_maps_input(name, label, tmp_path, capsys):
+def map_and_check(name: str, label: str, flags: List[str], tmp_path,
+                  capsys) -> int:
+    """Map input ``name`` with flow ``label`` through the CLI, check the
+    emitted BLIF on every vector and return the LUT count it printed."""
     source = os.path.join(INPUTS, f"{name}.blif")
     target = tmp_path / "mapped.blif"
     argv = ["blif", source, "--flow", label, "--verify", "none",
-            "-o", str(target)]
+            "-o", str(target), *flags]
     assert main(argv) == 0
-    capsys.readouterr()
+    row = next(
+        line.split() for line in capsys.readouterr().out.splitlines()
+        if line.split()[:1] == [label]
+    )
     with open(source, encoding="utf-8") as handle:
         golden_text = handle.read()
     inputs, outputs, _ = read_blif(golden_text)
@@ -144,3 +159,18 @@ def test_flow_maps_input(name, label, tmp_path, capsys):
     mapped_text = target.read_text(encoding="utf-8")
     assert sorted(read_blif(mapped_text)[1]) == sorted(outputs)
     assert simulate(mapped_text, patterns, mask) == expected
+    return int(row[1])
+
+
+@pytest.mark.parametrize("label", sorted(FLOWS))
+@pytest.mark.parametrize("name", SMALL)
+def test_flow_maps_input(name, label, tmp_path, capsys):
+    luts = map_and_check(name, label, [], tmp_path, capsys)
+    if label == "structural":
+        assert luts == STRUCTURAL_LUTS[name]
+
+
+@pytest.mark.parametrize("label", COST_FLOWS)
+@pytest.mark.parametrize("name", SMALL)
+def test_flow_maps_input_under_delay(name, label, tmp_path, capsys):
+    map_and_check(name, label, ["--cost", "delay"], tmp_path, capsys)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.boolfunc import TruthTable
 from repro.circuits import build, popcount, ripple_adder
 from repro.mapping import (
     hyde_map,
@@ -16,8 +17,9 @@ from repro.mapping import (
     map_per_output,
     map_per_output_resub,
     map_shannon,
+    map_structural,
 )
-from repro.network import check_equivalence, is_k_feasible
+from repro.network import Network, check_equivalence, is_k_feasible
 
 
 class TestHydeFlow:
@@ -136,3 +138,30 @@ class TestStructuredCircuits:
         result = hyde_map(build("alu2"), k=5)
         assert is_k_feasible(result.network, 5)
         assert result.clb_count is not None
+
+
+class TestStructuralFlow:
+    def test_map_structural(self):
+        result = map_structural(build("count"), k=5)
+        assert is_k_feasible(result.network, 5)
+        assert result.lut_count > 0
+        assert result.flow == "structural"
+
+    def test_map_structural_maps_nodes_as_given(self):
+        # Nodes that already fit a LUT are copied, not restructured: x
+        # and y stay one LUT each, and only the 7-input z is decomposed
+        # (into two).
+        net = Network("given")
+        for pi in "abcdefg":
+            net.add_input(pi)
+        net.add_node("x", ["a", "b", "c"], TruthTable(3, 0x96))
+        net.add_node("y", ["x", "d", "e", "f"], TruthTable(4, 0x8001))
+        net.add_node(
+            "z", list("abcdefg"),
+            TruthTable.from_function(7, lambda *v: sum(v) % 2),
+        )
+        net.add_output("y")
+        net.add_output("z")
+        result = map_structural(net, k=5)
+        assert check_equivalence(result.network, net) is None
+        assert result.lut_count == 4

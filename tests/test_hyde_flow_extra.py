@@ -90,7 +90,7 @@ class TestHydeEdgeCases:
 
     def test_hyper_step_keeps_every_option(self, monkeypatch):
         # A multi-output group's recursion and its PPI encoder must see
-        # the caller's cost model and fast-path mode, not the defaults.
+        # the caller's cost model, not the default.
         import repro.hyper.decompose as hyper_decompose
         import repro.hyper.hyperfunction as hyperfunction
 
@@ -99,22 +99,20 @@ class TestHydeEdgeCases:
         real_encode = hyperfunction.encode_classes
 
         def spy_decompose(manager, on, net, signals, options, **kwargs):
-            steps.add((options.cost_model, options.fast_path))
+            steps.add(options.cost_model)
             return real_decompose(manager, on, net, signals, options, **kwargs)
 
         def spy_encode(*args, **kwargs):
-            encoders.add(
-                (kwargs.get("fast_path"), kwargs.get("benefit_weights"))
-            )
+            encoders.add(kwargs.get("benefit_weights"))
             return real_encode(*args, **kwargs)
 
         monkeypatch.setattr(
             hyper_decompose, "decompose_to_network", spy_decompose
         )
         monkeypatch.setattr(hyperfunction, "encode_classes", spy_encode)
-        hyde_map(build("misex1"), cost_model="delay", fast_path="bdd")
-        assert steps == {("delay", "bdd")}
-        assert encoders == {("bdd", (2.0, 1.0))}
+        hyde_map(build("misex1"), cost_model="delay")
+        assert steps == {"delay"}
+        assert encoders == {(2.0, 1.0)}
 
 
 class TestSplice:

@@ -21,7 +21,6 @@ PACKAGES = [
     "repro.mapping",
     "repro.network",
     "repro.obs",
-    "repro.opt",
     "repro.runstate",
     "repro.service",
     "repro.testing",
@@ -31,10 +30,7 @@ PACKAGES = [
 #: Exports named like a submodule of their package.
 SUBMODULE_NAMED = [
     ("repro.bdd", "isop"),
-    ("repro.bdd", "reorder"),
-    ("repro.bdd", "transfer"),
     ("repro.network", "simulate"),
-    ("repro.opt", "kernels"),
 ]
 
 

@@ -21,6 +21,8 @@ from repro.obs import (
     write_trace,
 )
 
+from .test_cli import run_python
+
 
 class TestRecorder:
     def test_nesting_and_times(self):
@@ -251,6 +253,24 @@ class TestFlowIntegration:
             r["proc"] for r in records if r.get("type") in ("span", "event")
         }
         assert any(p.startswith("task:") for p in procs)
+
+    def test_parallel_trace_covers_a_fresh_process(self):
+        # Nothing is loaded before the flow runs, so the task runner's
+        # import and the cone extraction fall inside the traced flow.
+        out = run_python("""
+            from repro import obs
+            from repro.circuits import build
+            from repro.mapping import hyde_map
+            from repro.obs import TraceRecorder, coverage, trace_records
+
+            net = build("misex1")
+            rec = TraceRecorder()
+            with obs.installed(rec):
+                with rec.span("flow:hyde", circuit="misex1", k=5, jobs=2):
+                    hyde_map(net, k=5, jobs=2)
+            print(coverage(trace_records(rec, {"circuit": "misex1"})))
+        """)
+        assert float(out.stdout.split()[-1]) >= 0.9
 
     def test_tracing_does_not_change_output(self):
         base = to_blif(hyde_map(build("misex1"), k=5).network)

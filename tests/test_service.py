@@ -187,7 +187,8 @@ def test_retired_knobs_stay_wire_compatible(serial_daemon):
     policy fields are rejected by name."""
     client = serial_daemon.client
     legacy = client.submit_blif(
-        MISEX1, use_oracle=False, oracle_min_support=0, fast_path_max_width=12
+        MISEX1, use_oracle=False, oracle_min_support=0, fast_path_max_width=12,
+        fast_path="bdd",
     )
     plain = client.submit_blif(MISEX1)
     # The ignored knobs do not even split the task key: all hits.

@@ -42,21 +42,21 @@ LITERAL_CONE = """.model golden_cone
 .end
 """
 
-GOLDEN_LITERAL = "ab211835f1ee65ad00c30e3ef6e52517"
-GOLDEN_LITERAL_K4 = "7214ebd1036b0f8e6c7d072ceb5ee78b"
-GOLDEN_LITERAL_PER_OUTPUT = "d9b49aea0cb2594bea3404cbe00bcd1c"
-GOLDEN_LITERAL_EXACT = "23d7b36fc0df537d064e63479c64fd7f"
+GOLDEN_LITERAL = "de86bd225e99a1b75eb36535ab148839"
+GOLDEN_LITERAL_K4 = "caca14a8c42ce8ecf8118c8b90a41c7c"
+GOLDEN_LITERAL_PER_OUTPUT = "cf8381ce1f1503c01eb3fb971d1ae7c4"
+GOLDEN_LITERAL_EXACT = "89b29ab33b1bff7898a3824b0061bf7c"
 
 # The paper-example network's single ingredient-group cone, extracted
 # exactly as hyde_map does it.  This pin *does* ride on the netlist
 # builder and BLIF emitter — deliberately: those are part of the de
 # facto key contract for persisted stores.
-GOLDEN_EX41 = "3c3764f0b669c8e894fb0064aeebfc0b"
+GOLDEN_EX41 = "d9dae1430df88b81ffe8b0b9467f386b"
 
 #: Digest of the store's key/row schema; drifts when the key recipe,
 #: the options dataclass shape, the store format or the exact oracle's
 #: payload version changes.
-GOLDEN_SCHEMA = "cc4fc60b5703"
+GOLDEN_SCHEMA = "3c40c435a364"
 
 
 def _literal_task(**overrides) -> GroupTask:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from repro.boolfunc import TruthTable
 from repro.mapping import absorb_inverters, cleanup_for_lut_count, dedup_nodes
 from repro.network import Network, check_equivalence, sweep
-from repro.opt import algebraic_script
 
 
 def random_network(seed: int, num_inputs: int = 5, num_nodes: int = 10) -> Network:
@@ -73,14 +72,6 @@ def test_cleanup_pipeline_preserves_function(seed):
     net = random_network(seed + 300)
     before = net.copy()
     cleanup_for_lut_count(net)
-    assert check_equivalence(net, before) is None
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_algebraic_script_preserves_function(seed):
-    net = random_network(seed + 400, num_inputs=6, num_nodes=8)
-    before = net.copy()
-    algebraic_script(net)
     assert check_equivalence(net, before) is None
 
 
