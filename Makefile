@@ -25,15 +25,19 @@ verify-fuzz:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
-# Fast perf-regression gate: 3 circuits, default flow + jobs=2
-# equivalence check; writes BENCH_hyde.json at the repo root.
+# Fast perf-regression smoke: 3 circuits, each mapped by the default
+# flow, jobs=2, --cost delay, portfolio and the result cache (every
+# variant checked against the default mapping); writes BENCH_hyde.json
+# at the repo root without comparing it to the committed record.
 bench-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_perf_regression.py --smoke
 
-# Full MCNC fleet regression gate: small + medium tiers, per-circuit
-# thresholds vs the committed BENCH_hyde.json (LUT equality strict,
-# >20% wall-time regression fails), jobs=2 equivalence-checked.
-# REPRO_FULL=1 adds the heavyweight Table-2 tier.
+# Full MCNC fleet regression gate: small + medium tiers, the same
+# variants as bench-smoke, gated per circuit vs the committed
+# BENCH_hyde.json: LUT count and depth of the default, --cost delay
+# and portfolio variants and three work counters must be equal, >20%
+# wall-time regression fails.  REPRO_FULL=1 adds the heavyweight
+# Table-2 tier.
 bench-regression:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_perf_regression.py --check
 
@@ -102,3 +106,4 @@ tables:
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} + 2>/dev/null; true
 	rm -rf .pytest_cache .benchmarks build *.egg-info resume_smoke_ckpt
+	rm -f trace_smoke.jsonl chaos_journal.jsonl

@@ -133,10 +133,6 @@ def _timed_map(name: str, repeats: int = REPEATS, **kwargs) -> Dict[str, object]
         "luts": result.lut_count,
         "depth": result.depth,
         "seconds": round(best, 4),
-        # Per-phase wall times of the *last* run (phases are re-timed each
-        # repeat; the breakdown is for reading where time goes, the
-        # headline number stays the min of the repeats).
-        "phase_seconds": perf.get("phase_seconds", {}),
         "counters": {key: perf.get(key) for key in WORK_COUNTERS},
         "network": result.network,
     }
@@ -184,7 +180,6 @@ def run_suite(
             "luts": flow["luts"],
             "depth": flow["depth"],
             "seconds": flow["seconds"],
-            "phase_seconds": flow["phase_seconds"],
             **flow["counters"],
         }
         if jobs > 1:

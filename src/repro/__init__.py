@@ -4,7 +4,7 @@ decomposition for LUT-based FPGA synthesis (Jiang, Jou, Huang — DAC 1998).
 Layering (each package documented in DESIGN.md):
 
 * :mod:`repro.bdd` — from-scratch ROBDD engine.
-* :mod:`repro.boolfunc` — truth tables, BDD-backed functions, don't cares.
+* :mod:`repro.boolfunc` — truth tables and NPN canonical forms.
 * :mod:`repro.network` — Boolean networks, BLIF I/O, simulation,
   equivalence checking.
 * :mod:`repro.decompose` — Roth-Karp decomposition with the paper's
@@ -27,7 +27,7 @@ from ._lazy import lazy_exports
 
 __getattr__ = lazy_exports(__name__, globals(), {
     "bdd": ("BddManager",),
-    "boolfunc": ("BoolFunction", "FunctionSpace", "TruthTable"),
+    "boolfunc": ("TruthTable",),
     "decompose": (
         "DecompositionOptions", "decompose_step", "decompose_to_network",
     ),
@@ -48,8 +48,6 @@ __version__ = "1.0.0"
 __all__ = [
     "BddManager",
     "TruthTable",
-    "BoolFunction",
-    "FunctionSpace",
     "Network",
     "check_equivalence",
     "DecompositionOptions",

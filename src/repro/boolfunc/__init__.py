@@ -1,11 +1,9 @@
-"""Boolean function representations: dense truth tables, BDD-backed
-functions with named variables, and incompletely specified functions."""
+"""Boolean function representations: dense truth tables and their NPN
+canonical forms."""
 
 from .._lazy import lazy_exports
 
 __getattr__ = lazy_exports(__name__, globals(), {
-    "function": ("BoolFunction", "FunctionSpace"),
-    "incomplete": ("IncompleteFunction",),
     "npn": (
         "apply_transform",
         "npn_canonical",
@@ -18,9 +16,6 @@ __getattr__ = lazy_exports(__name__, globals(), {
 
 __all__ = [
     "TruthTable",
-    "BoolFunction",
-    "FunctionSpace",
-    "IncompleteFunction",
     "npn_canonical",
     "npn_equivalent",
     "npn_transforms",

@@ -116,6 +116,19 @@ PORTFOLIO_FLOWS = {"hyde"}
 #: runner (:mod:`repro.mapping.parallel`), as ``jobs > 1`` does.
 GOVERNED_KWARGS = {"policy", "faults", "journal", "cache", "portfolio"}
 
+#: The run flags only :data:`JOURNALED_FLOWS` take, as (flag, argument
+#: name, default): the other flows map serially and ignore them.
+RUN_FLAGS = (
+    ("--cost", "cost", None),
+    ("--jobs", "jobs", 1),
+    ("--timeout", "timeout", None),
+    ("--retries", "retries", None),
+    ("--max-bdd-nodes", "max_bdd_nodes", None),
+    ("--inject-faults", "inject_faults", None),
+    ("--checkpoint", "checkpoint", None),
+    ("--cache", "cache", None),
+)
+
 
 def _load_flow(label: str, jobs: int = 1, kwargs=()) -> Callable:
     """Import flow ``label`` and return it as
@@ -215,6 +228,16 @@ def _flow_kwargs(args, label: str, circuit: str, cache) -> Dict[str, object]:
                 f"  [--portfolio only applies to {sorted(PORTFOLIO_FLOWS)}; "
                 f"ignored for {label}]"
             )
+    if label not in JOURNALED_FLOWS and args.flow != "all":
+        ignored = [
+            flag for flag, name, default in RUN_FLAGS
+            if getattr(args, name, default) != default
+        ]
+        if ignored:
+            print(
+                f"  [{', '.join(ignored)} only apply to "
+                f"{sorted(JOURNALED_FLOWS)}; ignored for {label}]"
+            )
     journal = _open_flow_journal(args, circuit, label)
     if journal is not None:
         kw["journal"] = journal
@@ -304,7 +327,8 @@ def _write_trace_file(
     jobs: int,
     wall_seconds: float,
 ) -> None:
-    """Dump a run's trace as JSONL with a merged-perf meta header."""
+    """Dump a run's trace as JSONL with a merged-perf meta header; the
+    perf block's ``phase_seconds`` is derived from the spans."""
     from .perf import PerfCounters
 
     merged = PerfCounters()
@@ -312,13 +336,15 @@ def _write_trace_file(
         perf = result.details.get("perf")
         if perf:
             merged.merge_dict(perf)
+    perf = merged.snapshot()
+    perf["phase_seconds"] = obs.phase_seconds(recorder.to_dicts())
     meta = {
         "flow": flow,
         "circuit": circuit,
         "k": k,
         "jobs": jobs,
         "wall_seconds": round(wall_seconds, 6),
-        "perf": merged.snapshot(),
+        "perf": perf,
     }
     count = _write_output(
         path, lambda target: obs.write_trace(target, recorder, meta)
@@ -385,14 +411,15 @@ def _run_flows(net, args) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    """Run one flow and print its perf-counter report."""
+    """Run one flow and print its perf-counter report.  Spans are
+    always recorded: the report's phase times are derived from them."""
     from .circuits import build
     from .perf import format_perf_report
 
     _check_outputs(args.trace, args.cache)
     net = build(args.circuit)
     trace_path: Optional[str] = getattr(args, "trace", None)
-    recorder = obs.TraceRecorder() if trace_path else None
+    recorder = obs.TraceRecorder()
     cache = _open_result_cache(args)
     try:
         flow_kwargs = _flow_kwargs(args, args.flow, net.name, cache)
@@ -407,7 +434,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             cache.close()
     if result is None:
         return EXIT_INTERRUPTED
-    if recorder is not None:
+    if trace_path:
         _write_trace_file(
             trace_path, recorder, [result], args.flow, net.name, args.k,
             args.jobs, time.time() - wall_start,
@@ -423,7 +450,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if not perf:
         print("(flow reports no perf counters)")
         return 0
-    print(format_perf_report(perf))
+    print(format_perf_report(
+        perf, obs.phase_seconds(recorder.to_dicts())
+    ))
     if perf.get("jobs_requested") is not None:
         print(
             f"jobs: requested {perf['jobs_requested']}, "

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..bdd import FALSE, TRUE, BddManager
+from ..bdd import FALSE, BddManager
 from . import dontcare  # imports this module back: use attributes at call time
 from .partition import Partition
 
@@ -32,10 +32,6 @@ class Column:
     def key(self) -> Tuple[int, int]:
         """Hashable identity (node ids are canonical within one manager)."""
         return (self.on, self.dc)
-
-    def is_fully_unspecified(self) -> bool:
-        """True iff every minterm of this column is a don't care."""
-        return self.dc == TRUE
 
 
 @dataclass

@@ -468,8 +468,7 @@ def encode_classes(
             f"for {n} classes, got {t}"
         )
 
-    perf = manager.perf
-    with perf.phase("encode.draft"), obs.span("encode.draft", manager=manager):
+    with obs.span("encode.draft", manager=manager):
         codes = canonical_codes(n, t)
         draft = build_image_function(
             manager, alpha_levels, codes, class_functions
@@ -489,9 +488,7 @@ def encode_classes(
     chosen_bound_size = bound_size if bound_size is not None else min(
         k, len(draft_support) - 1
     )
-    with perf.phase("encode.varpart"), obs.span(
-        "encode.varpart", manager=manager
-    ):
+    with obs.span("encode.varpart", manager=manager):
         vp = select_bound_set(
             manager,
             draft.on,
@@ -519,16 +516,12 @@ def encode_classes(
     num_cols = 1 << len(alphas_in_bound)
     num_rows = 1 << len(alphas_in_free)
 
-    with perf.phase("encode.column_sets"), obs.span(
-        "encode.column_sets", manager=manager
-    ):
+    with obs.span("encode.column_sets", manager=manager):
         partitions = [
             _partition_of(manager, fc, y1_levels) for fc in class_functions
         ]
         column_result = combine_column_sets(partitions, num_rows)
-    with perf.phase("encode.row_sets"), obs.span(
-        "encode.row_sets", manager=manager
-    ):
+    with obs.span("encode.row_sets", manager=manager):
         rows = combine_row_sets(
             partitions, column_result, num_rows, num_cols,
             benefit_weights=benefit_weights,
@@ -541,9 +534,7 @@ def encode_classes(
         num_cols=num_cols,
     )
 
-    with perf.phase("encode.image_rebuild"), obs.span(
-        "encode.image_rebuild", manager=manager
-    ):
+    with obs.span("encode.image_rebuild", manager=manager):
         random_classes = count_classes(
             manager, draft.on, list(vp.bound_levels), draft.dc,
             use_dontcares,
@@ -554,9 +545,7 @@ def encode_classes(
         return result
 
     row_sets, column_set_of_class = rows
-    with perf.phase("encode.chart"), obs.span(
-        "encode.chart", manager=manager
-    ):
+    with obs.span("encode.chart", manager=manager):
         column_set_sizes: Dict[int, int] = {}
         for cls, cs in column_set_of_class.items():
             column_set_sizes[cs] = column_set_sizes.get(cs, 0) + 1
@@ -568,9 +557,7 @@ def encode_classes(
         result.policy_used = "random"
         return result
 
-    with perf.phase("encode.image_rebuild"), obs.span(
-        "encode.image_rebuild", manager=manager
-    ):
+    with obs.span("encode.image_rebuild", manager=manager):
         chart_codes = chart.codes(n, alphas_in_bound, alphas_in_free)
         chart_image = build_image_function(
             manager, alpha_levels, chart_codes, class_functions

@@ -37,10 +37,6 @@ class DecompositionTrace:
     steps: List[DecompositionStep] = field(default_factory=list)
     emitted_nodes: List[str] = field(default_factory=list)
 
-    @property
-    def num_steps(self) -> int:
-        return len(self.steps)
-
 
 def decompose_to_network(
     manager: BddManager,

@@ -163,7 +163,6 @@ def decompose_step(
         raise ValueError("function is already k-feasible; nothing to do")
     manager.check_budget()
 
-    perf = manager.perf
     if bound_levels is None:
         bound = select_step_bound(
             manager, on, support, options, dc=dc, level_depths=level_depths
@@ -172,9 +171,7 @@ def decompose_step(
         bound = tuple(sorted(bound_levels))
     free = tuple(lv for lv in support if lv not in set(bound))
 
-    with perf.phase("step.classes"), obs.span(
-        "step.classes", manager=manager
-    ):
+    with obs.span("step.classes", manager=manager):
         classes = compute_classes(
             manager,
             on,
@@ -200,9 +197,7 @@ def decompose_step(
     t = alpha_count(n)
     alpha_levels = tuple(_fresh_levels(manager, t))
 
-    with perf.phase("step.encode"), obs.span(
-        "step.encode", manager=manager, classes=n
-    ):
+    with obs.span("step.encode", manager=manager, classes=n):
         if options.encoding_policy == "worst":
             encoding = _worst_encoding(
                 manager, classes.class_functions, alpha_levels, options
@@ -265,9 +260,7 @@ def select_step_bound(
     The recursion decides whether the step can shrink the support from
     it, before any α level, class function or encoder work exists.
     """
-    with manager.perf.phase("step.varpart"), obs.span(
-        "step.varpart", manager=manager, support=len(support)
-    ):
+    with obs.span("step.varpart", manager=manager, support=len(support)):
         return select_bound_set(
             manager,
             on,

@@ -16,7 +16,6 @@ __getattr__ = lazy_exports(__name__, globals(), {
         "ExactResult",
         "cone_spec",
         "exact_map",
-        "exact_map_network",
     ),
 })
 
@@ -30,5 +29,4 @@ __all__ = [
     "ExactResult",
     "cone_spec",
     "exact_map",
-    "exact_map_network",
 ]

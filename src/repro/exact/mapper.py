@@ -908,24 +908,3 @@ def cone_spec(net: Network, output: str) -> Tuple[TruthTable, List[str]]:
             mask |= 1 << v
     return TruthTable(n, mask), support
 
-
-def exact_map_network(
-    net: Network, output: Optional[str] = None, k: int = 5, **kwargs
-) -> ExactResult:
-    """:func:`exact_map` for one output cone of a parsed network.
-
-    The witness's PIs are the cone's support (declaration order); pad
-    with the dropped PIs before an equivalence check against ``net``.
-    """
-    if output is None:
-        outs = net.output_names
-        if len(outs) != 1:
-            raise ValueError(
-                f"{net.name} has {len(outs)} outputs; pass output="
-            )
-        output = outs[0]
-    spec, support = cone_spec(net, output)
-    kwargs.setdefault("input_names", support)
-    kwargs.setdefault("output_name", output)
-    kwargs.setdefault("name", f"{net.name}_exact")
-    return exact_map(spec, k, **kwargs)

@@ -26,10 +26,13 @@ handful of word-parallel operations on a single ``2**n``-bit Python int:
   prefix by one variable is a single delta swap, and the chosen prefix
   accumulates in the top index bits.
 
-Width policy: tables are capped at :data:`HARD_MAX_WIDTH` variables
-(``2**20`` bits = 128 KiB per table); the ``"auto"`` mode cuts over to
-the BDD path above :data:`DEFAULT_MAX_WIDTH`.  All fallbacks are
-transparent and counted in ``PerfCounters.fastpath_fallbacks``.
+Width policy: the support width picks the backend.  Supports of at most
+:data:`DEFAULT_MAX_WIDTH` variables (``2**20`` bits = 128 KiB per table)
+are packed; wider ones stay on the BDD path.  :data:`HARD_MAX_WIDTH`
+(``2**22`` bits = 512 KiB per table) caps what the differential tests
+can force onto the packed backend through the search's ``fast_path``
+keyword.  All fallbacks are transparent and counted in
+``PerfCounters.fastpath_fallbacks``.
 
 Class counts are memoized **manager-independently** in a module-level
 table keyed by the :class:`PackedPair` and the bound positions.  A pair
@@ -62,11 +65,12 @@ __all__ = [
     "var_masks",
 ]
 
-#: ``"auto"`` cut-over: supports wider than this stay on the BDD path.
+#: The flows' cut-over: supports wider than this stay on the BDD path.
 DEFAULT_MAX_WIDTH = 20
 
-#: Absolute cap even under ``fast_path="bitpack"`` — a 2**22-bit table is
-#: 512 KiB; beyond this the big-int ops lose to the BDD's sparsity.
+#: Absolute cap, even for a test that forces the packed backend through
+#: the search's ``fast_path`` keyword — a 2**22-bit table is 512 KiB;
+#: beyond this the big-int ops lose to the BDD's sparsity.
 HARD_MAX_WIDTH = 22
 
 #: Manager-independent class-count memo: (pair, positions) -> count, the

@@ -4,12 +4,10 @@ numbers and ASCII comparison reports."""
 from .._lazy import lazy_exports
 
 __getattr__ = lazy_exports(__name__, globals(), {
-    "archive": ("RecordDiff", "compare_records", "load_record", "save_record"),
     "paper_data": ("TABLE1_CLB", "TABLE1_CPU_SECONDS", "TABLE2_LUT"),
     "records": ("CircuitRecord", "ExperimentRecord", "FlowRecord"),
     "report": ("format_cell", "render_comparison", "render_table"),
     "runner": ("default_size_classes", "run_experiment"),
-    "timing": ("Stopwatch", "timed"),
 })
 
 __all__ = [
@@ -24,10 +22,4 @@ __all__ = [
     "render_table",
     "render_comparison",
     "format_cell",
-    "Stopwatch",
-    "timed",
-    "save_record",
-    "load_record",
-    "compare_records",
-    "RecordDiff",
 ]

@@ -98,7 +98,7 @@ def map_per_output(
     alias_of: Dict[str, str] = {}  # duplicate output -> representative
     seen: Dict[int, str] = {}
     unique: list = []  # (oi, out) pairs that actually need decomposing
-    with perf.phase("bdd_build"), obs.span("bdd_build", manager=manager):
+    with obs.span("bdd_build", manager=manager):
         for oi, out in enumerate(net.output_names):
             bdd = gb.of_output(out)
             if bdd in (FALSE, TRUE):
@@ -126,7 +126,7 @@ def map_per_output(
         run_report, _ = run
     else:
         options.arm_budget(manager)  # serial path: budget on our manager
-        with perf.phase("decompose"), obs.span(
+        with obs.span(
             "decompose", manager=manager, groups=len(unique), jobs=1
         ):
             for oi, out in unique:
@@ -147,11 +147,11 @@ def map_per_output(
         if driver is None:
             driver = driver_of[alias_of[out]]
         result.add_output(driver, out)
-    with perf.phase("cleanup"), obs.span("cleanup", manager=manager):
+    with obs.span("cleanup", manager=manager):
         cleanup_for_lut_count(result)
-    with perf.phase("verify"), obs.span("verify", manager=manager):
+    with obs.span("verify", manager=manager):
         _check(net, result, verify)
-    journal_info = _resume_gate(net, result, journal, run_report, verify, perf)
+    journal_info = _resume_gate(net, result, journal, run_report, verify)
     perf_report = perf.snapshot(manager)
     perf_report["jobs_requested"] = jobs
     perf_report["jobs_used"] = run_report.jobs_used if run_report else 1

@@ -259,8 +259,10 @@ def hyde_map(
 
     ``jobs > 1`` fans the ingredient groups out to a process pool (each
     worker decomposes its group's fan-in cone in a private manager; see
-    :mod:`repro.mapping.parallel`).  Counter and phase-time telemetry
-    lands in ``MapResult.details["perf"]``.
+    :mod:`repro.mapping.parallel`).  Work counters land in
+    ``MapResult.details["perf"]``; phase times come from the ``obs``
+    spans the flow opens (:func:`repro.obs.phase_seconds`) when a
+    recorder is installed.
 
     ``policy`` (a :class:`~repro.mapping.parallel.TaskPolicy`) turns on
     fault tolerance: per-group timeouts, reply validation and the
@@ -315,7 +317,7 @@ def hyde_map(
     gb = GlobalBdds(net)
     manager = gb.manager
     perf = manager.perf
-    with perf.phase("bdd_build"), obs.span("bdd_build", manager=manager):
+    with obs.span("bdd_build", manager=manager):
         output_bdds = {out: gb.of_output(out) for out in net.output_names}
     # Its per-signal memo would hold ids that compaction invalidates.
     del gb
@@ -336,7 +338,7 @@ def hyde_map(
         else:
             alias_of[out] = rep
 
-    with perf.phase("cluster"), obs.span("cluster", manager=manager):
+    with obs.span("cluster", manager=manager):
         supports = {
             out: [
                 manager.name_of(lv)
@@ -378,7 +380,7 @@ def hyde_map(
     else:
         options.arm_budget(manager)  # serial path: budget on our manager
         kept = manager.num_nodes
-        with perf.phase("decompose"), obs.span(
+        with obs.span(
             "decompose", manager=manager, groups=len(groups), jobs=1
         ):
             for gi, group in enumerate(groups):
@@ -442,15 +444,13 @@ def hyde_map(
             driver = driver_of[alias_of[out]]
         result.add_output(driver, out)
 
-    with perf.phase("cleanup"), obs.span("cleanup", manager=manager):
+    with obs.span("cleanup", manager=manager):
         cleanup_for_lut_count(result)
-    with perf.phase("verify"), obs.span("verify", manager=manager):
+    with obs.span("verify", manager=manager):
         _check(net, result, verify)
-    journal_info = _resume_gate(
-        net, result, journal, run_report, verify, perf
-    )
+    journal_info = _resume_gate(net, result, journal, run_report, verify)
 
-    with perf.phase("cost"), obs.span("cost", manager=manager):
+    with obs.span("cost", manager=manager):
         luts = count_luts(result, k)
         clbs = pack_xc3000(result).num_clbs if pack_clbs else None
     perf_report = perf.snapshot(manager)
@@ -523,7 +523,7 @@ def _map_by_tasks(
         return None
     perf = manager.perf
     recorder = obs.active()
-    with perf.phase("decompose"), obs.span(
+    with obs.span(
         "decompose", manager=manager, groups=len(units), jobs=jobs
     ) as dspan:
         # Loading the runner and cutting the cones is part of the
@@ -588,7 +588,7 @@ def _map_by_tasks(
     perf.merge_dict(report.perf)
     outputs_of = dict(units)
     infos: List[Dict[str, object]] = []
-    with perf.phase("splice"), obs.span("splice", manager=manager):
+    with obs.span("splice", manager=manager):
         for res in results:
             fragment = parse_blif(res.blif_text)
             rename = _splice(result, fragment, f"{prefix}{res.gi}_")
@@ -663,7 +663,6 @@ def _resume_gate(
     journal,
     run_report,
     verify: str,
-    perf,
 ) -> Optional[Dict[str, object]]:
     """The resume verification contract, shared by the journaled flows.
 
@@ -686,9 +685,7 @@ def _resume_gate(
             # failure is journaled with its cone and counterexample.
             from ..verify.finegrain import finegrain_check
 
-            with perf.phase("resume_gate"), obs.span(
-                "resume_gate", replayed=replayed
-            ):
+            with obs.span("resume_gate", replayed=replayed):
                 fg = finegrain_check(net, result)
             detail = None
             if not fg.equivalent:
@@ -727,9 +724,7 @@ def _resume_gate(
                 "replayed": replayed,
                 "executed": executed,
             }
-        with perf.phase("resume_gate"), obs.span(
-            "resume_gate", replayed=replayed
-        ):
+        with obs.span("resume_gate", replayed=replayed):
             bad = check_equivalence(net, result)
         journal.record_verdict(
             equivalent=bad is None,

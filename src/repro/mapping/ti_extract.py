@@ -38,11 +38,6 @@ class ExtractionReport:
     total_nodes_before: int = 0
     total_nodes_after: int = 0
 
-    @property
-    def node_delta(self) -> int:
-        """Negative when the rewrite shrank the network."""
-        return self.total_nodes_after - self.total_nodes_before
-
 
 def extract_common_sublogic(
     net: Network,

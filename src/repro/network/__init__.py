@@ -15,7 +15,6 @@ __getattr__ = lazy_exports(__name__, globals(), {
         "check_equivalence",
         "simulate_equivalence",
     ),
-    "dot": ("network_to_dot",),
     "globalbdd": ("GlobalBdds", "build_global_bdds"),
     "netlist": ("Network", "Node"),
     "stats": ("NetworkStats", "is_k_feasible", "network_stats", "node_depths"),
@@ -59,5 +58,4 @@ __all__ = [
     "network_stats",
     "node_depths",
     "is_k_feasible",
-    "network_to_dot",
 ]

@@ -13,6 +13,7 @@ __getattr__ = lazy_exports(__name__, globals(), {
     "export": (
         "TRACE_VERSION",
         "coverage",
+        "phase_seconds",
         "read_trace",
         "trace_records",
         "validate_trace",
@@ -49,6 +50,7 @@ __all__ = [
     "read_trace",
     "validate_trace",
     "coverage",
+    "phase_seconds",
     "worker_perf_totals",
     "render_trace_summary",
 ]

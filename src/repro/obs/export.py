@@ -17,13 +17,17 @@ A trace file is one JSON object per line:
   workers), ``t0``/``t1`` seconds, optional ``attrs`` and optional
   ``perf`` counter deltas.
 
+  The meta ``perf`` written by ``repro ... --trace`` also carries
+  ``phase_seconds``, the :func:`phase_seconds` of the span records.
+
 * ``event`` records — zero-duration spans (``t0 == t1``) marking
   degradations, pool fallbacks and similar one-shot facts.
 
 :func:`validate_trace` checks structure, id/parent integrity and
 interval containment; :func:`coverage` measures how much of each root
 span its children account for (the "do the spans explain the wall
-time?" number the CI smoke test gates on).
+time?" number the CI smoke test gates on); :func:`phase_seconds` turns
+the spans into per-phase wall times.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ __all__ = [
     "read_trace",
     "validate_trace",
     "coverage",
+    "phase_seconds",
     "worker_perf_totals",
 ]
 
@@ -229,6 +234,30 @@ def coverage(records: Sequence[Dict[str, object]]) -> Optional[float]:
     if total <= 0:
         return None
     return covered / total
+
+
+def phase_seconds(records: Sequence[Dict[str, object]]) -> Dict[str, float]:
+    """Wall seconds per span name, each stretch of time counted once.
+
+    A span adds its duration to its name unless an ancestor has the same
+    name, whose duration already holds it: a self-nesting name such as
+    ``recurse`` counts once per outermost level.  Events add no key.
+    Grafted worker trees count like the parent's own spans, so at
+    ``jobs > 1`` a phase sums the work of every process.
+    """
+    spans = {r["id"]: r for r in records if r.get("type") == "span"}
+    totals: Dict[str, float] = {}
+    for record in spans.values():
+        name = record["name"]
+        above = spans.get(record.get("parent"))
+        while above is not None and above["name"] != name:
+            above = spans.get(above.get("parent"))
+        if above is None:
+            totals[name] = (
+                totals.get(name, 0.0)
+                + float(record["t1"]) - float(record["t0"])
+            )
+    return {name: round(totals[name], 6) for name in sorted(totals)}
 
 
 def worker_perf_totals(

@@ -5,8 +5,10 @@ The summary has four parts:
 1. a flame-style tree — spans merged by name at each nesting level, with
    total / self wall time, call counts and the per-slice share of the
    root's wall time;
-2. a flat per-phase table (same aggregation, flattened and sorted by
-   total time) for quick "where did it go" reading;
+2. a flat per-phase table for quick "where did it go" reading: each
+   name's total is its :func:`~repro.obs.export.phase_seconds` (a span
+   nested in a same-named one is not counted again), its self time and
+   call count are summed over every nesting level;
 3. engine counters from the meta record's merged perf snapshot (cache
    hit rates) plus per-task-tree worker totals;
 4. degradation events (timeouts, ladder rungs, pool fallbacks) inline.
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .export import coverage, worker_perf_totals
+from .export import coverage, phase_seconds, worker_perf_totals
 
 __all__ = ["render_trace_summary"]
 
@@ -109,10 +111,9 @@ def _render_tree(
 
 
 def _flatten(agg: _Agg, into: Dict[str, List[float]]) -> None:
-    entry = into.setdefault(agg.name, [0, 0.0, 0.0])
+    entry = into.setdefault(agg.name, [0, 0.0])
     entry[0] += agg.calls
-    entry[1] += agg.total
-    entry[2] += agg.self_seconds
+    entry[1] += agg.self_seconds
     for child in agg.children.values():
         _flatten(child, into)
 
@@ -164,17 +165,22 @@ def render_trace_summary(records: Sequence[Dict[str, object]]) -> str:
     flat: Dict[str, List[float]] = {}
     for agg in forest.values():
         _flatten(agg, flat)
+    totals = phase_seconds(records)
     timed = {
-        name: entry for name, entry in flat.items() if entry[1] > 0
+        name: entry for name, entry in flat.items()
+        if totals.get(name, 0.0) > 0
     }
     if timed:
         lines.append("")
-        lines.append("per-phase totals (all nesting levels merged):")
-        for name, (calls, total, self_s) in sorted(
-            timed.items(), key=lambda kv: -kv[1][2]
+        lines.append(
+            "per-phase totals (outermost spans; self and calls over all "
+            "levels):"
+        )
+        for name, (calls, self_s) in sorted(
+            timed.items(), key=lambda kv: -kv[1][1]
         ):
             lines.append(
-                f"  {name:<28s} {total:9.4f}s  self {self_s:9.4f}s"
+                f"  {name:<28s} {totals[name]:9.4f}s  self {self_s:9.4f}s"
                 f"  x{int(calls)}"
             )
 

@@ -5,7 +5,9 @@ group, one recursion level, one Figure-3 encoder phase) with optional
 attributes and a delta-snapshot of the owning manager's
 :class:`~repro.perf.PerfCounters` — so a trace answers not only *where*
 the time went but *what the engine did* there (apply calls, cache hits,
-class-count memo probes) at per-span granularity.
+class-count memo probes) at per-span granularity.  Spans are the flow's
+only clock: per-phase wall times are derived from them
+(:func:`repro.obs.export.phase_seconds`), not timed a second time.
 
 The module keeps one process-wide *active* :class:`TraceRecorder`.
 Instrumentation sites call :func:`span` / :func:`event`, which are
@@ -43,9 +45,8 @@ __all__ = [
     "installed",
 ]
 
-#: The integer slots of :class:`~repro.perf.PerfCounters` captured as
-#: per-span deltas (phase timers are spans here, so ``phase_seconds`` is
-#: deliberately excluded).
+#: The integer slots of :class:`~repro.perf.PerfCounters`, captured as
+#: per-span deltas.
 PERF_INT_SLOTS: Tuple[str, ...] = INT_SLOTS
 
 

@@ -1,13 +1,14 @@
-"""Lightweight performance counters and phase timers for the HYDE flow.
+"""Lightweight work counters for the HYDE flow.
 
 Every :class:`~repro.bdd.BddManager` owns a :class:`PerfCounters` instance
 and increments it from the hot paths (binary apply, single-variable
 cofactoring, cofactor enumeration).  The packed class-count kernels
 (:mod:`repro.fastpath.bitops`) and the mapping flows add their own
-counters and per-phase wall times on top, so a single
-``MapResult.details["perf"]`` dict answers the questions every perf PR
-needs answered: where did the time go, how hot are the caches, and how
-often did the global class-count memo save a count.
+counters on top, so a single ``MapResult.details["perf"]`` dict answers
+how much work the engine did, how hot the caches were, and how often the
+global class-count memo saved a count.  Time is not counted here: the
+flows' :mod:`repro.obs` spans are the one clock, and per-phase wall
+times are derived from a span tree by :func:`repro.obs.phase_seconds`.
 
 The counters are plain integer attributes (no dict lookups, no branching
 on an "enabled" flag): incrementing one costs two attribute loads and an
@@ -15,17 +16,12 @@ integer add, which is noise next to the dict probes it sits beside.
 
 Usage::
 
-    perf = manager.perf
-    with perf.phase("decompose"):
-        ...
-    print(perf.snapshot())
+    print(manager.perf.snapshot())
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 __all__ = ["INT_SLOTS", "PerfCounters", "format_perf_report"]
 
@@ -59,57 +55,22 @@ INT_SLOTS = (
 
 
 class PerfCounters:
-    """Counter + timer bundle shared by one manager and its flows."""
+    """Integer counter bundle shared by one manager and its flows."""
 
-    __slots__ = INT_SLOTS + ("phase_seconds",)
+    __slots__ = INT_SLOTS
 
     def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
-        """Zero every counter and drop all phase timings."""
+        """Zero every counter."""
         for slot in INT_SLOTS:
             setattr(self, slot, 0)
-        self.phase_seconds: Dict[str, float] = {}
-
-    # ------------------------------------------------------------------ #
-    # Phase timing
-    # ------------------------------------------------------------------ #
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Accumulate the wall time of a block under ``name``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.phase_seconds[name] = (
-                self.phase_seconds.get(name, 0.0)
-                + time.perf_counter()
-                - start
-            )
-
-    # ------------------------------------------------------------------ #
-    # Aggregation / reporting
-    # ------------------------------------------------------------------ #
-
-    def merge(self, other: "PerfCounters") -> None:
-        """Fold another counter set into this one (for worker results)."""
-        for slot in INT_SLOTS:
-            setattr(self, slot, getattr(self, slot) + getattr(other, slot))
-        for name, seconds in other.phase_seconds.items():
-            self.phase_seconds[name] = (
-                self.phase_seconds.get(name, 0.0) + seconds
-            )
 
     def merge_dict(self, data: Dict[str, object]) -> None:
         """Fold a :meth:`snapshot` dict back in (crosses process pickles)."""
         for slot in INT_SLOTS:
             setattr(self, slot, getattr(self, slot) + int(data.get(slot, 0)))
-        for name, seconds in data.get("phase_seconds", {}).items():  # type: ignore[union-attr]
-            self.phase_seconds[name] = (
-                self.phase_seconds.get(name, 0.0) + float(seconds)
-            )
 
     @staticmethod
     def _rate(hits: int, calls: int) -> Optional[float]:
@@ -151,20 +112,18 @@ class PerfCounters:
                 self.cache_hits, self.cache_hits + self.cache_misses
             ),
             "budget_exceeded": self.budget_exceeded,
-            "phase_seconds": {
-                name: round(seconds, 6)
-                for name, seconds in sorted(self.phase_seconds.items())
-            },
         }
         if manager is not None:
             data["engine"] = manager.stats()
         return data
 
 
-def format_perf_report(perf: Dict[str, object]) -> str:
-    """Render a perf snapshot dict as an aligned ASCII block."""
+def format_perf_report(
+    perf: Dict[str, object], phase_seconds: Dict[str, float]
+) -> str:
+    """Render a perf snapshot dict as an aligned ASCII block, led by the
+    per-phase wall times of :func:`repro.obs.phase_seconds`."""
     lines = []
-    phase_seconds = perf.get("phase_seconds") or {}
     if phase_seconds:
         lines.append("phase wall times:")
         for name, seconds in sorted(

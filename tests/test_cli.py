@@ -54,6 +54,35 @@ class TestCli:
         out = capsys.readouterr().out
         assert "LUTs" in out
 
+    @pytest.mark.parametrize("flow", ["shannon", "structural"])
+    def test_serial_flows_name_the_flags_they_ignore(self, flow, tmp_path,
+                                                     capsys):
+        argv = ["map", "z4ml", "--flow", flow]
+        assert main(argv + ["--cost", "delay"]) == 0
+        notes = [line for line in capsys.readouterr().out.splitlines()
+                 if "ignored for" in line]
+        assert notes == [
+            "  [--cost only apply to ['column', 'hyde', 'per-output', "
+            f"'random', 'resub']; ignored for {flow}]"
+        ]
+        assert main(argv + [
+            "--jobs", "2", "--timeout", "30", "--retries", "2",
+            "--max-bdd-nodes", "100000", "--inject-faults", "crash@0",
+            "--checkpoint", str(tmp_path / "ckpt"),
+            "--cache", str(tmp_path / "store.db"),
+        ]) == 0
+        (note,) = [line for line in capsys.readouterr().out.splitlines()
+                   if "ignored for" in line]
+        assert note.startswith(
+            "  [--jobs, --timeout, --retries, --max-bdd-nodes, "
+            "--inject-faults, --checkpoint, --cache only apply to "
+        )
+
+    def test_flows_that_take_the_flags_print_no_note(self, capsys):
+        assert main(["map", "z4ml", "--flow", "hyde", "--cost", "delay"]) == 0
+        assert main(["map", "z4ml", "--flow", "all", "--cost", "delay"]) == 0
+        assert "ignored for" not in capsys.readouterr().out
+
     def test_unknown_circuit_rejected(self):
         with pytest.raises(SystemExit):
             main(["map", "nonesuch"])

@@ -1,5 +1,7 @@
 """Every ``repro blif --flow`` label maps every small e2e input, under
 the area cost and, for the flows that take ``--cost``, under delay.
+Under the ``slow`` marker, ``hyde``, ``per-output`` and ``structural``
+also map the four medium inputs.
 
 Each run goes through the CLI with ``--verify none``, so the flow's own
 equivalence check stays out of the verdict: the emitted BLIF is read
@@ -29,6 +31,12 @@ SMALL = (
     "misex1", "rd73", "rd84", "sao2", "vg2", "z4ml",
 )
 
+#: More than 16 inputs each, so they are checked on sampled vectors.
+MEDIUM = ("apex7", "count", "duke2", "misex2")
+
+#: The flows the medium inputs run through.
+MEDIUM_FLOWS = ("hyde", "per-output", "structural")
+
 #: Flows that read ``--cost``; ``shannon`` and ``structural`` ignore it.
 COST_FLOWS = ("column", "hyde", "per-output", "random", "resub")
 
@@ -37,6 +45,7 @@ COST_FLOWS = ("column", "hyde", "per-output", "random", "resub")
 STRUCTURAL_LUTS = {
     "5xp1": 18, "9sym": 6, "alu2": 30, "b9": 24, "clip": 19, "f51m": 14,
     "misex1": 9, "rd73": 7, "rd84": 9, "sao2": 8, "vg2": 13, "z4ml": 6,
+    "apex7": 45, "count": 79, "duke2": 39, "misex2": 24,
 }
 
 EXHAUSTIVE_INPUTS = 16
@@ -174,3 +183,12 @@ def test_flow_maps_input(name, label, tmp_path, capsys):
 @pytest.mark.parametrize("name", SMALL)
 def test_flow_maps_input_under_delay(name, label, tmp_path, capsys):
     map_and_check(name, label, ["--cost", "delay"], tmp_path, capsys)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("label", MEDIUM_FLOWS)
+@pytest.mark.parametrize("name", MEDIUM)
+def test_flow_maps_medium_input(name, label, tmp_path, capsys):
+    luts = map_and_check(name, label, [], tmp_path, capsys)
+    if label == "structural":
+        assert luts == STRUCTURAL_LUTS[name]

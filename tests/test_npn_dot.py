@@ -1,4 +1,4 @@
-"""Tests for NPN utilities and DOT export."""
+"""Tests for the NPN utilities."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from repro.boolfunc import (
     npn_equivalent,
     npn_transforms,
 )
-from repro.network import Network, network_to_dot
 
 small_tables = st.builds(
     TruthTable, st.just(3), st.integers(min_value=0, max_value=255)
@@ -65,28 +64,3 @@ class TestNpn:
     def test_size_limit(self):
         with pytest.raises(ValueError):
             npn_canonical(TruthTable.constant(6, 0))
-
-
-class TestDot:
-    def _net(self) -> Network:
-        net = Network("dotnet")
-        net.add_input("a")
-        net.add_input("b")
-        net.add_node("f", ["a", "b"], TruthTable.from_function(2, lambda a, b: a & b))
-        net.add_output("f")
-        return net
-
-    def test_basic_render(self):
-        dot = network_to_dot(self._net())
-        assert "digraph" in dot
-        assert '"a" -> "f"' in dot
-        assert "doublecircle" in dot
-
-    def test_highlighting(self):
-        dot = network_to_dot(self._net(), highlight=["f"])
-        assert "fillcolor" in dot
-
-    def test_size_guard(self):
-        net = self._net()
-        with pytest.raises(ValueError):
-            network_to_dot(net, max_nodes=0)

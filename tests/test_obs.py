@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.network import to_blif
 from repro.obs import (
     TraceRecorder,
     coverage,
+    phase_seconds,
     read_trace,
     render_trace_summary,
     trace_records,
@@ -22,6 +24,20 @@ from repro.obs import (
 )
 
 from .test_cli import run_python
+
+INPUTS = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "benchmarks", "e2e", "inputs",
+)
+
+#: The phase names benchmarks/e2e/workloads.py reads from a trace's
+#: ``meta.perf.phase_seconds`` (``splice`` only exists at ``jobs > 1``).
+READ_PHASES = (
+    "bdd_build", "cluster", "decompose", "cleanup", "verify", "cost",
+    "step.varpart", "step.classes", "step.encode",
+    "encode.draft", "encode.varpart", "encode.column_sets",
+    "encode.row_sets", "encode.chart", "encode.image_rebuild",
+)
 
 
 class TestRecorder:
@@ -89,6 +105,19 @@ class TestRecorder:
                 pass
         assert obs.active() is None
         assert rec.roots[0].name == "seen"
+
+
+class TestPerfCounters:
+    def test_counters_hold_integers_only(self):
+        from repro.perf import INT_SLOTS, PerfCounters
+
+        perf = PerfCounters()
+        assert PerfCounters.__slots__ == INT_SLOTS
+        assert not hasattr(perf, "phase") and not hasattr(perf, "merge")
+        perf.merge_dict({"apply_calls": 3, "phase_seconds": {"x": 1.0}})
+        snap = perf.snapshot()
+        assert snap["apply_calls"] == 3
+        assert "phase_seconds" not in snap
 
 
 class TestSerialisation:
@@ -198,6 +227,52 @@ class TestCoverageAndTotals:
 
     def test_coverage_none_without_roots(self):
         assert coverage([{"type": "meta", "version": 1}]) is None
+
+    def _span(self, sid, name, parent, t0, t1, proc="main"):
+        return {"type": "span", "id": sid, "parent": parent, "name": name,
+                "proc": proc, "t0": t0, "t1": t1}
+
+    def test_phase_seconds_counts_a_nested_same_name_once(self):
+        records = [
+            {"type": "meta", "version": 1},
+            self._span(0, "decompose", None, 0.0, 10.0),
+            self._span(1, "recurse", 0, 1.0, 9.0),
+            self._span(2, "step.varpart", 1, 1.0, 2.0),
+            self._span(3, "recurse", 1, 3.0, 8.0),
+            self._span(4, "step.varpart", 3, 3.0, 5.0),
+            self._span(5, "recurse", 3, 6.0, 7.0),
+        ]
+        assert phase_seconds(records) == {
+            "decompose": 10.0, "recurse": 8.0, "step.varpart": 3.0,
+        }
+
+    def test_phase_seconds_leaves_events_out(self):
+        records = [
+            self._span(0, "verify", None, 0.0, 2.0),
+            {"type": "event", "id": 1, "parent": 0, "name": "degraded",
+             "proc": "main", "t0": 1.0, "t1": 1.0},
+        ]
+        assert phase_seconds(records) == {"verify": 2.0}
+
+    def test_phase_seconds_counts_grafted_worker_trees(self):
+        worker = TraceRecorder(proc="task:0")
+        with worker.span("task.group"):
+            with worker.span("step.varpart"):
+                pass
+        rec = TraceRecorder()
+        with rec.span("decompose") as d:
+            with rec.span("step.varpart"):
+                pass
+            rec.graft(worker.to_dicts(rebase=True), parent=d, offset=d.start)
+        records = rec.to_dicts()
+        local, grafted = (
+            r["t1"] - r["t0"] for r in records if r["name"] == "step.varpart"
+        )
+        phases = phase_seconds(records)
+        assert set(phases) == {"decompose", "task.group", "step.varpart"}
+        assert phases["step.varpart"] == pytest.approx(
+            local + grafted, abs=1e-6
+        )
 
     def test_worker_totals_sum_tree_roots_only(self):
         records = [
@@ -328,6 +403,41 @@ class TestCli:
             if "BDD nodes allocated" in line
         )
         assert int(line.split()[-1]) > 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_trace_meta_derives_phase_seconds(self, tmp_path, capsys, jobs):
+        from repro.cli import main
+
+        path = str(tmp_path / "out.jsonl")
+        source = os.path.join(INPUTS, "misex1.blif")
+        assert main([
+            "blif", source, "-o", str(tmp_path / "misex1.blif"),
+            "--jobs", str(jobs), "--trace", path,
+        ]) == 0
+        capsys.readouterr()
+        records = read_trace(path)
+        phases = records[0]["perf"]["phase_seconds"]
+        # The file's times are rounded to the microsecond.
+        assert phases == pytest.approx(phase_seconds(records), abs=1e-5)
+        expected = READ_PHASES + (("splice",) if jobs > 1 else ())
+        for name in expected:
+            assert phases.get(name, 0.0) > 0, name
+
+    def test_stats_reports_phase_wall_times(self, capsys):
+        from repro.cli import main
+
+        assert main(["stats", "misex1"]) == 0
+        out = capsys.readouterr().out
+        block = out.split("phase wall times:\n", 1)[1].split("counters:")[0]
+        names = {line.split()[0] for line in block.splitlines()}
+        assert set(READ_PHASES) <= names
+        # Spans nested in a same-named one count once: the recursion
+        # never outlasts the flow that holds it.
+        seconds = {
+            line.split()[0]: float(line.split()[1].rstrip("s"))
+            for line in block.splitlines()
+        }
+        assert seconds["recurse"] <= seconds["flow:hyde"]
 
     def test_stats_reports_shannon_fallbacks(self, capsys):
         from repro.cli import main

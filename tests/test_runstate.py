@@ -21,13 +21,6 @@ import os
 import pytest
 
 from repro.decompose import DecompositionOptions
-from repro.harness import (
-    CircuitRecord,
-    ExperimentRecord,
-    FlowRecord,
-    load_record,
-    save_record,
-)
 from repro.mapping.parallel import (
     GroupResult,
     GroupTask,
@@ -113,29 +106,7 @@ class TestAtomicWrite:
 
 
 class TestArtifactWritersAreAtomic:
-    """The shared-writer satellites: save_record and write_trace."""
-
-    def make_record(self) -> ExperimentRecord:
-        rec = ExperimentRecord("exp", "lut_count")
-        crec = CircuitRecord("a", 4, 1, True)
-        crec.flows["hyde"] = FlowRecord("hyde", lut_count=5)
-        rec.circuits.append(crec)
-        return rec
-
-    def test_save_record_failure_preserves_old_archive(self, tmp_path):
-        path = tmp_path / "run.json"
-        save_record(self.make_record(), path)
-        before = path.read_bytes()
-
-        class Exploding(ExperimentRecord):
-            def to_json(self) -> str:
-                raise RuntimeError("serializer died mid-save")
-
-        with pytest.raises(RuntimeError):
-            save_record(Exploding("exp", "lut_count"), path)
-        assert path.read_bytes() == before
-        assert load_record(path).totals("hyde") == 5
-        assert os.listdir(tmp_path) == ["run.json"]
+    """The shared-writer satellites: write_trace."""
 
     def test_write_trace_failure_preserves_old_trace(self, tmp_path):
         from repro import obs
