@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..perf import PerfCounters
 
@@ -52,6 +52,15 @@ TRUE = 1
 _OP_AND = 0
 _OP_OR = 1
 _OP_XOR = 2
+
+#: The unique table's key for node (level, lo, hi) is the one int
+#: ``level << _LEVEL_SHIFT | lo << _ID_BITS | hi``: about half the memory
+#: of a 3-tuple.  It is injective while every node id is below
+#: ``2**_ID_BITS``, so :meth:`BddManager._mk` allocates no id past
+#: ``_MAX_ID`` (a billion nodes, far more than fit in memory).
+_ID_BITS = 30
+_LEVEL_SHIFT = 2 * _ID_BITS
+_MAX_ID = (1 << _ID_BITS) - 1
 
 
 class BddBudgetExceeded(RuntimeError):
@@ -102,7 +111,8 @@ class BddManager:
         self._var: List[int] = [-1, -1]
         self._lo: List[int] = [-1, -1]
         self._hi: List[int] = [-1, -1]
-        self._unique: Dict[Tuple[int, int, int], int] = {}
+        # (level, lo, hi) packed into one int (see _ID_BITS) -> node id.
+        self._unique: Dict[int, int] = {}
         self._apply_cache: Dict[Tuple[int, int, int], int] = {}
         self._not_cache: Dict[int, int] = {}
         self._ite_cache: Dict[Tuple[int, int, int], int] = {}
@@ -253,10 +263,12 @@ class BddManager:
         """Hash-consed node constructor enforcing ROBDD reduction rules."""
         if lo == hi:
             return lo
-        key = (level, lo, hi)
+        key = (level << _LEVEL_SHIFT) | (lo << _ID_BITS) | hi
         node = self._unique.get(key)
         if node is None:
             node = len(self._var)
+            if node > _MAX_ID:
+                raise BddBudgetExceeded("nodes", _MAX_ID + 1, node + 1)
             if (
                 self._max_nodes is not None
                 and node + self._dropped >= self._max_nodes
@@ -346,7 +358,7 @@ class BddManager:
             stack.append(hi[node])
         remap: Dict[int, int] = {FALSE: FALSE, TRUE: TRUE}
         new_var, new_lo, new_hi = [-1, -1], [-1, -1], [-1, -1]
-        unique: Dict[Tuple[int, int, int], int] = {}
+        unique: Dict[int, int] = {}
         for node in range(2, len(var)):
             if live[node]:
                 new = len(new_var)
@@ -354,7 +366,8 @@ class BddManager:
                 new_var.append(level)
                 new_lo.append(low)
                 new_hi.append(high)
-                unique[level, low, high] = new
+                key = (level << _LEVEL_SHIFT) | (low << _ID_BITS) | high
+                unique[key] = new
                 remap[node] = new
         self._dropped += len(var) - len(new_var)
         self._var, self._lo, self._hi = new_var, new_lo, new_hi
@@ -1016,7 +1029,9 @@ def _cofactor_rec(
         result = r0
     else:
         f_level = var[f]
-        result = manager._unique.get((f_level, r0, r1))
+        result = manager._unique.get(
+            (f_level << _LEVEL_SHIFT) | (r0 << _ID_BITS) | r1
+        )
         if result is None:
             result = manager._mk(f_level, r0, r1)
     memo[f] = result

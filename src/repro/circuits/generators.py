@@ -12,7 +12,7 @@ would be astronomically large.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Optional, Set
 
 from ..boolfunc import TruthTable
 from ..network import Network

@@ -14,7 +14,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..bdd import BddManager
 from ..boolfunc import TruthTable

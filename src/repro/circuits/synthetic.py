@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import List, Optional, Sequence
+from typing import List
 
 from ..boolfunc import TruthTable
 from ..network import Network

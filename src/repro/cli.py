@@ -25,7 +25,9 @@ import os
 import sys
 import time
 from importlib import import_module
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
+)
 
 from . import obs
 from .network.blif import read_blif, write_blif
@@ -155,7 +157,7 @@ def _load_flow(label: str, jobs: int = 1, kwargs=()) -> Callable:
 def _open_flow_journal(args, circuit: str, label: str):
     """Open the checkpoint journal for one (circuit, flow) run, or None."""
     directory = getattr(args, "checkpoint", None)
-    if directory is None or label not in JOURNALED_FLOWS:
+    if directory is None:
         return None
     from .runstate.journal import open_journal
 
@@ -164,10 +166,11 @@ def _open_flow_journal(args, circuit: str, label: str):
     ))
 
 
-def _open_result_cache(args):
-    """Open the ``--cache`` result store, or None when not requested."""
+def _open_result_cache(args, labels: Sequence[str]):
+    """Open the ``--cache`` result store for a run of flows ``labels``,
+    or None when it is not requested or none of them takes it."""
     path = getattr(args, "cache", None)
-    if path is None:
+    if path is None or JOURNALED_FLOWS.isdisjoint(labels):
         return None
     from .service import ResultStore
 
@@ -218,30 +221,33 @@ def _governance_kwargs(args) -> Dict[str, object]:
 def _flow_kwargs(args, label: str, circuit: str, cache) -> Dict[str, object]:
     """Flow ``label``'s keyword arguments from the command line: the
     governance flags, ``--portfolio``, its ``--checkpoint`` journal and
-    the shared ``--cache`` store."""
-    kw = _governance_kwargs(args)
-    if getattr(args, "portfolio", False):
-        if label in PORTFOLIO_FLOWS:
-            kw["portfolio"] = True
-        elif args.flow != "all":
-            print(
-                f"  [--portfolio only applies to {sorted(PORTFOLIO_FLOWS)}; "
-                f"ignored for {label}]"
-            )
-    if label not in JOURNALED_FLOWS and args.flow != "all":
+    the shared ``--cache`` store.  A flow outside
+    :data:`JOURNALED_FLOWS` gets none of them, so nothing is built for
+    it (no task policy, fault plan or journal)."""
+    portfolio = getattr(args, "portfolio", False)
+    if portfolio and label not in PORTFOLIO_FLOWS and args.flow != "all":
+        print(
+            f"  [--portfolio only applies to {sorted(PORTFOLIO_FLOWS)}; "
+            f"ignored for {label}]"
+        )
+    if label not in JOURNALED_FLOWS:
         ignored = [
             flag for flag, name, default in RUN_FLAGS
             if getattr(args, name, default) != default
         ]
-        if ignored:
+        if ignored and args.flow != "all":
             print(
                 f"  [{', '.join(ignored)} only apply to "
                 f"{sorted(JOURNALED_FLOWS)}; ignored for {label}]"
             )
+        return {}
+    kw = _governance_kwargs(args)
+    if portfolio and label in PORTFOLIO_FLOWS:
+        kw["portfolio"] = True
     journal = _open_flow_journal(args, circuit, label)
     if journal is not None:
         kw["journal"] = journal
-    if cache is not None and label in JOURNALED_FLOWS:
+    if cache is not None:
         kw["cache"] = cache
     return kw
 
@@ -328,8 +334,9 @@ def _write_trace_file(
     wall_seconds: float,
 ) -> None:
     """Dump a run's trace as JSONL with a merged-perf meta header; the
-    perf block's ``phase_seconds`` is derived from the spans."""
-    from .perf import PerfCounters
+    perf block's ``phase_seconds`` is derived from the spans, and its
+    ``peak_rss_mb`` is this process's peak so far."""
+    from .perf import PerfCounters, peak_rss_mb
 
     merged = PerfCounters()
     for result in results:
@@ -338,6 +345,7 @@ def _write_trace_file(
             merged.merge_dict(perf)
     perf = merged.snapshot()
     perf["phase_seconds"] = obs.phase_seconds(recorder.to_dicts())
+    perf["peak_rss_mb"] = peak_rss_mb()
     meta = {
         "flow": flow,
         "circuit": circuit,
@@ -363,7 +371,7 @@ def _run_flows(net, args) -> int:
     rows = []
     results: List[MapResult] = []
     wall_start = time.time()
-    cache = _open_result_cache(args)
+    cache = _open_result_cache(args, labels)
     try:
         with obs.installed(recorder):
             for label in labels:
@@ -414,13 +422,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     """Run one flow and print its perf-counter report.  Spans are
     always recorded: the report's phase times are derived from them."""
     from .circuits import build
-    from .perf import format_perf_report
+    from .perf import format_perf_report, peak_rss_mb
 
     _check_outputs(args.trace, args.cache)
     net = build(args.circuit)
     trace_path: Optional[str] = getattr(args, "trace", None)
     recorder = obs.TraceRecorder()
-    cache = _open_result_cache(args)
+    cache = _open_result_cache(args, [args.flow])
     try:
         flow_kwargs = _flow_kwargs(args, args.flow, net.name, cache)
         flow = _load_flow(args.flow, args.jobs, flow_kwargs)
@@ -451,7 +459,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print("(flow reports no perf counters)")
         return 0
     print(format_perf_report(
-        perf, obs.phase_seconds(recorder.to_dicts())
+        dict(perf, peak_rss_mb=peak_rss_mb()),
+        obs.phase_seconds(recorder.to_dicts()),
     ))
     if perf.get("jobs_requested") is not None:
         print(
@@ -1370,10 +1379,22 @@ def main(argv=None) -> int:
         "table2": lambda a: _cmd_table(a, 2),
     }
     try:
-        return commands[args.command](args)
+        status = commands[args.command](args)
+        # Flushed here, a reader that closed early fails inside the
+        # guard below rather than in the interpreter's exit flush.
+        sys.stdout.flush()
+        return status
     except InputFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # ``repro stats ... | head``: the reader is gone.  Point stdout at
+        # devnull so the exit flush of whatever is still buffered stays
+        # quiet, and stop without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -11,8 +11,8 @@ grouping is delegated to the clique-partitioning pass in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 from ..bdd import FALSE, BddManager
 from . import dontcare  # imports this module back: use attributes at call time

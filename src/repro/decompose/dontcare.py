@@ -15,9 +15,9 @@ classes of an image function whose unused codes are don't cares.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Set, Tuple
 
-from ..bdd import FALSE, TRUE, BddManager
+from ..bdd import FALSE, BddManager
 from . import compatible  # imports this module back: use attributes at call time
 
 if TYPE_CHECKING:

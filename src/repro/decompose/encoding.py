@@ -52,7 +52,7 @@ from .partition import (
     psc_key,
     same_content_position_groups,
 )
-from .varpart import VariablePartition, select_bound_set
+from .varpart import select_bound_set
 
 __all__ = [
     "EncodingResult",

@@ -12,13 +12,12 @@ flow (the latter passes pseudo primary inputs through ``options``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .. import obs
 from ..bdd import FALSE, BddManager
 from ..boolfunc import TruthTable
 from ..network import Network
-from .compatible import Column
 from .rothkarp import (
     DecompositionOptions,
     DecompositionStep,

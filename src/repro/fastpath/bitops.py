@@ -7,16 +7,16 @@ handful of word-parallel operations on a single ``2**n``-bit Python int:
 
 * **Representation** — a function over the ordered support tuple
   ``levels`` is the integer whose bit ``i`` is ``f`` at the minterm where
-  ``levels[j]`` takes bit ``j`` of ``i``.  This is exactly the convention
-  of :meth:`repro.bdd.BddManager.from_truth_table` /
-  :meth:`~repro.bdd.BddManager.to_truth_table`, so conversions round-trip
-  by construction.
-* **Conversion** — one memoized pass over the BDD: every node costs two
-  ANDs and an OR against precomputed per-position masks
-  (:func:`var_masks`), i.e. O(|BDD| * 2**n / wordsize) machine work.
+  ``levels[j]`` takes bit ``n - 1 - j`` of ``i``: the convention of
+  :meth:`~repro.bdd.BddManager.to_truth_table` over the reversed tuple
+  (see :func:`bdd_to_packed`).
+* **Conversion** — one bottom-up pass over the BDD that builds each
+  node's table only as wide as its position needs (see
+  :func:`bdd_to_packed`).  Those per-node tables are scratch, dropped
+  once a pair is packed; the manager keeps only the roots' full tables.
 * **Cofactor enumeration / column multiplicity** — instead of walking
   ``2**b`` cofactors, the ``b`` bound positions are permuted to the top
-  index bits (one masked-shift *delta swap* per variable, see
+  index bits (one single-mask *delta swap* per variable, see
   :func:`_swap_bits`) after which the ``2**b`` columns are contiguous
   ``2**(n-b)``-bit chunks.  Distinct chunks == distinct residual
   functions == distinct BDD cofactor node ids, so counts agree with the
@@ -33,6 +33,11 @@ are packed; wider ones stay on the BDD path.  :data:`HARD_MAX_WIDTH`
 can force onto the packed backend through the search's ``fast_path``
 keyword.  All fallbacks are transparent and counted in
 ``PerfCounters.fastpath_fallbacks``.
+
+Caches: the module keeps the two masks of :func:`var_masks` per (width,
+index bit), n per width, and the conversion's block replicators per
+(block width, count).  A swap derives its one mask from two cached
+masks on every call; nothing is cached per pair of index bits.
 
 Class counts are memoized **manager-independently** in a module-level
 table keyed by the :class:`PackedPair` and the bound positions.  A pair
@@ -93,10 +98,6 @@ _MASKS: Dict[Tuple[int, int], Tuple[int, int]] = {}
 # times: sum of 2**(i*width).
 _REPS: Dict[Tuple[int, int], int] = {}
 
-# (n, j, k) with j < k -> (same, m10, m01, shift) for the delta swap of
-# index bits j and k.
-_SWAPS: Dict[Tuple[int, int, int], Tuple[int, int, int, int]] = {}
-
 
 def var_masks(n: int, p: int) -> Tuple[int, int]:
     """Masks selecting minterms with index bit ``p`` = 0 / 1 (cached)."""
@@ -114,26 +115,19 @@ def var_masks(n: int, p: int) -> Tuple[int, int]:
     return m0, m1
 
 
-def _swap_masks(n: int, j: int, k: int) -> Tuple[int, int, int, int]:
-    """Precomputed delta-swap of index bits ``j`` < ``k`` over ``2**n``."""
-    cached = _SWAPS.get((n, j, k))
-    if cached is not None:
-        return cached
-    j0, j1 = var_masks(n, j)
-    k0, k1 = var_masks(n, k)
-    m10 = j1 & k0  # index bit j set, k clear: moves up by 2**k - 2**j
-    m01 = j0 & k1  # index bit k set, j clear: moves down by the same
-    same = ((1 << (1 << n)) - 1) ^ m10 ^ m01
-    shift = (1 << k) - (1 << j)
-    entry = (same, m10, m01, shift)
-    _SWAPS[(n, j, k)] = entry
-    return entry
-
-
 def _swap_bits(bits: int, n: int, j: int, k: int) -> int:
-    """Exchange index bits ``j`` and ``k`` of a packed table."""
-    same, m10, m01, shift = _swap_masks(n, j, k)
-    return (bits & same) | ((bits & m10) << shift) | ((bits & m01) >> shift)
+    """Exchange index bits ``j`` < ``k`` of a packed table.
+
+    One-mask delta swap: ``m`` selects the positions whose index has bit
+    ``j`` set and bit ``k`` clear; each pairs with the position
+    ``2**k - 2**j`` above it, and ``t`` holds where the two differ.  The
+    mask is derived from the cached :func:`var_masks` on every call, so
+    no table is kept per (j, k) pair.
+    """
+    shift = (1 << k) - (1 << j)
+    m = var_masks(n, j)[1] & var_masks(n, k)[0]
+    t = ((bits >> shift) ^ bits) & m
+    return bits ^ t ^ (t << shift)
 
 
 def _replicator(width: int, count: int) -> int:
@@ -154,13 +148,17 @@ def bdd_to_packed(
     f: int,
     levels: Sequence[int],
     memo: Optional[Dict[int, int]] = None,
+    local: Optional[Dict[int, Tuple[int, int]]] = None,
 ) -> int:
     """Pack BDD node ``f`` as a ``2**len(levels)``-bit truth table.
 
     ``levels`` must be sorted ascending and cover the support of ``f``;
     a support variable outside ``levels`` raises :class:`KeyError` (the
-    callers catch it and fall back to the BDD path).  ``memo`` maps node
-    id -> table and may be shared across calls with identical ``levels``.
+    callers catch it and fall back to the BDD path).  ``memo`` maps a
+    root's node id -> its table; ``local`` maps every node converted on
+    the way -> its compressed table (below).  Both may be shared across
+    calls with identical ``levels``; ``local`` is scratch that a caller
+    drops once its roots are packed.
 
     Kernel bit convention: ``levels[j]`` is index bit ``n - 1 - j`` —
     the *reverse* of :meth:`BddManager.from_truth_table` (equivalently,
@@ -187,9 +185,8 @@ def bdd_to_packed(
     if cached is not None:
         return cached
     var, lo, hi = manager._var, manager._lo, manager._hi
-    local = memo.get(("local", levels))
     if local is None:
-        local = memo[("local", levels)] = {}
+        local = {}
 
     def widened(child: int, width: int) -> int:
         # Local table of ``child`` over the low ``width`` index bits.
@@ -274,11 +271,13 @@ class PackedPair:
 def pack_pair(manager, on: int, dc: int, levels: Sequence[int]) -> PackedPair:
     """Pack ``(on, dc)`` over ``levels`` using the manager's table cache.
 
-    The per-node conversion memo lives on the manager (keyed by the
-    levels tuple) so repeated searches over the same function — the swap
-    pass, smaller bound sizes, recursion levels — convert each BDD node
-    at most once.  Raises :class:`KeyError` when a support variable falls
-    outside ``levels``.
+    The manager keeps, per levels tuple, the full table of every root
+    packed so far, so repeated searches over the same function — the
+    swap pass, smaller bound sizes, recursion levels — convert it once.
+    The per-node tables of the conversion are scratch, shared by ``on``
+    and ``dc`` and dropped when the pair is packed; each one built
+    counts in ``PerfCounters.fastpath_conversions``.  Raises
+    :class:`KeyError` when a support variable falls outside ``levels``.
     """
     levels = tuple(levels)
     cache = manager._fastpath
@@ -286,19 +285,16 @@ def pack_pair(manager, on: int, dc: int, levels: Sequence[int]) -> PackedPair:
         cache = manager._fastpath = {}
     memo = cache.get(levels)
     if memo is None:
-        # Bound the number of retained level-tuples, not their node
+        # Bound the number of retained level-tuples, not their root
         # entries: tuples change when the support changes, which tracks
         # recursion depth and stays small in practice.
         if len(cache) > 64:
             cache.clear()
         memo = cache[levels] = {}
-    perf = manager.perf
-    before = len(memo.get(("local", levels), ()))
-    on_bits = bdd_to_packed(manager, on, levels, memo)
-    dc_bits = bdd_to_packed(manager, dc, levels, memo)
-    perf.fastpath_conversions += (
-        len(memo.get(("local", levels), ())) - before
-    )
+    local: Dict[int, Tuple[int, int]] = {}
+    on_bits = bdd_to_packed(manager, on, levels, memo, local)
+    dc_bits = bdd_to_packed(manager, dc, levels, memo, local)
+    manager.perf.fastpath_conversions += len(local)
     return PackedPair(on_bits, dc_bits, levels)
 
 

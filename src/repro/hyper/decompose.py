@@ -9,11 +9,11 @@ decomposition" pipeline of the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..bdd import BddManager
 from ..decompose import DecompositionOptions, DecompositionTrace, decompose_to_network
-from ..network import Network, sweep
+from ..network import Network
 from .duplication import DuplicationInfo, analyze_duplication, recover_ingredients
 from .hyperfunction import HyperFunction, build_hyper_function
 

@@ -15,10 +15,9 @@ duplicated per ingredient with the PPI values folded in as constants
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Set
 
-from ..boolfunc import TruthTable
 from ..network import Network, sweep
 
 __all__ = ["DuplicationInfo", "analyze_duplication", "recover_ingredients"]

@@ -11,10 +11,10 @@ compatible class encoding problem with the ingredients as class functions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..bdd import FALSE, BddManager, build_cube
+from ..bdd import FALSE, BddManager
 from ..decompose import Column, EncodingResult, encode_classes
 from ..decompose.encoding import build_image_function, canonical_codes
 

@@ -11,8 +11,8 @@ Figure 10.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence
 
 from ..bdd import BddManager
 from ..decompose import Partition, conjunction, contains

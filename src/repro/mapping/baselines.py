@@ -20,13 +20,12 @@ under test, so each comparison isolates one of the paper's claims:
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from .. import obs
 from ..bdd import FALSE, TRUE
 from ..decompose import DecompositionOptions, decompose_to_network
 from ..network import GlobalBdds, Network
-from ..runstate import RunJournal
 from .clb import pack_xc3000
 from .hyde import (
     MapResult,
@@ -37,8 +36,12 @@ from .hyde import (
     hyde_map,
 )
 from .lut import cleanup_for_lut_count, count_luts
-from .parallel import TaskPolicy
 from .resub import resubstitute
+
+if TYPE_CHECKING:
+    # Annotations only: the serial flows here never load the task runner.
+    from ..runstate import RunJournal
+    from .parallel import TaskPolicy
 
 __all__ = [
     "map_per_output",

@@ -11,7 +11,7 @@ maximum-cardinality matching on the pairability graph (the role of SIS's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from ..decompose.matching import maximum_matching
 from ..network import Network

@@ -17,7 +17,7 @@ simply a re-factored, sharing-maximised version of the input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from ..decompose import DecompositionOptions
 from ..hyper import decompose_hyper_function

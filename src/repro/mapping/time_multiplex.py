@@ -16,7 +16,7 @@ single network plus the per-context mode codes.  Zero duplication is paid
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from ..bdd import BddManager

@@ -14,7 +14,7 @@ human can eyeball.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, TextIO, Tuple
+from typing import List, Optional, Tuple
 
 from ..boolfunc import TruthTable
 from ..runstate.atomic import atomic_write

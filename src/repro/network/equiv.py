@@ -10,7 +10,7 @@ preserved every output.  Two engines:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .globalbdd import GlobalBdds
 from .netlist import Network

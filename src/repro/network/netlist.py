@@ -11,7 +11,7 @@ equivalence checking and restructuring live in sibling modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..boolfunc import TruthTable

@@ -8,7 +8,7 @@ classic "bit-parallel" or "word-level" logic simulation trick).
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Sequence
 
 from .netlist import Network
 

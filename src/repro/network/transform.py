@@ -13,10 +13,10 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence
 
 from ..boolfunc import TruthTable
-from .netlist import Network, Node
+from .netlist import Network
 
 __all__ = [
     "sweep",

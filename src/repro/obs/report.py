@@ -146,6 +146,9 @@ def render_trace_summary(records: Sequence[Dict[str, object]]) -> str:
     line = f"  {span_count} spans"
     if wall is not None:
         line += f", {float(wall):.3f}s wall"
+    rss = (meta.get("perf") or {}).get("peak_rss_mb")
+    if rss is not None:
+        line += f", peak RSS {float(rss):.1f} MB"
     if cover is not None:
         line += f", {cover:.1%} of root time covered by phases"
     lines.append(line)

@@ -21,9 +21,10 @@ Usage::
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, Optional
 
-__all__ = ["INT_SLOTS", "PerfCounters", "format_perf_report"]
+__all__ = ["INT_SLOTS", "PerfCounters", "format_perf_report", "peak_rss_mb"]
 
 
 #: The integer counters, in report order.  ``nodes_allocated`` counts
@@ -118,11 +119,24 @@ class PerfCounters:
         return data
 
 
+def peak_rss_mb() -> Optional[float]:
+    """This process's peak resident set size so far, in MB (``ru_maxrss``;
+    worker processes are not included), or None without :mod:`resource`."""
+    try:
+        import resource  # deferred: POSIX only, read once per report
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Linux reports KiB, macOS bytes.
+    return round(peak / (1 << 20 if sys.platform == "darwin" else 1 << 10), 1)
+
+
 def format_perf_report(
     perf: Dict[str, object], phase_seconds: Dict[str, float]
 ) -> str:
     """Render a perf snapshot dict as an aligned ASCII block, led by the
-    per-phase wall times of :func:`repro.obs.phase_seconds`."""
+    per-phase wall times of :func:`repro.obs.phase_seconds`; a
+    ``peak_rss_mb`` entry (see :func:`peak_rss_mb`) follows the counters."""
     lines = []
     if phase_seconds:
         lines.append("phase wall times:")
@@ -164,6 +178,8 @@ def format_perf_report(
     for label, count, rate in rows:
         rate_text = f"  hit rate {rate:.1%}" if rate is not None else ""
         lines.append(f"  {label:28s} {count or 0:>12}{rate_text}")
+    if perf.get("peak_rss_mb") is not None:
+        lines.append(f"peak RSS: {perf['peak_rss_mb']} MB (this process)")
     engine = perf.get("engine")
     if engine:
         lines.append("engine:")

@@ -90,7 +90,7 @@ from ..network import parse_blif, to_blif
 from ..runstate import ShutdownRequested, graceful_shutdown
 from .breaker import CircuitBreaker
 from .pool import WarmPool
-from .store import ResultStore, schema_version
+from .store import ResultStore
 
 __all__ = ["MappingService", "MappingDaemon", "EXIT_DRAINED"]
 

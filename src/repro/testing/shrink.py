@@ -25,7 +25,6 @@ from __future__ import annotations
 import os
 from typing import Callable, Optional
 
-from ..boolfunc import TruthTable
 from ..network import Network, extract_cone, propagate_constant_inputs, sweep, to_blif
 from ..runstate.atomic import atomic_write
 

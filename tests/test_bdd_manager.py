@@ -300,6 +300,32 @@ class TestCompact:
         again = m.from_truth_table(tables[1], levels)
         assert m.to_truth_table(again, levels) == tables[1]
 
+    def test_remaking_a_survivor_returns_its_id(self):
+        m = BddManager(N_VARS)
+        f = m.from_truth_table(0b0110_1001_1100_0011, range(N_VARS))
+        g = m.apply_or(m.var_at_level(0), m.var_at_level(3))
+        cofactors = [m.cofactor(f, 2, value) for value in (0, 1)]
+        remap = m.compact([f, m.apply_and(f, g)] + cofactors)
+        nodes, allocated = m.num_nodes, m.perf.nodes_allocated
+        for node in range(2, nodes):
+            assert m._mk(m.level(node), m.low(node), m.high(node)) == node
+        # The cofactor kernel probes the same table before allocating
+        # (compaction dropped its memo, so the probes really run).
+        assert [m.cofactor(remap[f], 2, value) for value in (0, 1)] == [
+            remap[c] for c in cofactors
+        ]
+        assert (m.num_nodes, m.perf.nodes_allocated) == (nodes, allocated)
+
+    def test_no_node_id_past_the_key_bound(self, monkeypatch):
+        import repro.bdd.manager as manager_module
+
+        m = BddManager(N_VARS)
+        monkeypatch.setattr(manager_module, "_MAX_ID", m.num_nodes)
+        m.var_at_level(0)  # existing ids stay reachable
+        m.nvar_at_level(0)  # takes the last id
+        with pytest.raises(BddBudgetExceeded):
+            m.nvar_at_level(1)
+
     def test_survivors_keep_allocation_order_and_drop_memos(self):
         m = BddManager(N_VARS)
         f = m.apply_and(m.var_at_level(0), m.var_at_level(3))

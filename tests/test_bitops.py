@@ -41,6 +41,46 @@ class TestKernelPrimitives:
                 for i in range(1 << n):
                     assert ((m1 >> i) & 1) == ((i >> p) & 1)
 
+    def test_swap_bits_permutes_the_index(self):
+        def reference(bits, n, j, k):
+            out = 0
+            for i in range(1 << n):
+                if (bits >> i) & 1:
+                    flip = ((i >> j) ^ (i >> k)) & 1
+                    out |= 1 << (i ^ (flip << j) ^ (flip << k))
+            return out
+
+        rng = random.Random(resolve_seed(1105, "bitops_swap"))
+        for n in range(2, 10):
+            full = (1 << (1 << n)) - 1
+            tables = [0, full] + [rng.getrandbits(1 << n) for _ in range(3)]
+            for j in range(n):
+                for k in range(j + 1, n):
+                    for bits in tables:
+                        assert bitops._swap_bits(bits, n, j, k) == reference(
+                            bits, n, j, k
+                        ), (n, j, k, bits)
+
+    def test_swaps_keep_no_table_per_pair(self):
+        # Every pair at one width adds at most one entry per index bit to
+        # any module-level cache: the masks of var_masks, nothing else.
+        n = 14
+        caches = {
+            name: value for name, value in vars(bitops).items()
+            if isinstance(value, dict) and not name.startswith("__")
+        }
+        before = {name: len(cache) for name, cache in caches.items()}
+        bits = random.Random(1106).getrandbits(1 << n)
+        for j in range(n):
+            for k in range(j + 1, n):
+                swapped = bitops._swap_bits(bits, n, j, k)
+                assert bitops._swap_bits(swapped, n, j, k) == bits
+        grown = {
+            name: len(cache) - before[name] for name, cache in caches.items()
+        }
+        assert all(count <= n for count in grown.values()), grown
+        assert sum(1 for key in bitops._MASKS if key[0] == n) <= n
+
     def test_split_chunks_orders_low_first(self):
         assert bitops._split_chunks(0b11100100, 8, 2) == [0b00, 0b01, 0b10, 0b11]
         assert bitops._split_chunks(5, 4, 4) == [5]

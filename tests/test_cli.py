@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -221,6 +222,54 @@ class TestProcess:
         """)
         assert out.stdout.splitlines()[0] == "[]"
         assert out.stdout.splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize("flow", ["shannon", "structural"])
+    def test_serial_flows_build_no_store_or_task_runner(self, tmp_path, flow):
+        from repro.circuits import build
+        from repro.network import write_blif
+
+        source = tmp_path / "z4ml.blif"
+        write_blif(build("z4ml"), str(source))
+        store = tmp_path / "store.db"
+        out = run_python(f"""
+            import sys
+            from repro.cli import main
+            assert main(["blif", {str(source)!r}, "--flow", {flow!r},
+                         "--cache", {str(store)!r}, "--timeout", "5",
+                         "--retries", "2", "--inject-faults", "crash@0"]) == 0
+            print(sorted(m for m in {{
+                "repro.mapping.parallel", "repro.testing", "repro.service",
+                "sqlite3", "multiprocessing",
+            }} if m in sys.modules))
+        """)
+        assert "ignored for " + flow in out.stdout
+        assert out.stdout.splitlines()[-1] == "[]"
+        assert not store.exists()
+
+    def test_closed_pipe_ends_without_traceback(self, tmp_path):
+        # A trace whose summary far outgrows a pipe buffer: the command
+        # is still writing when the reader goes away after one line.
+        trace = tmp_path / "wide.jsonl"
+        lines = [json.dumps({"type": "meta", "version": 1, "flow": "hyde",
+                             "circuit": "wide", "k": 5, "jobs": 1})]
+        lines += [
+            json.dumps({"type": "span", "id": i, "parent": None,
+                        "name": f"phase{i:05d}", "proc": "main",
+                        "t0": 0.0, "t1": 0.001})
+            for i in range(4000)
+        ]
+        trace.write_text("\n".join(lines) + "\n")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "trace", str(trace)],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline().startswith(b"trace: hyde on wide")
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert "Traceback" not in err and len(err.splitlines()) <= 1
 
     def test_blif_does_not_depend_on_hash_seed(self, tmp_path):
         outputs = set()

@@ -404,6 +404,22 @@ class TestCli:
         )
         assert int(line.split()[-1]) > 0
 
+    def test_stats_and_trace_report_peak_rss(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = str(tmp_path / "out.jsonl")
+        assert main(["stats", "z4ml", "--trace", path]) == 0
+        (line,) = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("peak RSS: ")]
+        assert float(line.split()[2]) > 0
+        records = read_trace(path)
+        assert validate_trace(records) == []
+        rss = records[0]["perf"]["peak_rss_mb"]
+        assert rss > 0
+        assert main(["trace", path]) == 0
+        header = capsys.readouterr().out.splitlines()[1]
+        assert f", peak RSS {rss:.1f} MB" in header
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_trace_meta_derives_phase_seconds(self, tmp_path, capsys, jobs):
         from repro.cli import main
