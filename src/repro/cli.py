@@ -332,10 +332,11 @@ def _write_trace_file(
     k: int,
     jobs: int,
     wall_seconds: float,
-) -> None:
-    """Dump a run's trace as JSONL with a merged-perf meta header; the
-    perf block's ``phase_seconds`` is derived from the spans, and its
-    ``peak_rss_mb`` is this process's peak so far."""
+) -> str:
+    """Dump a run's trace as JSONL with a merged-perf meta header and
+    return the line that reports it; the perf block's ``phase_seconds``
+    is derived from the spans, and its ``peak_rss_mb`` is this
+    process's peak so far."""
     from .perf import PerfCounters, peak_rss_mb
 
     merged = PerfCounters()
@@ -357,7 +358,7 @@ def _write_trace_file(
     count = _write_output(
         path, lambda target: obs.write_trace(target, recorder, meta)
     )
-    print(f"wrote {count} trace records to {path}")
+    return f"wrote {count} trace records to {path}"
 
 
 def _run_flows(net, args) -> int:
@@ -400,21 +401,26 @@ def _run_flows(net, args) -> int:
     finally:
         if cache is not None:
             cache.close()
+    # Files before the table: a reader that closes stdout early
+    # (``| head -1``) must not cost the run its outputs.
+    notes = []
+    if recorder is not None:
+        notes.append(_write_trace_file(
+            trace_path, recorder, results, args.flow, net.name, args.k,
+            jobs, time.time() - wall_start,
+        ))
+    if args.output and results:
+        _write_output(
+            args.output, lambda path: write_blif(results[-1].network, path)
+        )
+        notes.append(f"wrote {args.output}")
     print(render_table(
         f"mapping {net.name} (k={args.k})",
         ["flow", "LUTs", "depth", "CLBs", "seconds"],
         rows,
     ))
-    if recorder is not None:
-        _write_trace_file(
-            trace_path, recorder, results, args.flow, net.name, args.k,
-            jobs, time.time() - wall_start,
-        )
-    if args.output and results:
-        _write_output(
-            args.output, lambda path: write_blif(results[-1].network, path)
-        )
-        print(f"wrote {args.output}")
+    for note in notes:
+        print(note)
     return 0
 
 
@@ -443,10 +449,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if result is None:
         return EXIT_INTERRUPTED
     if trace_path:
-        _write_trace_file(
+        print(_write_trace_file(
             trace_path, recorder, [result], args.flow, net.name, args.k,
             args.jobs, time.time() - wall_start,
-        )
+        ))
     _print_degradation(result)
     _print_portfolio(result)
     _print_cache_summary(result)
@@ -617,7 +623,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     from .exact import ExactBudgetExceeded, ExactCache, cone_spec, exact_map
     from .harness.report import render_table
     from .mapping.parallel import _splice_witness
-    from .network import Network, check_equivalence
+    from .network import Network, verdict
 
     net = _read_input(args.path)
     _check_outputs(args.output, args.trace, args.cache)
@@ -628,6 +634,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     for pi in net.inputs:
         witness.add_input(pi)
     rows = []
+    cache_note = None
     unproven = 0
     wall_start = time.time()
     try:
@@ -675,34 +682,39 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         if cache is not None:
             stats = cache.stats()
             cache.close()
-            print(
+            cache_note = (
                 f"  [exact cache: {stats['rows']} row(s), "
                 f"{stats['hits']} hit(s), {stats['misses']} miss(es)]"
             )
-    print(render_table(
-        f"exact mapping {net.name} (k={args.k}, cost={args.cost})",
-        ["output", "n", "LUTs", "depth", "source", "detail"],
-        rows,
-    ))
+    # Files before the table, as in _run_flows.
+    notes = []
     if recorder is not None:
-        _write_trace_file(
+        notes.append(_write_trace_file(
             trace_path, recorder, [], "exact", net.name, args.k, 1,
             time.time() - wall_start,
+        ))
+    if args.output and unproven:
+        notes.append(
+            f"not writing {args.output}: {unproven} cone(s) have no "
+            "exact witness"
         )
-    if args.output:
-        if unproven:
-            print(
-                f"not writing {args.output}: {unproven} cone(s) have no "
-                "exact witness"
-            )
-            return 1
-        bad = check_equivalence(net, witness)
+    elif args.output:
+        bad = verdict(net, witness).failing
         if bad is not None:
             raise RuntimeError(
                 f"exact witness differs from the spec on output {bad!r}"
             )
         _write_output(args.output, lambda path: write_blif(witness, path))
-        print(f"wrote {args.output} (verified equivalent)")
+        notes.append(f"wrote {args.output} (verified equivalent)")
+    if cache_note is not None:
+        print(cache_note)
+    print(render_table(
+        f"exact mapping {net.name} (k={args.k}, cost={args.cost})",
+        ["output", "n", "LUTs", "depth", "source", "detail"],
+        rows,
+    ))
+    for note in notes:
+        print(note)
     return 1 if unproven else 0
 
 
@@ -825,10 +837,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     faults are injected into the mapped network and every one must be
     caught, localized and confirmed (or proven masked).
     """
-    from .network import check_equivalence
+    from .network import verdict
     from .verify import (
         build_miter,
-        finegrain_check,
         miter_satisfiable,
         mutation_failures,
         self_validate,
@@ -849,31 +860,26 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"  {problem}")
         return 0 if report.ok else 1
 
-    # Both engines raise ValueError when the networks' inputs or outputs
-    # differ; that is a verdict, not a crash.
-    if not args.finegrain:
-        try:
-            bad = check_equivalence(golden, mapped)
-        except ValueError as exc:
-            print(f"NOT equivalent: {exc}")
-            return 1
-        if bad is None:
-            print(f"equivalent: {args.mapped} matches {args.golden}")
-            return 0
-        print(f"NOT equivalent: output {bad!r} differs")
-        return 1
-
+    # Every engine raises ValueError when the networks' inputs or
+    # outputs differ; that is a verdict, not a crash.
     try:
-        report = finegrain_check(
-            golden, mapped, num_vectors=args.vectors, seed=args.seed
+        check = verdict(
+            golden, mapped, "finegrain" if args.finegrain else "bdd",
+            seed=args.seed, num_vectors=args.vectors,
         )
     except ValueError as exc:
         print(f"NOT equivalent: {exc}")
         return 1
-    print(report.summary())
-    if report.equivalent:
+    report = check.report
+    if report is not None:
+        print(report.summary())
+    elif check.failing is None:
+        print(f"equivalent: {args.mapped} matches {args.golden}")
+    else:
+        print(f"NOT equivalent: output {check.failing!r} differs")
+    if check.failing is None:
         return 0
-    if args.repro_dir:
+    if report is not None and args.repro_dir:
         from .testing import save_repro, shrink_network
 
         for cone in report.failing_cones:

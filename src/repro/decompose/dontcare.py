@@ -123,9 +123,10 @@ def _pack_columns(manager: BddManager, columns: Sequence[Column]):
     full = (1 << (1 << len(levels))) - 1
     on_bits: List[int] = []
     off_bits: List[int] = []
+    local: Dict[int, Tuple[int, int]] = {}  # nodes the columns share
     try:
         for col in columns:
-            pair = bitops.pack_pair(manager, col.on, col.dc, levels)
+            pair = bitops.pack_pair(manager, col.on, col.dc, levels, local)
             on_bits.append(pair.on)
             off_bits.append(full & ~(pair.on | pair.dc))
     except KeyError:

@@ -268,7 +268,13 @@ class PackedPair:
         )
 
 
-def pack_pair(manager, on: int, dc: int, levels: Sequence[int]) -> PackedPair:
+def pack_pair(
+    manager,
+    on: int,
+    dc: int,
+    levels: Sequence[int],
+    local: Optional[Dict[int, Tuple[int, int]]] = None,
+) -> PackedPair:
     """Pack ``(on, dc)`` over ``levels`` using the manager's table cache.
 
     The manager keeps, per levels tuple, the full table of every root
@@ -276,7 +282,9 @@ def pack_pair(manager, on: int, dc: int, levels: Sequence[int]) -> PackedPair:
     swap pass, smaller bound sizes, recursion levels — convert it once.
     The per-node tables of the conversion are scratch, shared by ``on``
     and ``dc`` and dropped when the pair is packed; each one built
-    counts in ``PerfCounters.fastpath_conversions``.  Raises
+    counts in ``PerfCounters.fastpath_conversions``.  A caller packing
+    several pairs over the same ``levels`` passes one ``local`` dict to
+    all of them, so the nodes they share are converted once.  Raises
     :class:`KeyError` when a support variable falls outside ``levels``.
     """
     levels = tuple(levels)
@@ -291,10 +299,12 @@ def pack_pair(manager, on: int, dc: int, levels: Sequence[int]) -> PackedPair:
         if len(cache) > 64:
             cache.clear()
         memo = cache[levels] = {}
-    local: Dict[int, Tuple[int, int]] = {}
+    if local is None:
+        local = {}
+    converted = len(local)
     on_bits = bdd_to_packed(manager, on, levels, memo, local)
     dc_bits = bdd_to_packed(manager, dc, levels, memo, local)
-    manager.perf.fastpath_conversions += len(local)
+    manager.perf.fastpath_conversions += len(local) - converted
     return PackedPair(on_bits, dc_bits, levels)
 
 

@@ -20,28 +20,20 @@ under test, so each comparison isolates one of the paper's claims:
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from .. import obs
-from ..bdd import FALSE, TRUE
+from ..bdd import FALSE, TRUE, BddManager
 from ..decompose import DecompositionOptions, decompose_to_network
 from ..network import GlobalBdds, Network
-from .clb import pack_xc3000
-from .hyde import (
-    MapResult,
-    _check,
-    _map_by_tasks,
-    _resume_gate,
-    _run_details,
-    hyde_map,
-)
-from .lut import cleanup_for_lut_count, count_luts
+from .hyde import MapResult, _finish, _map_by_tasks, _run_details, hyde_map
+from .lut import cleanup_for_lut_count
 from .resub import resubstitute
 
 if TYPE_CHECKING:
     # Annotations only: the serial flows here never load the task runner.
     from ..runstate import RunJournal
-    from .parallel import TaskPolicy
+    from .parallel import RunReport, TaskPolicy
 
 __all__ = [
     "map_per_output",
@@ -77,15 +69,44 @@ def map_per_output(
     through the fault-tolerant task runner (even at ``jobs=1``);
     recovery shows up in ``details["degraded"]`` /
     ``details["pool_fallback"]``, and a journal adds checkpoint/resume
-    with the same interruption and resume-gate contract.  ``cache`` /
+    with the same interruption and verdict contract.  ``cache`` /
     ``pool`` behave as in :func:`~repro.mapping.hyde.hyde_map`: a
     content-addressed result store serving revalidated fragments across
     runs, and an externally owned warm worker pool.
     """
     start = time.time()
+    result, manager, run_report = _decompose_outputs(
+        net, k, encoding_policy, use_dontcares, max_bdd_nodes, max_seconds,
+        cost_model,
+        dict(
+            jobs=jobs, policy=policy, faults=faults, journal=journal,
+            cache=cache, pool=pool, verify=verify,
+        ),
+    )
+    return _finish(
+        net, result, k, f"per-output/{encoding_policy}", start, verify,
+        pack_clbs, manager, journal, run_report,
+        [[out] for out in net.output_names],
+        _run_details(manager, jobs, run_report, cache),
+    )
+
+
+def _decompose_outputs(
+    net: Network,
+    k: int,
+    encoding_policy: str,
+    use_dontcares: bool,
+    max_bdd_nodes: Optional[int],
+    max_seconds: Optional[float],
+    cost_model: str,
+    run_args: Dict[str, object],
+) -> Tuple[Network, BddManager, Optional[RunReport]]:
+    """The network of :func:`map_per_output` before its finish step:
+    every distinct non-constant output decomposed on its own, through
+    the task runner when ``run_args`` ask for it.  Returns the network,
+    the manager and the run report (``None`` on the serial path)."""
     gb = GlobalBdds(net)
     manager = gb.manager
-    perf = manager.perf
     options = DecompositionOptions(
         k=k,
         encoding_policy=encoding_policy,
@@ -117,12 +138,7 @@ def map_per_output(
             unique.append((oi, out))
     run = _map_by_tasks(
         net, result, manager, [(oi, [out]) for oi, out in unique], "o",
-        options, driver_of,
-        dict(
-            jobs=jobs, policy=policy, faults=faults, journal=journal,
-            cache=cache, pool=pool, verify=verify,
-        ),
-        fallback_per_output=False,
+        options, driver_of, run_args, fallback_per_output=False,
     )
     run_report = None
     if run is not None:
@@ -150,38 +166,7 @@ def map_per_output(
         if driver is None:
             driver = driver_of[alias_of[out]]
         result.add_output(driver, out)
-    with obs.span("cleanup", manager=manager):
-        cleanup_for_lut_count(result)
-    with obs.span("verify", manager=manager):
-        _check(net, result, verify)
-    journal_info = _resume_gate(net, result, journal, run_report, verify)
-    perf_report = perf.snapshot(manager)
-    perf_report["jobs_requested"] = jobs
-    perf_report["jobs_used"] = run_report.jobs_used if run_report else 1
-    lut_count = count_luts(result, k)
-    clb_count = pack_xc3000(result).num_clbs if pack_clbs else None
-    seconds = time.time() - start
-    if journal is not None:
-        journal.record_done(
-            flow=f"per-output/{encoding_policy}",
-            lut_count=lut_count,
-            clb_count=clb_count,
-            seconds=round(seconds, 6),
-        )
-    return MapResult(
-        network=result,
-        k=k,
-        lut_count=lut_count,
-        clb_count=clb_count,
-        seconds=seconds,
-        groups=[[out] for out in net.output_names],
-        flow=f"per-output/{encoding_policy}",
-        details={
-            "perf": perf_report,
-            "journal": journal_info,
-            **_run_details(run_report, cache),
-        },
-    )
+    return result, manager, run_report
 
 
 def map_per_output_resub(
@@ -201,47 +186,28 @@ def map_per_output_resub(
     pool=None,
     cost_model: str = "area",
 ) -> MapResult:
-    """Per-output decomposition followed by support-minimising resub."""
+    """Per-output decomposition followed by support-minimising resub.
+
+    The run arguments behave as in :func:`map_per_output`; the one
+    check, verdict and ``done`` record describe the network after
+    resubstitution.
+    """
     start = time.time()
-    base = map_per_output(
-        net,
-        k,
-        encoding_policy=encoding_policy,
-        use_dontcares=use_dontcares,
-        verify="none",
-        pack_clbs=False,
-        jobs=jobs,
-        cost_model=cost_model,
-        policy=policy,
-        faults=faults,
-        max_bdd_nodes=max_bdd_nodes,
-        journal=journal,
-        cache=cache,
-        pool=pool,
+    result, manager, run_report = _decompose_outputs(
+        net, k, encoding_policy, use_dontcares, max_bdd_nodes, None,
+        cost_model,
+        dict(
+            jobs=jobs, policy=policy, faults=faults, journal=journal,
+            cache=cache, pool=pool, verify=verify,
+        ),
     )
-    result = base.network
-    rewrites = resubstitute(result, k, max_pis=max_pis)
     cleanup_for_lut_count(result)
-    _check(net, result, verify)
-    return MapResult(
-        network=result,
-        k=k,
-        lut_count=count_luts(result, k),
-        clb_count=pack_xc3000(result).num_clbs if pack_clbs else None,
-        seconds=time.time() - start,
-        groups=base.groups,
-        flow=f"per-output+resub/{encoding_policy}",
-        details={
-            "rewrites": rewrites,
-            "perf": base.details.get("perf"),
-            "degraded": base.details.get("degraded", []),
-            "pool_fallback": base.details.get("pool_fallback"),
-            **{
-                key: base.details[key]
-                for key in ("cache", "fragments")
-                if key in base.details
-            },
-        },
+    rewrites = resubstitute(result, k, max_pis=max_pis)
+    return _finish(
+        net, result, k, f"per-output+resub/{encoding_policy}", start, verify,
+        pack_clbs, manager, journal, run_report,
+        [[out] for out in net.output_names],
+        {"rewrites": rewrites, **_run_details(manager, jobs, run_report, cache)},
     )
 
 
@@ -303,16 +269,7 @@ def map_shannon(
             _mux_signal(manager, result, mux, signal_of, gb.of_output(out)),
             out,
         )
-    cleanup_for_lut_count(result)
-    _check(net, result, verify)
-    return MapResult(
-        network=result,
-        k=k,
-        lut_count=count_luts(result, k),
-        clb_count=pack_xc3000(result).num_clbs if pack_clbs else None,
-        seconds=time.time() - start,
-        flow="shannon",
-    )
+    return _finish(net, result, k, "shannon", start, verify, pack_clbs)
 
 
 def _mux_signal(

@@ -29,14 +29,15 @@ from ..bdd import FALSE, TRUE, BddManager
 from ..decompose import DecompositionOptions, decompose_to_network
 from ..hyper import decompose_hyper_function
 from ..network import (
+    EquivalenceError,
     GlobalBdds,
     Network,
-    check_equivalence,
+    Verdict,
     extract_cone,
     node_depths,
     parse_blif,
-    simulate_equivalence,
     to_blif,
+    verdict,
 )
 from .clb import pack_xc3000
 from .lut import cleanup_for_lut_count, count_luts
@@ -250,12 +251,15 @@ def hyde_map(
 ) -> MapResult:
     """Map ``net`` to k-LUTs with the full HYDE flow.
 
-    ``verify`` is ``"bdd"`` (exact equivalence check), ``"sim"`` (random
-    simulation screen) or ``"none"``.  Raises ``AssertionError`` when
-    verification fails.  With ``fallback_per_output`` each ingredient
-    group is also decomposed output-by-output and the cheaper variant is
-    kept — extracting common sub-expressions only where sharing actually
-    pays for the duplication cone.
+    ``verify`` names the engine of the whole-network check
+    (:func:`repro.network.verdict`): ``"bdd"`` (exact), ``"sim"`` (random
+    simulation screen), ``"finegrain"`` (exact, and a failure names its
+    cone) or ``"none"``.  A failed check raises
+    :class:`~repro.network.EquivalenceError`, an ``AssertionError``.
+    With ``fallback_per_output`` each ingredient group is also
+    decomposed output-by-output and the cheaper variant is kept —
+    extracting common sub-expressions only where sharing actually pays
+    for the duplication cone.
 
     ``jobs > 1`` fans the ingredient groups out to a process pool (each
     worker decomposes its group's fan-in cone in a private manager; see
@@ -285,10 +289,11 @@ def hyde_map(
     lands, already-journaled groups replay by content-addressed key
     instead of re-executing, and a SIGINT/SIGTERM mid-run raises
     :class:`~repro.runstate.RunInterrupted` *after* the journal recorded
-    the interruption.  When a resumed run replayed anything, the spliced
-    network passes a mandatory BDD equivalence gate against ``net``
-    (regardless of ``verify``) and the journal records the verdict;
-    ``details["journal"]`` reports the replayed/executed split.
+    the interruption.  When a resumed run replayed anything, its check
+    is exact even under ``verify="sim"`` or ``"none"`` (see
+    :func:`_finish`), and the journal records the verdict and metrics
+    of the network the flow returns; ``details["journal"]`` reports the
+    replayed/executed split.
 
     ``cache`` (a :class:`~repro.service.ResultStore`) memoizes group
     fragments across runs by the journal's content-addressed task key —
@@ -316,7 +321,6 @@ def hyde_map(
     start = time.time()
     gb = GlobalBdds(net)
     manager = gb.manager
-    perf = manager.perf
     with obs.span("bdd_build", manager=manager):
         output_bdds = {out: gb.of_output(out) for out in net.output_names}
     # Its per-signal memo would hold ids that compaction invalidates.
@@ -444,39 +448,14 @@ def hyde_map(
             driver = driver_of[alias_of[out]]
         result.add_output(driver, out)
 
-    with obs.span("cleanup", manager=manager):
-        cleanup_for_lut_count(result)
-    with obs.span("verify", manager=manager):
-        _check(net, result, verify)
-    journal_info = _resume_gate(net, result, journal, run_report, verify)
-
-    with obs.span("cost", manager=manager):
-        luts = count_luts(result, k)
-        clbs = pack_xc3000(result).num_clbs if pack_clbs else None
-    perf_report = perf.snapshot(manager)
-    perf_report["jobs_requested"] = jobs
-    perf_report["jobs_used"] = run_report.jobs_used if run_report else 1
-    seconds = time.time() - start
-    if journal is not None:
-        journal.record_done(
-            flow="hyde", lut_count=luts, clb_count=clbs,
-            seconds=round(seconds, 6),
-        )
-    return MapResult(
-        network=result,
-        k=k,
-        lut_count=luts,
-        clb_count=clbs,
-        seconds=seconds,
-        groups=groups,
-        flow="hyde",
-        details={
+    return _finish(
+        net, result, k, "hyde", start, verify, pack_clbs, manager, journal,
+        run_report, groups,
+        {
             "group_infos": group_infos,
             "aliases": alias_of,
             "cost_model": cost_model,
-            "perf": perf_report,
-            "journal": journal_info,
-            **_run_details(run_report, cache),
+            **_run_details(manager, jobs, run_report, cache),
         },
     )
 
@@ -598,12 +577,19 @@ def _map_by_tasks(
     return report, infos
 
 
-def _run_details(report: Optional[RunReport], cache) -> Dict[str, object]:
-    """A run report's entries in ``MapResult.details`` (``report`` is
-    ``None`` when the flow took its serial in-manager path)."""
+def _run_details(
+    manager: BddManager, jobs: int, report: Optional[RunReport], cache
+) -> Dict[str, object]:
+    """A run's work counters and run report in ``MapResult.details``
+    (``report`` is ``None`` when the flow took its serial in-manager
+    path)."""
+    perf = manager.perf.snapshot(manager)
+    perf["jobs_requested"] = jobs
+    perf["jobs_used"] = report.jobs_used if report else 1
     if report is None:
-        return {"degraded": [], "pool_fallback": None}
+        return {"perf": perf, "degraded": [], "pool_fallback": None}
     details: Dict[str, object] = {
+        "perf": perf,
         "degraded": report.degraded,
         "pool_fallback": report.pool_fallback,
         **report.details,
@@ -637,116 +623,80 @@ def _splice(dest: Network, fragment: Network, prefix: str) -> Dict[str, str]:
     return rename
 
 
-def _check(original: Network, mapped: Network, verify: str) -> None:
-    if verify == "none":
-        return
-    if verify == "finegrain":
-        # Cut-point engine: a failure names the smallest wrong cone and
-        # a concrete counterexample, not just the output.
-        from ..verify.finegrain import assert_finegrain
-
-        assert_finegrain(original, mapped)
-        return
-    if verify == "sim":
-        bad = simulate_equivalence(original, mapped)
-    else:
-        bad = check_equivalence(original, mapped)
-    if bad is not None:
-        raise AssertionError(
-            f"mapping broke output {bad!r} of {original.name}"
-        )
-
-
-def _resume_gate(
+def _finish(
     net: Network,
     result: Network,
-    journal,
-    run_report,
+    k: int,
+    flow: str,
+    start: float,
     verify: str,
-) -> Optional[Dict[str, object]]:
-    """The resume verification contract, shared by the journaled flows.
+    pack_clbs: bool,
+    manager: Optional[BddManager] = None,
+    journal: Optional[RunJournal] = None,
+    run_report: Optional[RunReport] = None,
+    groups: Optional[List[List[str]]] = None,
+    details: Optional[Dict[str, object]] = None,
+) -> MapResult:
+    """The finish step every mapping flow ends with: clean ``result``
+    up, check it against ``net``, cost it, and journal the outcome.
 
-    A run that replayed *anything* from a journal must prove the spliced
-    network still computes ``net`` — with the exact BDD engine, even if
-    the caller asked for ``verify="sim"``/``"none"`` — before it may be
-    declared complete, and the journal records the verdict either way.
-    Runs that executed everything fresh record their verdict from the
-    ordinary ``verify`` step (which has already passed by the time this
-    runs).  Returns the ``details["journal"]`` payload, or ``None`` when
-    the flow has no journal.
+    The whole-network check runs once, with engine ``verify``.  A run
+    that replayed anything from its journal spliced fragments that only
+    the structural check has vetted, so ``"sim"`` and ``"none"`` are
+    raised to ``"bdd"`` there.  With a ``journal`` the step writes one
+    ``verdict`` record naming the engine that ran (``"none"`` when none
+    did), a ``failing_cone`` event when ``finegrain`` localized a
+    failure, and, once the check has passed, the ``done`` record with
+    this network's metrics.  A failure raises
+    :class:`~repro.network.EquivalenceError` after it is journaled.
     """
-    if journal is None:
-        return None
+    with obs.span("cleanup", manager=manager):
+        cleanup_for_lut_count(result)
     replayed = run_report.replayed if run_report is not None else 0
     executed = run_report.executed if run_report is not None else 0
-    if replayed > 0:
-        if verify == "finegrain":
-            # Still an exact gate (every output is BDD-proven), but a
-            # failure is journaled with its cone and counterexample.
-            from ..verify.finegrain import finegrain_check
-
-            with obs.span("resume_gate", replayed=replayed):
-                fg = finegrain_check(net, result)
-            detail = None
-            if not fg.equivalent:
-                worst = fg.failing_cones[0] if fg.failing_cones else None
-                if worst is not None:
-                    journal.record_event(
-                        "failing_cone",
-                        output=worst.output,
-                        root=worst.root,
-                        cone_nodes=list(worst.cone_nodes),
-                        counterexample=dict(worst.counterexample),
-                        confirmed=worst.confirmed,
-                    )
-                    detail = (
-                        f"output {worst.output!r} differs; cone at "
-                        f"{worst.root!r} ({len(worst.cone_nodes)} node(s))"
-                    )
-                else:
-                    detail = (
-                        f"outputs {sorted(fg.failing_outputs)} differ"
-                    )
-            journal.record_verdict(
-                equivalent=fg.equivalent,
-                replayed=replayed,
-                executed=executed,
-                engine="finegrain",
-                detail=detail,
-            )
-            if not fg.equivalent:
-                raise AssertionError(
-                    f"resume gate: journal replay broke {net.name}: "
-                    f"{detail} (journal {journal.path})"
-                )
-            return {
-                "path": journal.path,
-                "replayed": replayed,
-                "executed": executed,
-            }
-        with obs.span("resume_gate", replayed=replayed):
-            bad = check_equivalence(net, result)
+    engine = "bdd" if replayed and verify in ("sim", "none") else verify
+    check = Verdict(None)
+    with obs.span("verify", manager=manager):
+        if engine != "none":
+            check = verdict(net, result, engine)
+    journal_info = None
+    if journal is not None:
+        if check.cone is not None:
+            journal.record_failing_cone(check.cone)
         journal.record_verdict(
-            equivalent=bad is None,
+            equivalent=check.failing is None,
             replayed=replayed,
             executed=executed,
-            engine="bdd",
-            detail=None if bad is None else f"output {bad!r} differs",
+            engine=engine,
+            detail=None if check.failing is None else check.describe(),
         )
-        if bad is not None:
-            raise AssertionError(
-                f"resume gate: journal replay broke output {bad!r} of "
-                f"{net.name} (journal {journal.path})"
-            )
-    else:
-        journal.record_verdict(
-            equivalent=True,
-            replayed=0,
-            executed=executed,
-            engine=f"verify:{verify}",
+        journal_info = {
+            "path": journal.path,
+            "replayed": replayed,
+            "executed": executed,
+        }
+    if check.failing is not None:
+        raise EquivalenceError(
+            f"{result.name} is not equivalent to {net.name}: "
+            f"{check.describe()}"
+            + (f" (journal {journal.path})" if journal is not None else "")
         )
-    return {
-        "path": journal.path,
-        "replayed": replayed,
-        "executed": executed,
-    }
+    with obs.span("cost", manager=manager):
+        luts = count_luts(result, k)
+        clbs = pack_xc3000(result).num_clbs if pack_clbs else None
+    seconds = time.time() - start
+    if journal is not None:
+        journal.record_done(
+            flow=flow, lut_count=luts, clb_count=clbs,
+            seconds=round(seconds, 6),
+        )
+    return MapResult(
+        network=result,
+        k=k,
+        lut_count=luts,
+        clb_count=clbs,
+        seconds=seconds,
+        groups=groups or [],
+        flow=flow,
+        details={**(details or {}), "journal": journal_info},
+    )

@@ -59,7 +59,7 @@ from .. import obs
 from ..bdd import BddBudgetExceeded, BddManager
 from ..boolfunc import TruthTable
 from ..decompose import CostModel, DecompositionOptions
-from ..network import GlobalBdds, Network, check_equivalence, parse_blif, to_blif
+from ..network import GlobalBdds, Network, parse_blif, to_blif, verdict
 from ..perf import PerfCounters
 from ..runstate import (
     RunInterrupted,
@@ -627,7 +627,8 @@ def check_fragment(
     strength).  The structural check always runs: the BLIF must parse,
     drive exactly the group's outputs and read only the cone's inputs —
     a fragment that fails it would break the splice.  ``engine`` adds
-    the equivalence check against the cone: ``"bdd"`` (pass/fail) or
+    the equivalence check against the cone
+    (:func:`repro.network.verdict`): ``"bdd"`` (pass/fail) or
     ``"finegrain"``, which names the smallest failing cone and, with a
     ``journal``, journals it as a ``failing_cone`` event so the
     rejection stays diagnosable after the ladder has papered over it.
@@ -655,48 +656,17 @@ def _check_fragment(
         return "corrupt_reply: fragment reads unknown inputs"
     if engine is None:
         return None
-    padded = fragment.copy()
-    for pi in cone.inputs:
-        if not padded.has_signal(pi):
-            padded.add_input(pi)  # vacuous PI the BDD support dropped
-    if engine == "finegrain":
-        from ..verify.finegrain import finegrain_check
-
-        try:
-            fg = finegrain_check(cone, padded)
-        except ValueError as exc:
-            return f"corrupt_reply: {exc}"
-        if fg.equivalent:
-            return None
-        worst = fg.failing_cones[0] if fg.failing_cones else None
-        if worst is None:
-            return (
-                "nonequivalent_reply: outputs "
-                f"{sorted(fg.failing_outputs)} (no cone localized)"
-            )
-        if journal is not None:
-            journal.record_event(
-                "failing_cone",
-                gi=task.gi,
-                group=list(task.group),
-                output=worst.output,
-                root=worst.root,
-                cone_nodes=list(worst.cone_nodes),
-                counterexample=dict(worst.counterexample),
-                confirmed=worst.confirmed,
-            )
-        return (
-            f"nonequivalent_reply: output {worst.output!r}, cone at "
-            f"{worst.root!r} ({len(worst.cone_nodes)} node(s)), "
-            f"counterexample {worst.counterexample}"
-        )
     try:
-        bad = check_equivalence(cone, padded)
+        check = verdict(cone, fragment, engine)
     except ValueError as exc:
         return f"corrupt_reply: {exc}"
-    if bad is not None:
-        return f"nonequivalent_reply: output {bad!r}"
-    return None
+    if check.failing is None:
+        return None
+    if journal is not None and check.cone is not None:
+        journal.record_failing_cone(
+            check.cone, gi=task.gi, group=list(task.group)
+        )
+    return f"nonequivalent_reply: {check.describe()}"
 
 
 def _effective_task(
@@ -873,11 +843,12 @@ class _Batch:
     def lookup(self, i: int) -> bool:
         """Stage 1: serve task ``i`` from the journal, then the store.
 
-        A journal record must pass the structural check (the resume gate
-        proves the whole network later).  A stored row is never trusted
-        blindly either: a row not yet stamped ``verified`` must also
-        pass the equivalence check before its first reuse.  A row that
-        fails is deleted so the task recomputes and overwrites it.
+        A journal record must pass the structural check (the flow's
+        finish step proves the whole network later, with an exact
+        engine).  A stored row is never trusted blindly either: a row
+        not yet stamped ``verified`` must also pass the equivalence
+        check before its first reuse.  A row that fails is deleted so
+        the task recomputes and overwrites it.
         """
         task, key = self.tasks[i], self.keys[i]
         ctx, report = self.ctx, self.report

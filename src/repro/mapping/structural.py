@@ -23,9 +23,7 @@ from typing import Dict
 from ..bdd import BddManager
 from ..decompose import DecompositionOptions, decompose_to_network
 from ..network import Network
-from .clb import pack_xc3000
-from .hyde import MapResult, _check
-from .lut import cleanup_for_lut_count, count_luts
+from .hyde import MapResult, _finish
 
 __all__ = ["map_structural"]
 
@@ -78,13 +76,4 @@ def map_structural(
     for out, driver in net.outputs:
         result.add_output(signal_map[driver], out)
 
-    cleanup_for_lut_count(result)
-    _check(net, result, verify)
-    return MapResult(
-        network=result,
-        k=k,
-        lut_count=count_luts(result, k),
-        clb_count=pack_xc3000(result).num_clbs if pack_clbs else None,
-        seconds=time.time() - start,
-        flow="structural",
-    )
+    return _finish(net, result, k, "structural", start, verify, pack_clbs)

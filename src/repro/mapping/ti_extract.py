@@ -21,7 +21,7 @@ from typing import Dict, List
 
 from ..decompose import DecompositionOptions
 from ..hyper import decompose_hyper_function
-from ..network import GlobalBdds, Network
+from ..network import GlobalBdds, Network, verdict
 from .hyde import _splice, cluster_outputs
 from .lut import cleanup_for_lut_count
 
@@ -99,8 +99,7 @@ def extract_common_sublogic(
 
     cleanup_for_lut_count(result)
     if verify:
-        from ..network import check_equivalence
-        bad = check_equivalence(net, result)
+        bad = verdict(net, result).failing
         if bad is not None:
             raise AssertionError(f"extraction broke output {bad!r}")
 

@@ -11,9 +11,10 @@ __getattr__ = lazy_exports(__name__, globals(), {
     "blif": ("BlifError", "parse_blif", "read_blif", "to_blif", "write_blif"),
     "equiv": (
         "EquivalenceError",
-        "assert_equivalent",
+        "Verdict",
         "check_equivalence",
         "simulate_equivalence",
+        "verdict",
     ),
     "globalbdd": ("GlobalBdds", "build_global_bdds"),
     "netlist": ("Network", "Node"),
@@ -45,7 +46,8 @@ __all__ = [
     "build_global_bdds",
     "check_equivalence",
     "simulate_equivalence",
-    "assert_equivalent",
+    "verdict",
+    "Verdict",
     "EquivalenceError",
     "sweep",
     "rename_po_drivers",

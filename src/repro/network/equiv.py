@@ -1,26 +1,43 @@
 """Combinational equivalence checking between networks.
 
-Used throughout the reproduction to verify that decomposition / mapping
-preserved every output.  Two engines:
+Every place that accepts a result asks one question, :func:`verdict`:
+the mapping flows' finish step, the task runner's fragment validator,
+``repro verify``, ``repro exact -o`` and the extraction pass.  It
+dispatches to one of three engines:
 
-* BDD-based exact check (default; fine for the benchmark sizes here).
-* Bit-parallel random simulation (fast screen, used by the harness on
-  circuits whose global BDDs would be expensive).
+* ``"bdd"`` — exact: both networks' global BDDs in one manager
+  (:func:`check_equivalence`; the default).
+* ``"sim"`` — a bit-parallel random-simulation screen, sound for
+  *dis*proving equivalence only (:func:`simulate_equivalence`).
+* ``"finegrain"`` — exact as well, and a failure is localized to the
+  smallest divergent cone with a confirmed counterexample
+  (:func:`repro.verify.finegrain.finegrain_check`, imported on first
+  use).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
 from .globalbdd import GlobalBdds
 from .netlist import Network
 from .simulate import random_vectors, simulate_vectors
 
-__all__ = ["check_equivalence", "simulate_equivalence", "EquivalenceError"]
+if TYPE_CHECKING:
+    from ..verify.finegrain import FailingCone, FinegrainReport
+
+__all__ = [
+    "check_equivalence",
+    "simulate_equivalence",
+    "pad_inputs",
+    "verdict",
+    "Verdict",
+    "EquivalenceError",
+]
 
 
 class EquivalenceError(AssertionError):
-    """Raised by :func:`assert_equivalent` on a mismatch."""
+    """A mapping flow's result failed its equivalence check."""
 
 
 def _common_io(a: Network, b: Network) -> Tuple[List[str], List[str]]:
@@ -53,13 +70,6 @@ def check_equivalence(a: Network, b: Network) -> Optional[str]:
     return None
 
 
-def assert_equivalent(a: Network, b: Network) -> None:
-    """Raise :class:`EquivalenceError` unless ``a`` and ``b`` match."""
-    bad = check_equivalence(a, b)
-    if bad is not None:
-        raise EquivalenceError(f"output {bad!r} differs between {a.name} and {b.name}")
-
-
 def simulate_equivalence(
     a: Network, b: Network, num_vectors: int = 1024, seed: int = 0
 ) -> Optional[str]:
@@ -76,3 +86,81 @@ def simulate_equivalence(
         if ra[out] != rb[out]:
             return out
     return None
+
+
+def pad_inputs(mapped: Network, golden: Network) -> Network:
+    """``mapped``, or a copy of it carrying every golden input it lacks.
+
+    Mapping drops inputs no output depends on; the copy adds them back
+    as vacuous inputs so both networks have one interface.
+    """
+    extra = [pi for pi in golden.inputs if not mapped.has_signal(pi)]
+    if not extra:
+        return mapped
+    padded = mapped.copy()
+    for pi in extra:
+        padded.add_input(pi)
+    return padded
+
+
+class Verdict(NamedTuple):
+    """One check's answer.
+
+    ``failing`` is the first output, in the golden network's order, that
+    differs (``None`` when none does); ``report`` is the
+    :class:`~repro.verify.FinegrainReport` under the ``finegrain``
+    engine.
+    """
+
+    failing: Optional[str]
+    report: Optional["FinegrainReport"] = None
+
+    @property
+    def cone(self) -> Optional["FailingCone"]:
+        """The failing output's localized cone (``finegrain`` only)."""
+        if self.failing is None or self.report is None:
+            return None
+        return self.report.failing_cones[0]
+
+    def describe(self) -> str:
+        """What differs: the output, with its cone when one is localized."""
+        cone = self.cone
+        if cone is not None:
+            return cone.describe()
+        return f"output {self.failing!r} differs"
+
+
+def verdict(
+    golden: Network,
+    mapped: Network,
+    engine: str = "bdd",
+    seed: int = 0,
+    num_vectors: Optional[int] = None,
+) -> Verdict:
+    """Check ``mapped`` against ``golden`` with ``engine``: ``"bdd"``,
+    ``"sim"`` or ``"finegrain"``.
+
+    Inputs of ``golden`` that ``mapped`` lacks are added to a copy as
+    vacuous inputs.  ``seed`` and ``num_vectors`` (``None``: the
+    engine's default) set the random vectors of ``sim`` and of
+    ``finegrain``'s signature pairing; ``bdd`` uses neither.  Raises
+    ``ValueError`` when the interfaces still differ, or for an unknown
+    engine.
+    """
+    mapped = pad_inputs(mapped, golden)
+    if engine == "bdd":
+        return Verdict(check_equivalence(golden, mapped))
+    if engine == "sim":
+        return Verdict(simulate_equivalence(
+            golden, mapped, num_vectors=num_vectors or 1024, seed=seed
+        ))
+    if engine == "finegrain":
+        from ..verify.finegrain import DEFAULT_VECTORS, finegrain_check
+
+        report = finegrain_check(
+            golden, mapped, num_vectors=num_vectors or DEFAULT_VECTORS,
+            seed=seed,
+        )
+        failing = report.failing_outputs[0] if report.failing_outputs else None
+        return Verdict(failing, report)
+    raise ValueError(f"unknown equivalence engine {engine!r}")

@@ -33,7 +33,12 @@ a truncated-SHA256 integrity hash ``h`` over its own canonical body):
 * ``event`` — one-shot facts, notably ``{"kind": "interrupted",
   "reason": "SIGTERM", "completed": N, "total": M}``.
 
-* ``verdict`` — the resume verification gate's outcome::
+* ``event`` ``failing_cone`` — where a ``finegrain`` check localized a
+  failure (a rejected fragment, with its ``gi`` and ``group``, or the
+  whole network): output, cone root and nodes, counterexample.
+
+* ``verdict`` — the whole-network check of the network the flow
+  returns, naming the engine that ran (``"none"`` when none did)::
 
       {"type": "verdict", "equivalent": true, "replayed": 2,
        "executed": 1, "engine": "bdd", ...}
@@ -420,6 +425,19 @@ class RunJournal:
         that the ladder recovered from it.
         """
         self._append({"type": "event", "kind": kind, **_jsonable(payload)})
+
+    def record_failing_cone(self, cone, **context) -> None:
+        """Journal a :class:`~repro.verify.FailingCone` as a
+        ``failing_cone`` event; ``context`` says what was checked."""
+        self.record_event(
+            "failing_cone",
+            **context,
+            output=cone.output,
+            root=cone.root,
+            cone_nodes=list(cone.cone_nodes),
+            counterexample=dict(cone.counterexample),
+            confirmed=cone.confirmed,
+        )
 
     def record_verdict(
         self,

@@ -1,10 +1,14 @@
 """Fine-grained verification subsystem.
 
-Three layers above the monolithic end-of-run equivalence check:
+Three layers beside the whole-network equivalence check
+(:func:`repro.network.verdict`):
 
 * :mod:`~repro.verify.finegrain` — cut-point based equivalence checking
   that localizes a mismatch to the smallest non-equivalent cone and
-  produces a concrete, simulation-confirmed counterexample;
+  produces a concrete, simulation-confirmed counterexample; it is
+  ``verdict``'s ``finegrain`` engine, so the flows' finish step, the
+  fragment validator and ``repro verify --finegrain`` all reach it
+  through that one dispatch;
 * :mod:`~repro.verify.mutate` — single-point fault injection plus the
   self-validation harness proving the checker catches what it claims to;
 * :mod:`~repro.verify.generators` / :mod:`~repro.verify.properties` —
@@ -19,7 +23,6 @@ __getattr__ = lazy_exports(__name__, globals(), {
         "CutPoint",
         "FailingCone",
         "FinegrainReport",
-        "assert_finegrain",
         "build_miter",
         "finegrain_check",
         "miter_satisfiable",
@@ -63,7 +66,6 @@ __all__ = [
     "SEED_ENV",
     "TRANSFORMS",
     "apply_mutation",
-    "assert_finegrain",
     "build_miter",
     "clear_seed_log",
     "finegrain_check",

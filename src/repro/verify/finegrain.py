@@ -2,7 +2,8 @@
 
 The monolithic check in :mod:`repro.network.equiv` answers *whether* a
 mapped network still computes its source; this module answers *where* it
-stopped doing so.  The approach follows the classic cut-point method
+stopped doing so.  It is :func:`repro.network.verdict`'s ``finegrain``
+engine, so every check that accepts a result can use it.  The approach follows the classic cut-point method
 (MEC-style per-cone checking, QBM-style per-cell matching):
 
 1. **Candidate pairing.**  Signals of the two networks are paired first
@@ -36,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..bdd import FALSE
 from ..network import GlobalBdds, Network
-from ..network.equiv import EquivalenceError
+from ..network.equiv import pad_inputs
 from ..network.simulate import random_vectors, simulate_all_signals
 
 __all__ = [
@@ -45,7 +46,6 @@ __all__ = [
     "FinegrainReport",
     "build_miter",
     "finegrain_check",
-    "assert_finegrain",
     "miter_satisfiable",
 ]
 
@@ -126,17 +126,6 @@ class FinegrainReport:
         return "\n".join(lines)
 
 
-def _pad_inputs(mapped: Network, golden: Network) -> Network:
-    """A copy of ``mapped`` carrying every golden PI (vacuous ones added)."""
-    extra = [pi for pi in golden.inputs if not mapped.has_signal(pi)]
-    if not extra:
-        return mapped
-    padded = mapped.copy()
-    for pi in extra:
-        padded.add_input(pi)
-    return padded
-
-
 def _signature_index(words: Dict[str, int], net: Network) -> Dict[int, List[str]]:
     index: Dict[int, List[str]] = {}
     for name in net.inputs:
@@ -158,7 +147,7 @@ def finegrain_check(
     Raises ``ValueError`` when the interfaces are incompatible (mapped
     reads inputs golden does not have, or the output sets differ);
     missing (vacuous) primary inputs on the mapped side are tolerated by
-    padding, exactly like the parallel runner's reply validation.
+    padding (:func:`repro.network.equiv.pad_inputs`).
     """
     if not set(mapped.inputs) <= set(golden.inputs):
         unknown = sorted(set(mapped.inputs) - set(golden.inputs))
@@ -168,7 +157,7 @@ def finegrain_check(
             f"output mismatch: {sorted(golden.output_names)} vs "
             f"{sorted(mapped.output_names)}"
         )
-    mapped_padded = _pad_inputs(mapped, golden)
+    mapped_padded = pad_inputs(mapped, golden)
     order_ok = golden.output_names == mapped.output_names
 
     # ------------------------------------------------------------------ #
@@ -389,7 +378,7 @@ def build_miter(
     from ..network import extract_cone
 
     g = extract_cone(golden, [output], name="g")
-    m = extract_cone(_pad_inputs(mapped, golden), [output], name="m")
+    m = extract_cone(pad_inputs(mapped, golden), [output], name="m")
     miter = Network(name or f"miter_{output}")
     for pi in golden.inputs:
         if g.has_signal(pi) or m.has_signal(pi):
@@ -432,24 +421,3 @@ def miter_satisfiable(miter: Network) -> bool:
     gb = GlobalBdds(miter)
     return any(gb.of_output(out) != FALSE for out in miter.output_names)
 
-
-def assert_finegrain(
-    golden: Network,
-    mapped: Network,
-    num_vectors: int = DEFAULT_VECTORS,
-    seed: int = 0,
-) -> FinegrainReport:
-    """Run :func:`finegrain_check`; raise :class:`EquivalenceError` on failure.
-
-    The raised error's message carries the localized cones, and the full
-    report is attached as ``error.report``.
-    """
-    report = finegrain_check(golden, mapped, num_vectors=num_vectors, seed=seed)
-    if not report.equivalent:
-        error = EquivalenceError(
-            f"{mapped.name} is not equivalent to {golden.name}\n"
-            + report.summary()
-        )
-        error.report = report
-        raise error
-    return report

@@ -271,6 +271,31 @@ class TestProcess:
         proc.stderr.close()
         assert "Traceback" not in err and len(err.splitlines()) <= 1
 
+    def test_closed_pipe_keeps_the_output_file(self, tmp_path):
+        # The "--jobs ... ignored" note is printed before the mapping
+        # starts; the reader goes away after it, so every print after
+        # the mapping meets a closed pipe.
+        source = os.path.join(
+            os.path.dirname(SRC), "benchmarks", "e2e", "inputs", "apex7.blif"
+        )
+        argv = [sys.executable, "-m", "repro.cli", "blif", source,
+                "--flow", "shannon", "--jobs", "2", "-o"]
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED="1")
+        piped = tmp_path / "piped.blif"
+        proc = subprocess.Popen(
+            argv + [str(piped)], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert b"ignored for shannon" in proc.stdout.readline()
+        proc.stdout.close()
+        proc.wait(timeout=120)
+        proc.stderr.close()
+        reference = tmp_path / "reference.blif"
+        subprocess.run(
+            argv + [str(reference)], env=env, check=True, capture_output=True
+        )
+        assert piped.read_bytes() == reference.read_bytes()
+
     def test_blif_does_not_depend_on_hash_seed(self, tmp_path):
         outputs = set()
         for seed in ("0", "1", "2"):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.bdd import FALSE, TRUE, BddManager
 from repro.decompose import assign_dontcares, clique_partition, compatibility_graph
 from repro.decompose.compatible import Column
+from repro.decompose.dontcare import _pack_columns
 
 
 class TestCliquePartition:
@@ -126,3 +127,35 @@ class TestAssignDontcares:
         class_of, functions = assign_dontcares(m, [col0, col1, col2])
         assert class_of[0] != class_of[1]
         assert len(functions) == 2
+
+
+class TestPackColumns:
+    def test_nodes_the_columns_share_convert_once(self):
+        m = BddManager(6)
+        x = [m.var_at_level(i) for i in range(6)]
+        shared = m.apply_xor(
+            m.apply_and(x[2], x[3]), m.apply_or(x[4], x[5])
+        )
+        columns = [
+            Column(m.apply_and(x[0], shared), m.apply_and(x[1], x[5])),
+            Column(m.apply_or(x[1], shared)),
+            Column(m.apply_xor(x[0], shared), m.apply_and(x[1], x[4])),
+        ]
+        internal = set()
+        stack = [f for col in columns for f in (col.on, col.dc)]
+        while stack:
+            node = stack.pop()
+            if not m.is_terminal(node) and node not in internal:
+                internal.add(node)
+                stack += [m.low(node), m.high(node)]
+
+        before = m.perf.fastpath_conversions
+        packed_on, packed_off = _pack_columns(m, columns)
+        assert m.perf.fastpath_conversions - before == len(internal)
+        # One shared table packs each column as packing it alone does.
+        levels = list(range(6))
+        full = (1 << (1 << 6)) - 1
+        for col, on, off in zip(columns, packed_on, packed_off):
+            dc = m.to_truth_table(col.dc, levels[::-1])
+            assert on == m.to_truth_table(col.on, levels[::-1])
+            assert off == full & ~(on | dc)

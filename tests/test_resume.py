@@ -19,13 +19,20 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 
 import pytest
 
 from repro.circuits import build
 from repro.cli import EXIT_INTERRUPTED, main
 from repro.mapping import hyde_map, map_per_output
-from repro.network import check_equivalence, to_blif
+from repro.network import (
+    EquivalenceError,
+    check_equivalence,
+    parse_blif,
+    to_blif,
+    verdict,
+)
 from repro.runstate import (
     RunInterrupted,
     journal_path,
@@ -63,6 +70,38 @@ def journal_records(journal):
     records, problems = load_journal(journal.path)
     assert problems == []
     return records
+
+
+def rewrite_first_group(path, rewrite) -> None:
+    """Replace the first group record's BLIF by ``rewrite(blif)`` and fix
+    up its integrity hash: a plausible-looking but altered record."""
+    from repro.runstate.journal import _record_hash
+
+    lines = open(path, encoding="utf-8").read().splitlines()
+    for index, line in enumerate(lines):
+        record = json.loads(line)
+        if record["type"] == "group":
+            record["blif"] = rewrite(record["blif"])
+            record.pop("h")
+            record["h"] = _record_hash(record)
+            lines[index] = json.dumps(
+                record, sort_keys=True, separators=(",", ":")
+            )
+            break
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
+def wrong_fragment(blif: str) -> str:
+    """A fragment with the same interface that computes something else."""
+    from repro.verify import apply_mutation, sample_mutations
+
+    fragment = parse_blif(blif)
+    for mutation in sample_mutations(fragment, 20, seed=0):
+        mutant = apply_mutation(fragment, mutation)
+        if verdict(fragment, mutant).failing is not None:
+            return to_blif(mutant)
+    raise AssertionError("no unmasked mutation of the fragment")
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -157,21 +196,7 @@ class TestKeyInvalidation:
         # Corrupt one journaled fragment *and* fix up its integrity hash
         # (simulating a plausible-looking but wrong record): the replay
         # validation layer must still reject it and re-execute.
-        from repro.runstate.journal import _record_hash
-
-        lines = open(journal.path, encoding="utf-8").read().splitlines()
-        for index, line in enumerate(lines):
-            record = json.loads(line)
-            if record["type"] == "group":
-                record["blif"] = record["blif"][: len(record["blif"]) // 2]
-                record.pop("h")
-                record["h"] = _record_hash(record)
-                lines[index] = json.dumps(
-                    record, sort_keys=True, separators=(",", ":")
-                )
-                break
-        with open(journal.path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
+        rewrite_first_group(journal.path, lambda blif: blif[: len(blif) // 2])
         result = run_flow(
             hyde_map,
             open_journal(tmp_path, CIRCUIT, "hyde", 5, resume=True),
@@ -187,23 +212,9 @@ class TestKeyInvalidation:
         # A well-formed record with a fixed-up hash whose fragment reads
         # an input outside its cone: only the validator's inputs check
         # stands between it and a splice that cannot resolve the fanin.
-        from repro.runstate.journal import _record_hash
-
         journal = open_journal(tmp_path, CIRCUIT, "hyde", 4)
         ref = hyde_map(build(CIRCUIT), k=4, journal=journal, pack_clbs=False)
-        lines = open(journal.path, encoding="utf-8").read().splitlines()
-        for index, line in enumerate(lines):
-            record = json.loads(line)
-            if record["type"] == "group" and record["gi"] == 0:
-                record["blif"] = rename_first_input(record["blif"])
-                record.pop("h")
-                record["h"] = _record_hash(record)
-                lines[index] = json.dumps(
-                    record, sort_keys=True, separators=(",", ":")
-                )
-                break
-        with open(journal.path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
+        rewrite_first_group(journal.path, rename_first_input)
         assert journal_records(journal)  # the tampered record loads
         result = hyde_map(
             build(CIRCUIT), k=4, pack_clbs=False,
@@ -239,6 +250,72 @@ def test_interrupted_portfolio_reports_journaled_counts(tmp_path, capsys):
     )
 
 
+class TestWholeNetworkVerdict:
+    """A resumed run's one check, and what the journal says about it."""
+
+    def test_resumed_run_checks_the_network_once(self, tmp_path, monkeypatch):
+        from repro.network import equiv
+
+        run_flow(hyde_map, open_journal(tmp_path, CIRCUIT, "hyde", 5))
+        real = equiv.check_equivalence
+        whole = []
+
+        def counting(a, b):
+            if a.name == CIRCUIT:  # fragment checks compare cones
+                whole.append(b.name)
+            return real(a, b)
+
+        # Every module that bound the engine itself, so no caller of the
+        # engine goes uncounted.
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and (
+                vars(module).get("check_equivalence") is real
+            ):
+                monkeypatch.setattr(module, "check_equivalence", counting)
+        result = run_flow(
+            hyde_map,
+            open_journal(tmp_path, CIRCUIT, "hyde", 5, resume=True),
+            verify="bdd",
+        )
+        assert result.details["journal"]["replayed"] >= 1
+        assert len(whole) == 1
+
+    @pytest.mark.parametrize(
+        "verify,engine",
+        [("bdd", "bdd"), ("none", "bdd"), ("finegrain", "finegrain")],
+    )
+    def test_wrong_replayed_fragment_is_journaled_and_raises(
+        self, tmp_path, capsys, verify, engine
+    ):
+        journal = open_journal(tmp_path, CIRCUIT, "hyde", 5)
+        run_flow(hyde_map, journal, verify=verify)
+        fresh = len(journal_records(journal))
+        rewrite_first_group(journal.path, wrong_fragment)
+        resumed = open_journal(tmp_path, CIRCUIT, "hyde", 5, resume=True)
+        with pytest.raises(EquivalenceError) as excinfo:
+            run_flow(hyde_map, resumed, verify=verify)
+        assert isinstance(excinfo.value, AssertionError)
+        assert resumed.path in str(excinfo.value)
+
+        added = journal_records(resumed)[fresh:]
+        verdicts = [r for r in added if r["type"] == "verdict"]
+        assert len(verdicts) == 1
+        last = verdicts[0]
+        assert last["equivalent"] is False and last["engine"] == engine
+        assert last["replayed"] >= 1 and last["detail"]
+        assert not any(r["type"] == "done" for r in added)
+        cones = [r for r in added if r.get("kind") == "failing_cone"]
+        assert len(cones) == (1 if engine == "finegrain" else 0)
+        if cones:
+            assert "cone at" in str(excinfo.value)
+            assert cones[0]["output"] in last["detail"]
+        assert resumed.completed_run() is None
+
+        capsys.readouterr()
+        assert main(["journal", resumed.path, "--check"]) == 1
+        assert "last equivalence verdict is negative" in capsys.readouterr().out
+
+
 class TestHarnessResume:
     def test_sweep_skips_completed_runs(self, tmp_path):
         from repro.harness import run_experiment
@@ -264,3 +341,17 @@ class TestHarnessResume:
         skipped = again.circuits[0].flows["hyde"]
         assert skipped.lut_count == rec.lut_count
         assert skipped.error is None
+
+    def test_resumed_sweep_reports_the_resub_network(self, tmp_path):
+        from repro.harness import run_experiment
+        from repro.mapping import map_per_output_resub
+
+        flows = {"resub": map_per_output_resub}
+        for resume in (False, True):
+            record = run_experiment(
+                "exp", flows, ["5xp1"], checkpoint_dir=str(tmp_path),
+                resume=resume,
+            )
+            rec = record.circuits[0].flows["resub"]
+            assert rec.error is None
+            assert (rec.lut_count, rec.clb_count) == (15, 9)

@@ -6,11 +6,10 @@ import pytest
 
 from repro.boolfunc import TruthTable
 from repro.mapping import hyde_map, map_per_output
-from repro.network import Network, check_equivalence
+from repro.network import EquivalenceError, Network, check_equivalence, verdict
 from repro.verify import (
     Mutation,
     apply_mutation,
-    assert_finegrain,
     build_miter,
     finegrain_check,
     miter_satisfiable,
@@ -116,9 +115,14 @@ def test_vacuous_inputs_are_padded():
     assert report.equivalent
 
 
-def test_assert_finegrain_raises_with_report():
+def test_finish_step_raises_with_the_cone():
+    """A result that fails the flows' finish step under ``finegrain``
+    raises EquivalenceError, an AssertionError, naming the cone."""
+    from repro.mapping.hyde import _finish
+    from repro.mapping.lut import cleanup_for_lut_count
+
     source, mapped = _mapped(5, flow=map_per_output)
-    assert_finegrain(source, mapped)  # passes silently
+    assert verdict(source, mapped, "finegrain").failing is None
     mutant = apply_mutation(
         mapped, Mutation("stuck_output", mapped.node_names()[0], (0,))
     )
@@ -126,11 +130,17 @@ def test_assert_finegrain_raises_with_report():
         mutant = apply_mutation(
             mapped, Mutation("stuck_output", mapped.node_names()[0], (1,))
         )
-    with pytest.raises(AssertionError) as excinfo:
-        assert_finegrain(mapped, mutant)
-    assert hasattr(excinfo.value, "report")
-    assert not excinfo.value.report.equivalent
-    assert "cone" in str(excinfo.value)
+    # The step checks the cleaned-up network; predict its verdict.
+    cleaned = mutant.copy()
+    cleanup_for_lut_count(cleaned)
+    expected = verdict(mapped, cleaned, "finegrain")
+    assert not expected.report.equivalent and expected.cone is not None
+
+    with pytest.raises(EquivalenceError) as excinfo:
+        _finish(mapped, mutant, 4, "test", 0.0, "finegrain", False)
+    assert isinstance(excinfo.value, AssertionError)
+    assert expected.cone.describe() in str(excinfo.value)
+    assert "cone at" in str(excinfo.value)
 
 
 def test_miter_is_satisfiable_exactly_on_difference():

@@ -7,12 +7,12 @@ Drives the real CLI the way an impatient cluster scheduler would:
 2. SIGTERM the process once the journal holds at least one completed
    group — the run must exit with the resumable code 75 after writing
    an ``interrupted`` record;
-3. re-run with ``--resume`` — the journaled groups must be *replayed*
-   (not re-executed) and the spliced network must pass the equivalence
-   gate;
+3. re-run with ``--resume --verify none`` — the journaled groups must
+   be *replayed* (not re-executed), and a run that replayed anything
+   is checked with the exact BDD engine even with verification off;
 4. gate on ``repro journal --check`` plus direct assertions on the
-   journal: a positive final verdict, ``replayed >= 1`` and a ``done``
-   record.
+   journal: a positive final verdict whose engine is ``bdd``,
+   ``replayed >= 1`` and a ``done`` record.
 
 Exit status is non-zero on any violation, so CI can run this as-is.
 """
@@ -123,8 +123,8 @@ def main() -> int:
     groups_before = _count_groups(journal)
     print(f"    interrupted cleanly with {groups_before} group(s) journaled")
 
-    print("[3/4] resuming")
-    proc = _cli(*map_args, "--resume", env=_env())
+    print("[3/4] resuming with verification off")
+    proc = _cli(*map_args, "--resume", "--verify", "none", env=_env())
     out, _ = proc.communicate(timeout=600)
     print(out.rstrip())
     if proc.returncode != 0:
@@ -147,6 +147,11 @@ def main() -> int:
     verdicts = [r for r in records if r.get("type") == "verdict"]
     if not verdicts or not verdicts[-1].get("equivalent"):
         raise SystemExit(f"no positive equivalence verdict in {journal}")
+    if verdicts[-1].get("engine") != "bdd":
+        raise SystemExit(
+            f"resumed run was checked by {verdicts[-1].get('engine')!r}, "
+            "expected 'bdd' whatever --verify says"
+        )
     if verdicts[-1].get("replayed", 0) < 1:
         raise SystemExit(
             f"resume replayed {verdicts[-1].get('replayed')} groups, "
