@@ -35,8 +35,8 @@ bench-smoke:
 # Full MCNC fleet regression gate: small + medium tiers, the same
 # variants as bench-smoke, gated per circuit vs the committed
 # BENCH_hyde.json: LUT count and depth of the default, --cost delay
-# and portfolio variants and three work counters must be equal, >20%
-# wall-time regression fails.  REPRO_FULL=1 adds the heavyweight
+# and portfolio variants and four work counters (peak live BDD nodes
+# among them) must be equal, >20% wall-time regression fails.  REPRO_FULL=1 adds the heavyweight
 # Table-2 tier.
 bench-regression:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_perf_regression.py --check

@@ -17,8 +17,9 @@ one environment variable away.
 ``--cost delay`` and portfolio variants (:data:`MAPPING_COLUMNS`) must
 match *exactly* (a perf change that alters the mapping is a correctness
 bug, not a perf result), so must the default flow's deterministic work
-counters (:data:`WORK_COUNTERS`) wherever the baseline records them,
-and wall time must not regress more than 20% past a small noise floor.
+counters and peak live BDD node count (:data:`WORK_COUNTERS`) wherever
+the baseline records them, and wall time must not regress more than 20%
+past a small noise floor.
 New circuits (absent from the baseline) pass with a note.
 
 Usage::
@@ -89,11 +90,14 @@ REPEATS = 5
 #: Deterministic work counters of the default flow, recorded per circuit
 #: and gated for exact equality: a kernel change that keeps the bytes
 #: but creates one more BDD node or re-counts one more bound set shows
-#: up here even when wall time drowns in noise.
+#: up here even when wall time drowns in noise.  ``peak_nodes`` is the
+#: manager's high-water mark of live nodes (``BddManager.stats()``), the
+#: deterministic stand-in for the flow's memory.
 WORK_COUNTERS = (
     "nodes_allocated",
     "cofactor_enumerations",
     "fastpath_global_misses",
+    "peak_nodes",
 )
 
 #: LUT count and depth of every variant, gated for exact equality
@@ -129,11 +133,14 @@ def _timed_map(name: str, repeats: int = REPEATS, **kwargs) -> Dict[str, object]
         if best is None or seconds < best:
             best = seconds
     perf = result.details.get("perf", {})
+    engine = perf.get("engine", {})
     return {
         "luts": result.lut_count,
         "depth": result.depth,
         "seconds": round(best, 4),
-        "counters": {key: perf.get(key) for key in WORK_COUNTERS},
+        "counters": {
+            key: perf.get(key, engine.get(key)) for key in WORK_COUNTERS
+        },
         "network": result.network,
     }
 

@@ -21,7 +21,9 @@ Design notes
   manager (the pooled flows build one per group).  A caller that keeps
   one manager across unrelated problems can drop every memo keyed by
   node id with :meth:`clear_caches`, or also every node its roots do
-  not reach with :meth:`compact`, which renumbers the survivors.
+  not reach with :meth:`compact`, which renumbers the survivors.  Work
+  that is only counted runs inside a :meth:`scratch` scope, which drops
+  every node and memo entry it added on exit.
 * Node ids are the order of creation.  They identify functions within
   one manager and nothing more: no result of the flows may depend on
   their values or on the order nodes were allocated in (compaction and
@@ -139,9 +141,15 @@ class BddManager:
         self._max_nodes: Optional[int] = None
         self._max_seconds: Optional[float] = None
         self._deadline: Optional[float] = None
-        # Nodes dropped by compact(): with the live arrays, the count of
-        # nodes ever allocated, which is what the node budget caps.
+        # Nodes dropped by compact() and scratch scopes: with the live
+        # arrays, the count of nodes ever allocated, which is what the
+        # node budget caps.
         self._dropped = 0
+        # Live-node high-water mark as of the last drop (stats() takes
+        # the max with the live count, so _mk never updates it).
+        self._peak = 0
+        # Open scratch scopes (see scratch()).
+        self._scopes = 0
         for _ in range(num_vars):
             self.add_var()
 
@@ -305,10 +313,15 @@ class BddManager:
         return node <= TRUE
 
     def stats(self) -> Dict[str, int]:
-        """Engine counters: node/variable counts and cache sizes."""
+        """Engine counters: node/variable counts and cache sizes.
+
+        ``peak_nodes`` is the high-water mark of live nodes: scratch
+        scopes and :meth:`compact` lower the live count, never the peak.
+        """
         return {
             "num_vars": self.num_vars,
             "num_nodes": self.num_nodes,
+            "peak_nodes": max(self._peak, len(self._var)),
             "apply_cache": len(self._apply_cache),
             "not_cache": len(self._not_cache),
             "ite_cache": len(self._ite_cache),
@@ -325,7 +338,9 @@ class BddManager:
         search's class counts and the packed-table conversions of
         :mod:`repro.fastpath.bitops`.  Later operations return the same
         node ids; they only recompute (and count) what was dropped.
+        Not allowed inside a :meth:`scratch` scope.
         """
+        self._outside_scratch("clear_caches")
         self._apply_cache.clear()
         self._not_cache.clear()
         self._ite_cache.clear()
@@ -343,8 +358,10 @@ class BddManager:
         the old-to-new id map of the survivors (terminals included) is
         returned: any id the caller still holds must go through it.
         Functions are unchanged; only their ids are.  The node budget
-        keeps counting the dropped nodes as allocated.
+        keeps counting the dropped nodes as allocated.  Not allowed
+        inside a :meth:`scratch` scope.
         """
+        self._outside_scratch("compact")
         var, lo, hi = self._var, self._lo, self._hi
         live = bytearray(len(var))
         live[FALSE] = live[TRUE] = 1
@@ -370,10 +387,34 @@ class BddManager:
                 unique[key] = new
                 remap[node] = new
         self._dropped += len(var) - len(new_var)
+        self._peak = max(self._peak, len(var))
         self._var, self._lo, self._hi = new_var, new_lo, new_hi
         self._unique = unique
         self.clear_caches()
         return remap
+
+    def scratch(self) -> "_Scratch":
+        """A scope whose work is dropped on exit: ``with m.scratch(): ...``.
+
+        On exit, normal or by exception, every node allocated inside the
+        scope is dropped, and so is every memo entry added inside it:
+        the unique table, the apply, NOT, ITE and cofactor memos and the
+        packed-table conversions.  The bound-set search's class counts
+        survive when they are keyed by roots that predate the scope.  No
+        node id made inside the scope may be used after it.  Calling
+        ``keep()`` on the scope object keeps everything instead.
+
+        Dropping costs time in proportion to what the scope added (plus
+        one length per memo dict at entry), not to the manager's size.
+        The node budget counts dropped nodes as allocated, as it does
+        for :meth:`compact`; :meth:`compact` and :meth:`clear_caches`
+        raise inside a scope.  Scopes nest.
+        """
+        return _Scratch(self)
+
+    def _outside_scratch(self, operation: str) -> None:
+        if self._scopes:
+            raise RuntimeError(f"{operation} inside a scratch scope")
 
     # ------------------------------------------------------------------ #
     # Core boolean operations
@@ -801,10 +842,17 @@ class BddManager:
             stack.append(self._hi[node])
         return sorted(levels)
 
-    def size(self, f: int) -> int:
-        """Number of nodes in the BDD rooted at ``f`` (terminals excluded)."""
+    def shared_size(
+        self, roots: Iterable[int], limit: int = sys.maxsize
+    ) -> int:
+        """Nodes of the shared BDD of ``roots`` (terminals excluded).
+
+        The walk stops as soon as the count exceeds ``limit``; the
+        result is then ``limit + 1``.
+        """
         seen: set = set()
-        stack = [f]
+        stack = list(roots)
+        lo, hi = self._lo, self._hi
         count = 0
         while stack:
             node = stack.pop()
@@ -812,9 +860,15 @@ class BddManager:
                 continue
             seen.add(node)
             count += 1
-            stack.append(self._lo[node])
-            stack.append(self._hi[node])
+            if count > limit:
+                break
+            stack.append(lo[node])
+            stack.append(hi[node])
         return count
+
+    def size(self, f: int) -> int:
+        """Number of nodes in the BDD rooted at ``f`` (terminals excluded)."""
+        return self.shared_size((f,))
 
     def sat_count(self, f: int, num_vars: Optional[int] = None) -> int:
         """Number of satisfying assignments over ``num_vars`` variables."""
@@ -968,6 +1022,85 @@ class BddManager:
                 stack.append((hi, depth, index | (1 << (depth - 1))))
             result[index] = node
         return result
+
+
+class _Scratch:
+    """One :meth:`BddManager.scratch` scope: the sizes at entry.
+
+    Nodes are appended to the node arrays and to the unique table in
+    allocation order, and every memo only ever gains entries (a probe
+    precedes each insert), so the entries added inside the scope are
+    the last ones of each dict: ``popitem`` removes them newest first.
+    """
+
+    __slots__ = ("manager", "nodes", "sizes", "class_counts", "packed", "kept")
+
+    def __init__(self, manager: BddManager):
+        self.manager = manager
+        self.kept = False
+
+    def keep(self) -> None:
+        """Keep what the scope added (an enclosing scope may still drop it)."""
+        self.kept = True
+
+    def __enter__(self) -> "_Scratch":
+        m = self.manager
+        m._scopes += 1
+        self.nodes = len(m._var)
+        memos: List[dict] = [
+            m._apply_cache, m._not_cache, m._ite_cache, m._cofactor_memos,
+        ]
+        memos.extend(m._cofactor_memos.values())
+        self.sizes = [(memo, len(memo)) for memo in memos]
+        self.class_counts = len(m._class_counts)
+        # The packed-table cache may be cleared inside the scope (it
+        # bounds its level tuples), so it is restored from this list.
+        self.packed = (
+            None
+            if m._fastpath is None
+            else [(lv, memo, len(memo)) for lv, memo in m._fastpath.items()]
+        )
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        m = self.manager
+        m._scopes -= 1
+        if not self.kept:
+            self._drop(m)
+        return False
+
+    def _drop(self, m: BddManager) -> None:
+        mark = self.nodes
+        added = len(m._var) - mark
+        if added:
+            m._peak = max(m._peak, len(m._var))
+            m._dropped += added
+            del m._var[mark:]
+            del m._lo[mark:]
+            del m._hi[mark:]
+            _pop_newest(m._unique, added)
+        for memo, size in self.sizes:
+            _pop_newest(memo, len(memo) - size)
+        counts = m._class_counts
+        added_counts = [
+            counts.popitem() for _ in range(len(counts) - self.class_counts)
+        ]
+        for key, count in reversed(added_counts):
+            if key[0] < mark and key[1] < mark:  # (on, dc, ...) survived
+                counts[key] = count
+        if self.packed is None:
+            m._fastpath = None
+        else:
+            for _, memo, size in self.packed:
+                _pop_newest(memo, len(memo) - size)
+            m._fastpath = {lv: memo for lv, memo, _ in self.packed}
+
+
+def _pop_newest(memo: dict, count: int) -> None:
+    """Remove the ``count`` most recently inserted entries of ``memo``."""
+    popitem = memo.popitem
+    for _ in range(count):
+        popitem()
 
 
 def _cofactor_rec(

@@ -541,9 +541,11 @@ def _cmd_journal(args: argparse.Namespace) -> int:
             return 1
         groups = sum(1 for r in records if r.get("type") == "group")
         verdicts = [r for r in records if r.get("type") == "verdict"]
-        if verdicts and not verdicts[-1].get("equivalent"):
+        if verdicts and verdicts[-1].get("equivalent") is False:
             print("journal: last equivalence verdict is negative")
             return 1
+        if verdicts and verdicts[-1].get("equivalent") is None:
+            print("journal: last verdict is unchecked (no equivalence check ran)")
         done = any(r.get("type") == "done" for r in records)
         print(
             f"journal ok: {groups} group(s), {len(verdicts)} verdict(s), "
@@ -587,7 +589,9 @@ def _cmd_journal(args: argparse.Namespace) -> int:
             else:
                 print(f"  event: {record.get('kind')}")
         elif kind == "verdict":
-            status = "equivalent" if record.get("equivalent") else "DIFFERS"
+            status = {True: "equivalent", None: "unchecked"}.get(
+                record.get("equivalent"), "DIFFERS"
+            )
             print(
                 f"  verdict: {status} (replayed {record.get('replayed')}, "
                 f"executed {record.get('executed')}, "

@@ -52,7 +52,7 @@ from .partition import (
     psc_key,
     same_content_position_groups,
 )
-from .varpart import select_bound_set
+from .varpart import DraftImage, select_bound_set
 
 __all__ = [
     "EncodingResult",
@@ -498,6 +498,7 @@ def encode_classes(
             use_dontcares=use_dontcares,
             forbidden=forbidden_bound_levels,
             preferred_free=preferred_free_levels,
+            draft=DraftImage(class_functions, codes, alpha_levels),
         )
     result.suggested_bound = vp.bound_levels
     alpha_set = set(alpha_levels)

@@ -3,8 +3,10 @@
 Repeats :func:`repro.decompose.rothkarp.decompose_step` on the image
 function until every produced node has at most ``k`` inputs, emitting LUT
 nodes into a :class:`~repro.network.Network`.  A step whose bound set
-cannot shrink the support (ceil(log2 #classes) >= |λ|) is replaced by a
-Shannon split, decided from the bound-set search's class count alone.
+cannot shrink the support (ceil(log2 #classes) >= |λ|,
+:attr:`~repro.decompose.varpart.VariablePartition.cannot_shrink`) is
+replaced by a Shannon split, decided from the bound-set search's class
+count alone.
 The same recursion serves the single-output flow and the hyper-function
 flow (the latter passes pseudo primary inputs through ``options``).
 """
@@ -17,11 +19,11 @@ from typing import Dict, List, Optional, Sequence
 from .. import obs
 from ..bdd import FALSE, BddManager
 from ..boolfunc import TruthTable
+from ..fastpath import bitops
 from ..network import Network
 from .rothkarp import (
     DecompositionOptions,
     DecompositionStep,
-    alpha_count,
     decompose_step,
     select_step_bound,
 )
@@ -88,8 +90,7 @@ def decompose_to_network(
         partition = select_step_bound(
             manager, on, support, options, dc=dc, level_depths=level_depths
         )
-        n = partition.num_classes
-        if n >= 2 and alpha_count(n) >= len(partition.bound_levels):
+        if partition.cannot_shrink:
             # No progress: as many α functions as bound variables (the
             # function is essentially undecomposable for this bound set).
             # Decided on the search's class count, so a step that could
@@ -152,17 +153,9 @@ def _shannon_split(
     prefix: str,
     trace: DecompositionTrace,
 ) -> str:
-    """f = ite(x, f1, f0) on the support variable whose split is cheapest.
-
-    Single-variable restrictions go through :meth:`BddManager.cofactor`,
-    whose persistent memo is shared with the bound-set search — probing
-    every support variable here is mostly cache hits after a search pass.
-    """
-    best_level = min(
-        support,
-        key=lambda lv: manager.size(manager.cofactor(on, lv, 0))
-        + manager.size(manager.cofactor(on, lv, 1)),
-    )
+    """f = ite(x, f1, f0) on the support variable whose split is cheapest
+    (see :func:`_shannon_variable`)."""
+    best_level = _shannon_variable(manager, on, support)
     cofactors = []
     for value in (0, 1):
         cofactors.append(
@@ -191,6 +184,38 @@ def _shannon_split(
     net.add_node(name, fanins, mux)
     trace.emitted_nodes.append(name)
     return name
+
+
+def _shannon_variable(
+    manager: BddManager, on: int, support: Sequence[int]
+) -> int:
+    """The first support variable whose two cofactors of ``on`` have the
+    fewest BDD nodes between them.
+
+    Single-variable restrictions go through :meth:`BddManager.cofactor`,
+    whose persistent memo is shared with the bound-set search.  On a
+    support of at most the packed cut-over that search built no
+    cofactors, and the ones built here are kept.  A wider search that
+    ends in this split keeps the cofactors of its candidate variables,
+    but not of those its candidate cap left out, and a draft image's
+    class-function search built none of the image's.  So on a wide
+    support each variable is measured inside its own scratch scope, and
+    only the chosen split is built afterwards.
+    """
+
+    def split_size(lv: int) -> int:
+        return manager.size(manager.cofactor(on, lv, 0)) + manager.size(
+            manager.cofactor(on, lv, 1)
+        )
+
+    if len(support) <= bitops.DEFAULT_MAX_WIDTH:
+        return min(support, key=split_size)
+
+    def scoped_split_size(lv: int) -> int:
+        with manager.scratch():
+            return split_size(lv)
+
+    return min(support, key=scoped_split_size)
 
 
 def _emit_node(

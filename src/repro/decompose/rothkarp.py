@@ -8,7 +8,6 @@ codes) ready for recursion.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -23,7 +22,7 @@ from .encoding import (
     canonical_codes,
     encode_classes,
 )
-from .varpart import VariablePartition, select_bound_set
+from .varpart import VariablePartition, alpha_count, select_bound_set
 
 __all__ = [
     "DecompositionStep",
@@ -236,12 +235,6 @@ def decompose_step(
         encoding=encoding,
         num_classes=n,
     )
-
-
-def alpha_count(num_classes: int) -> int:
-    """The code bits t = max(1, ceil(log2 n)) that ``num_classes``
-    compatible classes need: one α function per bit."""
-    return max(1, math.ceil(math.log2(num_classes)))
 
 
 def select_step_bound(

@@ -9,22 +9,35 @@ a search strategy sized to pure Python:
 * exhaustive search over all bound sets when the binomial is small,
 * otherwise greedy growth plus a swap-improvement pass.
 
-The searches run over one of two interchangeable *backends* sharing the
+The searches run over one of three interchangeable *backends* sharing the
 identical driver (same candidate order, same tie-breaking, hence
 bit-identical selections):
 
-* :class:`_BddSearch` — the incremental distinct-residual sets over BDD
-  node ids (the historical path, always available);
 * :class:`~repro.fastpath.bitops.PackedSearch` — packed-integer truth
   tables for supports of at most
   :data:`~repro.fastpath.bitops.DEFAULT_MAX_WIDTH` variables, where
   extending a prefix is a single masked-shift delta swap instead of a
   residual-set cofactor sweep (see docs/ALGORITHMS.md, "Bit-parallel
-  kernels").  The support width picks the backend (``fast_path="auto"``),
+  kernels").  The support width picks it (``fast_path="auto"``),
   falling back transparently when the support is too wide or not
   coverable.  The flows always take that default; ``"bitpack"`` (force,
   up to a hard cap) and ``"bdd"`` (never) are the seam through which the
   differential tests reach each backend.
+* :class:`_BddSearch` — the incremental distinct-residual sets over BDD
+  node ids (the historical path, always available).
+* :class:`_ClassSearch` — for a draft image handed in as a
+  :class:`DraftImage`: the same counts from the class functions the
+  image multiplexes, taken instead of :class:`_BddSearch` when their
+  shared BDD is smaller than the image's (the α levels sit at the
+  bottom of the order, which makes the image large).
+
+A search over a support wider than the packed cut-over runs inside a
+:meth:`~repro.bdd.BddManager.scratch` scope and keeps only what it
+returns: its counts, in the manager's memo.  The exception is a search
+whose best bound set cannot shrink the support
+(:attr:`VariablePartition.cannot_shrink`): the recursion then splits on
+one variable, ranked by the single-variable cofactors the search built,
+so those are kept.
 
 Three performance notes:
 
@@ -40,10 +53,12 @@ Three performance notes:
   the same sub-function at other recursion levels — are answered from
   the memo instead of re-counted.  The packed backend keys a
   manager-independent global memo by the packed pair, which hashes its
-  bits once and compares equal by them; the BDD backend keys a
-  per-manager dict by node ids, which are canonical within one manager
+  bits once and compares equal by them; the BDD and class-function
+  backends key one per-manager dict by the function's node ids, which
+  are canonical within one manager
   and recycled only by :meth:`~repro.bdd.BddManager.compact`, which
-  clears the dict.
+  clears the dict, and by a scratch scope, which drops the entries of
+  the roots it drops.
 
 Ties are broken toward lexicographically smallest level tuples so results
 are deterministic.
@@ -57,10 +72,16 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 from ..bdd import FALSE, TRUE, BddManager
 from ..fastpath import bitops
-from .compatible import compute_classes
+from .compatible import Column, compute_classes
 from .cost import CostModel
 
-__all__ = ["VariablePartition", "select_bound_set"]
+__all__ = ["DraftImage", "VariablePartition", "alpha_count", "select_bound_set"]
+
+
+def alpha_count(num_classes: int) -> int:
+    """The code bits t = max(1, ceil(log2 n)) that ``num_classes``
+    compatible classes need: one α function per bit."""
+    return max(1, math.ceil(math.log2(num_classes)))
 
 
 @dataclass(frozen=True)
@@ -70,6 +91,30 @@ class VariablePartition:
     bound_levels: Tuple[int, ...]
     free_levels: Tuple[int, ...]
     num_classes: int
+
+    @property
+    def cannot_shrink(self) -> bool:
+        """True when a step on this bound set cannot shrink the support:
+        its classes need as many α functions as it has variables
+        (``alpha_count(n) >= |bound|`` with at least two classes)."""
+        n = self.num_classes
+        return n >= 2 and alpha_count(n) >= len(self.bound_levels)
+
+
+@dataclass(frozen=True)
+class DraftImage:
+    """What a draft image g multiplexes, for :func:`select_bound_set`.
+
+    g is ``class_functions[i]`` where the α levels spell ``codes[i]``
+    (α index -> bit, every bit given, no two codes equal); a code point
+    no class owns reads (on, dc) = (FALSE, TRUE).
+    :func:`~repro.decompose.encoding.build_image_function` builds g
+    from the same three.
+    """
+
+    class_functions: Sequence[Column]
+    codes: Sequence[Dict[int, int]]
+    alpha_levels: Sequence[int]
 
 
 # --------------------------------------------------------------------- #
@@ -111,25 +156,25 @@ class _BddSearch:
         if cached is not None:
             return cached, None
         self.manager.check_budget()
-        extended = _extend_distinct(self.manager, state, lv)
+        extended = self.extend(state, lv)
         self.memo[key] = len(extended)
         return len(extended), extended
 
     def count_bound(self, bound: Sequence[int]) -> int:
         key = (self.on, self.dc, tuple(sorted(bound)))
         cached = self.memo.get(key)
-        if cached is not None:
-            return cached
+        if cached is None:
+            self.manager.check_budget()
+            cached = self.memo[key] = self._count(bound)
+        return cached
+
+    def _count(self, bound: Sequence[int]) -> int:
         manager = self.manager
-        manager.check_budget()
         on_parts = manager.cofactor_enumerate(self.on, list(bound))
         if self.dc == FALSE:
-            count = len(set(on_parts))
-        else:
-            dc_parts = manager.cofactor_enumerate(self.dc, list(bound))
-            count = len(set(zip(on_parts, dc_parts)))
-        self.memo[key] = count
-        return count
+            return len(set(on_parts))
+        dc_parts = manager.cofactor_enumerate(self.dc, list(bound))
+        return len(set(zip(on_parts, dc_parts)))
 
     def merged_count_bound(self, bound: Sequence[int]) -> int:
         key = (self.on, self.dc, tuple(bound), "merged")
@@ -142,14 +187,81 @@ class _BddSearch:
         return cached
 
 
+class _ClassSearch(_BddSearch):
+    """A draft image's class counts from its class functions.
+
+    For a bound set B, the cofactor of g = OR_c cube(c) · F_c at an
+    assignment of B is, at every code point c left free, the class
+    function's (on, dc) cofactor for B's other variables, with B's α
+    levels fixing their bits of c.  Two cofactors of g are equal exactly
+    when these tuples are, so g's distinct (on, dc) cofactor pairs and
+    the distinct tuples have the same count.
+
+    A residual is one flat tuple: the on-parts of all ``2**t`` code
+    points, then their dc-parts.  Fixing α bit ``a`` to ``v`` replaces
+    every entry by the one whose code point has bit ``a`` equal to
+    ``v``: the tuple keeps its length and stops depending on the bit.
+    Counts and the merged count go to the manager's memo under g's
+    node ids and :class:`_BddSearch`'s keys, so a later search over g
+    replays them.
+    """
+
+    __slots__ = ("top", "bit_of")
+
+    def __init__(
+        self,
+        manager: BddManager,
+        on: int,
+        dc: int,
+        fast_path: str,
+        draft: DraftImage,
+    ):
+        super().__init__(manager, on, dc, fast_path)
+        points = 1 << len(draft.alpha_levels)
+        ons, dcs = [FALSE] * points, [TRUE] * points
+        for fc, code in zip(draft.class_functions, draft.codes):
+            point = sum(bit << a for a, bit in code.items())
+            ons[point], dcs[point] = fc.on, fc.dc
+        self.top = tuple(ons + dcs)
+        self.bit_of = {lv: a for a, lv in enumerate(draft.alpha_levels)}
+
+    def root(self):
+        return {self.top}
+
+    def extend(self, state, lv: int):
+        bit = self.bit_of.get(lv)
+        if bit is None:
+            return _extend_tuples(self.manager, state, lv)
+        mask = 1 << bit
+        width = range(len(self.top))
+        low = [i & ~mask for i in width]
+        high = [i | mask for i in width]
+        extended = set()
+        for residual in state:
+            extended.add(tuple([residual[i] for i in low]))
+            extended.add(tuple([residual[i] for i in high]))
+        return extended
+
+    def _count(self, bound: Sequence[int]) -> int:
+        state = self.root()
+        for lv in bound:
+            state = self.extend(state, lv)
+        return len(state)
+
+
 def _make_search(
     manager: BddManager,
     on: int,
     dc: int,
     support: Sequence[int],
     fast_path: str,
+    draft: Optional[DraftImage] = None,
 ):
-    """Choose the search backend for one ``select_bound_set`` call."""
+    """Choose the search backend for one ``select_bound_set`` call.
+
+    A draft image whose class functions' shared BDD is smaller than the
+    image's is counted from them wherever the BDD backend would run.
+    """
     perf = manager.perf
     if fast_path != "bdd":
         limit = (
@@ -171,6 +283,14 @@ def _make_search(
                 return bitops.PackedSearch(pair, perf)
         else:
             perf.fastpath_fallbacks += 1
+    if draft is not None:
+        functions = draft.class_functions
+        class_size = manager.shared_size(
+            [fc.on for fc in functions] + [fc.dc for fc in functions]
+        )
+        if manager.shared_size((on, dc), limit=class_size) > class_size:
+            perf.class_searches += 1
+            return _ClassSearch(manager, on, dc, fast_path, draft)
     return _BddSearch(manager, on, dc, fast_path)
 
 
@@ -187,6 +307,7 @@ def select_bound_set(
     fast_path: str = "auto",
     cost: Optional[CostModel] = None,
     level_depths: Optional[Dict[int, int]] = None,
+    draft: Optional[DraftImage] = None,
 ) -> VariablePartition:
     """Pick the bound set of ``bound_size`` variables minimising cost.
 
@@ -212,7 +333,46 @@ def select_bound_set(
         exceed this; greedy + swap otherwise.
     fast_path:
         Backend policy (see the module docstring).
+    draft:
+        When ``(on, dc)`` is a draft image, what it multiplexes: the
+        search may count its classes from the class functions.
+
+    A support wider than the packed cut-over is searched inside a
+    scratch scope that keeps only the returned partition and the
+    counts, unless the partition cannot shrink the support.
     """
+    args = (
+        manager, on, support, bound_size, dc, use_dontcares,
+        exhaustive_limit, forbidden, preferred_free, fast_path, cost,
+        level_depths, draft,
+    )
+    if len(support) <= bitops.DEFAULT_MAX_WIDTH:
+        return _select_bound_set(*args)
+    with manager.scratch() as scratch:
+        partition = _select_bound_set(*args)
+        if partition.cannot_shrink:
+            # The Shannon split that follows ranks its variables by the
+            # single-variable cofactors this search built.
+            scratch.keep()
+    return partition
+
+
+def _select_bound_set(
+    manager: BddManager,
+    on: int,
+    support: Sequence[int],
+    bound_size: int,
+    dc: int,
+    use_dontcares: bool,
+    exhaustive_limit: int,
+    forbidden: Iterable[int],
+    preferred_free: Iterable[int],
+    fast_path: str,
+    cost: Optional[CostModel],
+    level_depths: Optional[Dict[int, int]],
+    draft: Optional[DraftImage],
+) -> VariablePartition:
+    """The body of :func:`select_bound_set`, without the scope."""
     forbidden_set = set(forbidden)
     preferred_free_set = set(preferred_free)
     candidates = [lv for lv in support if lv not in forbidden_set]
@@ -227,7 +387,7 @@ def select_bound_set(
             f"support ({len(candidates)} variables)"
         )
 
-    search = _make_search(manager, on, dc, support, fast_path)
+    search = _make_search(manager, on, dc, support, fast_path, draft)
 
     if cost is None:
         cost = CostModel()
@@ -319,6 +479,33 @@ def _extend_distinct(
             dc1 = cofactor(res_dc, lv, 1)
         extended.add((on0, dc0))
         extended.add((on1, dc1))
+    return extended
+
+
+def _extend_tuples(
+    manager: BddManager, residuals: Iterable[Tuple[int, ...]], lv: int
+) -> Set[Tuple[int, ...]]:
+    """:func:`_extend_distinct` for the flat residual tuples of
+    :class:`_ClassSearch`: every entry is cofactored on ``lv``, with the
+    same inline trivial cases."""
+    cofactor = manager.cofactor
+    var, lo, hi = manager._var, manager._lo, manager._hi
+    extended: Set[Tuple[int, ...]] = set()
+    for residual in residuals:
+        low: List[int] = []
+        high: List[int] = []
+        for node in residual:
+            if node <= TRUE or var[node] > lv:
+                low.append(node)
+                high.append(node)
+            elif var[node] == lv:
+                low.append(lo[node])
+                high.append(hi[node])
+            else:
+                low.append(cofactor(node, lv, 0))
+                high.append(cofactor(node, lv, 1))
+        extended.add(tuple(low))
+        extended.add(tuple(high))
     return extended
 
 

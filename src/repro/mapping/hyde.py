@@ -647,7 +647,8 @@ def _finish(
     ``verdict`` record naming the engine that ran (``"none"`` when none
     did), a ``failing_cone`` event when ``finegrain`` localized a
     failure, and, once the check has passed, the ``done`` record with
-    this network's metrics.  A failure raises
+    this network's metrics.  With no check the verdict is journaled as
+    unchecked (``equivalent`` null).  A failure raises
     :class:`~repro.network.EquivalenceError` after it is journaled.
     """
     with obs.span("cleanup", manager=manager):
@@ -664,7 +665,7 @@ def _finish(
         if check.cone is not None:
             journal.record_failing_cone(check.cone)
         journal.record_verdict(
-            equivalent=check.failing is None,
+            equivalent=None if engine == "none" else check.failing is None,
             replayed=replayed,
             executed=executed,
             engine=engine,

@@ -33,6 +33,9 @@ __all__ = ["INT_SLOTS", "PerfCounters", "format_perf_report", "peak_rss_mb"]
 #: built the nodes.  ``shannon_splits`` counts the recursion steps whose
 #: bound set could not shrink the support and fell back to a Shannon
 #: split (no class functions or encoder are built for them).
+#: ``class_searches`` counts the bound-set searches over a draft image
+#: that counted its classes from the class functions instead of the
+#: image's BDD (see :mod:`repro.decompose.varpart`).
 INT_SLOTS = (
     "apply_calls",
     "apply_hits",
@@ -43,6 +46,7 @@ INT_SLOTS = (
     "cofactor_enumerations",
     "nodes_allocated",
     "shannon_splits",
+    "class_searches",
     "fastpath_selects",
     "fastpath_fallbacks",
     "fastpath_conversions",
@@ -97,6 +101,7 @@ class PerfCounters:
             "cofactor_enumerations": self.cofactor_enumerations,
             "nodes_allocated": self.nodes_allocated,
             "shannon_splits": self.shannon_splits,
+            "class_searches": self.class_searches,
             "fastpath_selects": self.fastpath_selects,
             "fastpath_fallbacks": self.fastpath_fallbacks,
             "fastpath_conversions": self.fastpath_conversions,
@@ -159,6 +164,7 @@ def format_perf_report(
         ),
         ("BDD nodes allocated", perf.get("nodes_allocated"), None),
         ("Shannon fallbacks", perf.get("shannon_splits"), None),
+        ("class-function searches", perf.get("class_searches"), None),
         ("fastpath searches", perf.get("fastpath_selects"), None),
         ("fastpath fallbacks", perf.get("fastpath_fallbacks"), None),
         (

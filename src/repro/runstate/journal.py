@@ -38,13 +38,15 @@ a truncated-SHA256 integrity hash ``h`` over its own canonical body):
   whole network): output, cone root and nodes, counterexample.
 
 * ``verdict`` — the whole-network check of the network the flow
-  returns, naming the engine that ran (``"none"`` when none did)::
+  returns, naming the engine that ran; ``equivalent`` is ``null`` with
+  engine ``"none"`` when no check ran (an unchecked run)::
 
       {"type": "verdict", "equivalent": true, "replayed": 2,
        "executed": 1, "engine": "bdd", ...}
 
 * ``done`` — the run finished end to end; carries the headline metrics
-  so sweeps (harness runner) can skip the circuit entirely on resume.
+  so sweeps (harness runner) can skip the circuit entirely on resume,
+  provided the verdict before it came from a passing check.
 """
 
 from __future__ import annotations
@@ -248,9 +250,10 @@ def validate_journal(
             if "kind" not in record:
                 problems.append(f"record {index}: event without kind")
         elif kind == "verdict":
-            if not isinstance(record.get("equivalent"), bool):
+            if not isinstance(record.get("equivalent"), (bool, type(None))):
                 problems.append(
-                    f"record {index}: verdict.equivalent must be a bool"
+                    f"record {index}: verdict.equivalent must be a bool "
+                    "or null"
                 )
         elif kind == "done":
             if "seconds" not in record:
@@ -349,17 +352,23 @@ class RunJournal:
     def completed_run(self) -> Optional[Dict[str, object]]:
         """The final ``done`` record when the run finished end to end.
 
-        Only honored when the last verdict (if any) was positive — a
-        journal whose equivalence gate failed must re-run.
+        Only honored behind a passing check: a journal whose last
+        verdict failed, or came from no check at all (``--verify
+        none``; older journals wrote those as ``true`` with engine
+        ``"none"``), must re-run, and the re-run's replayed groups are
+        then checked.
         """
         done = None
-        verdict_ok = True
+        checked = False
         for record in self._records:
             if record.get("type") == "done":
                 done = record
             elif record.get("type") == "verdict":
-                verdict_ok = bool(record.get("equivalent"))
-        return done if (done is not None and verdict_ok) else None
+                checked = (
+                    record.get("equivalent") is True
+                    and record.get("engine") != "none"
+                )
+        return done if (done is not None and checked) else None
 
     # ----------------------------------------------------------------- #
     # Appending (WAL discipline: one fsynced line per fact)
@@ -441,15 +450,17 @@ class RunJournal:
 
     def record_verdict(
         self,
-        equivalent: bool,
+        equivalent: Optional[bool],
         replayed: int,
         executed: int,
         engine: str = "bdd",
         detail: Optional[str] = None,
     ) -> None:
+        """Journal the whole-network verdict (``equivalent=None``: no
+        check ran)."""
         record: Dict[str, object] = {
             "type": "verdict",
-            "equivalent": bool(equivalent),
+            "equivalent": None if equivalent is None else bool(equivalent),
             "replayed": replayed,
             "executed": executed,
             "engine": engine,

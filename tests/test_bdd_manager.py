@@ -361,3 +361,140 @@ class TestCompact:
             for lv in range(2, 8):
                 m.var_at_level(lv)
         assert info.value.used == before + 5
+
+
+def manager_state(m: BddManager):
+    """Everything a scratch scope must restore, as plain values."""
+    return {
+        "nodes": (m.num_nodes, list(m._var), list(m._lo), list(m._hi)),
+        "unique": dict(m._unique),
+        "apply": dict(m._apply_cache),
+        "not": dict(m._not_cache),
+        "ite": dict(m._ite_cache),
+        "cofactor": {k: dict(v) for k, v in m._cofactor_memos.items()},
+        "packed": (
+            None
+            if m._fastpath is None
+            else {k: dict(v) for k, v in m._fastpath.items()}
+        ),
+        "class_counts": dict(m._class_counts),
+    }
+
+
+class TestScratch:
+    """A scratch scope drops every node and memo entry it added."""
+
+    @staticmethod
+    def busy_manager():
+        from repro.decompose import select_bound_set
+
+        m = BddManager(8)
+        levels = list(range(6))
+        f = m.from_truth_table(0x6996_A5C3_0FF0_9A5E, levels)
+        g = m.apply_and(f, m.apply_not(m.var_at_level(6)))
+        m.ite(m.var_at_level(7), f, g)
+        m.cofactor(g, 3, 1)
+        select_bound_set(m, f, levels, 3, fast_path="bdd")
+        select_bound_set(m, g, levels + [6], 3)  # packed tables
+        assert m._fastpath and m._class_counts
+        return m, f, g
+
+    def test_exit_restores_every_table_but_old_roots_counts(self):
+        from repro.decompose import count_classes, select_bound_set
+
+        m, f, g = self.busy_manager()
+        before = manager_state(m)
+        with m.scratch():
+            h = m.apply_xor(f, m.var_at_level(7))
+            table = m.to_truth_table(h, list(range(8)))
+            m.ite(m.var_at_level(6), h, m.apply_not(g))
+            m.cofactor(h, 2, 0)
+            m.cofactor(f, 5, 1)  # old root, new memo entry
+            # Counts keyed by an old root survive, by a new root do not.
+            old = select_bound_set(m, g, list(range(7)), 2, fast_path="bdd")
+            select_bound_set(m, h, list(range(8)), 3, fast_path="bdd")
+            select_bound_set(m, h, list(range(8)), 3)  # new packed tables
+            assert m.num_nodes > before["nodes"][0]
+        after = manager_state(m)
+        survivors = after.pop("class_counts")
+        expected = before.pop("class_counts")
+        assert after == before
+        added = {k: v for k, v in survivors.items() if k not in expected}
+        assert added and all(k[:2] == (g, FALSE) for k in added)
+        assert {k: survivors[k] for k in expected} == expected
+        # The surviving counts are right, and the search still finds them.
+        for (_, _, bound), count in added.items():
+            assert count == count_classes(
+                m, g, list(bound), use_dontcares=False, fast_path="bdd"
+            )
+        assert select_bound_set(
+            m, g, list(range(7)), 2, fast_path="bdd"
+        ) == old
+        # A function rebuilt after exit is the one built inside.
+        again = m.apply_xor(f, m.var_at_level(7))
+        assert m.to_truth_table(again, list(range(8))) == table
+
+    def test_exception_inside_still_drops(self):
+        m, f, _ = self.busy_manager()
+        before = manager_state(m)
+        with pytest.raises(KeyError):
+            with m.scratch():
+                m.apply_or(f, m.var_at_level(7))
+                raise KeyError("boom")
+        assert manager_state(m) == before
+
+    def test_keep_and_nesting(self):
+        m, f, _ = self.busy_manager()
+        before = manager_state(m)
+        with m.scratch():
+            with m.scratch() as inner:
+                kept = m.apply_or(f, m.var_at_level(7))
+                inner.keep()
+            assert m.size(kept) > 0 and m.num_nodes > before["nodes"][0]
+        assert manager_state(m) == before
+
+    def test_compact_and_clear_caches_raise_inside(self):
+        m, f, _ = self.busy_manager()
+        before = manager_state(m)
+        with m.scratch():
+            with pytest.raises(RuntimeError, match="scratch"):
+                m.compact([f])
+            with pytest.raises(RuntimeError, match="scratch"):
+                m.clear_caches()
+        assert manager_state(m) == before
+        m.compact([f])  # allowed again after exit
+
+    @staticmethod
+    def budget_trip(scoped: bool):
+        # The junk lives on levels 0-3, the later work on 4-7, so no
+        # later node can reuse a kept junk node in the unscoped run.
+        m = BddManager(8)
+        m.set_budget(max_nodes=m.num_nodes + 40)
+        junk = FALSE
+        if scoped:
+            with m.scratch():
+                for lv in range(4):
+                    junk = m.apply_xor(junk, m.var_at_level(lv))
+        else:
+            for lv in range(4):
+                junk = m.apply_xor(junk, m.var_at_level(lv))
+        f = TRUE
+        with pytest.raises(BddBudgetExceeded) as info:
+            for bits in itertools.count(1):
+                f = m.apply_xor(f, build_cube(
+                    m, {4 + j: (bits >> j) & 1 for j in range(4)}
+                ))
+        return info.value.used, m.perf.nodes_allocated
+
+    def test_budget_armed_before_trips_at_the_same_count(self):
+        assert self.budget_trip(True) == self.budget_trip(False)
+
+    def test_peak_nodes_survives_drops(self):
+        m, f, _ = self.busy_manager()
+        with m.scratch():
+            m.apply_xor(f, m.var_at_level(7))
+            high = m.num_nodes
+        assert m.num_nodes < high
+        assert m.stats()["peak_nodes"] == high
+        m.compact([])
+        assert m.num_nodes == 2 and m.stats()["peak_nodes"] == high

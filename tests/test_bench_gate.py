@@ -35,3 +35,12 @@ def test_one_changed_column_is_one_named_failure(column, delta):
     failures = compare_to_baseline(record(changed), record(BASELINE))
     assert len(failures) == 1
     assert failures[0].startswith(f"misex1: {column} changed")
+
+
+@pytest.mark.parametrize("counter", ["nodes_allocated", "peak_nodes"])
+def test_one_changed_work_counter_is_one_named_failure(counter):
+    base = dict(BASELINE, nodes_allocated=1000, peak_nodes=400)
+    changed = dict(base, **{counter: base[counter] - 1})
+    failures = compare_to_baseline(record(changed), record(base))
+    assert len(failures) == 1
+    assert failures[0].startswith(f"misex1: {counter} changed")

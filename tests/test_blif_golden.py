@@ -11,8 +11,9 @@ maps twice on one fresh store (all misses, then all hits), and both
 runs must emit the pinned bytes.
 
 The four medium inputs are the only ones whose searches run over
-supports wider than the packed kernels take, on the BDD backend; their
-area and delay bytes are pinned together with the flow's work counters
+supports wider than the packed kernels take, on the BDD or the
+class-function backend; their area and delay bytes are pinned together
+with the flow's work counters and the manager's peak live node count
 (a slow test: about 20 s).
 """
 
@@ -122,40 +123,41 @@ COUNTERS = (
     "shannon_splits",
 )
 
-#: (input, mode) -> (sha256 of the emitted BLIF, *COUNTERS) of one
-#: in-process run that starts with an empty global count memo.
+#: (input, mode) -> (sha256 of the emitted BLIF, *COUNTERS, peak live
+#: nodes) of one in-process run that starts with an empty global count
+#: memo.
 MEDIUM_GOLDEN = {
     ("apex7", "area"): (
         "0b71d67daf6078e769bb14228319af060b02152bc4a6fe605706e92c3b701aa2",
-        375_359, 770_748, 1_034, 13_731, 3,
+        305_098, 626_418, 974, 13_731, 3, 167_265,
     ),
     ("apex7", "delay"): (
         "cc85bdf1fc54fc75b655c686cd869f517896705e3bad5b83f84b0e50b83f0158",
-        376_208, 761_912, 1_178, 14_111, 4,
+        305_947, 617_582, 1_118, 14_111, 4, 167_265,
     ),
     ("count", "area"): (
         "4c682da4ab24b85afe325fee296b1c9fa87199388cd742b403be75fc8c70ac73",
-        68_897, 198_324, 1_951, 11_539, 0,
+        67_225, 187_916, 843, 11_539, 0, 17_478,
     ),
     ("count", "delay"): (
         "89d4a16c1ed6fdbcfb4a844d48943e708fef80987a4f2b12dd2c486e6a509e03",
-        75_506, 198_380, 2_181, 13_745, 2,
+        73_836, 187_934, 1_073, 13_745, 2, 17_478,
     ),
     ("duke2", "area"): (
         "dd61d97874bd2083ad87f368716d84a3c997dd36a3c53b44f65f61a6c620392d",
-        78_299, 150_836, 848, 13_099, 9,
+        78_299, 150_836, 848, 13_099, 9, 66_687,
     ),
     ("duke2", "delay"): (
         "dd61d97874bd2083ad87f368716d84a3c997dd36a3c53b44f65f61a6c620392d",
-        51_164, 115_940, 504, 9_754, 7,
+        51_164, 115_940, 504, 9_754, 7, 39_965,
     ),
     ("misex2", "area"): (
         "2d8a8b9826ceef9e201eb4a0cb86fbb0289902bede610bc526a6d18479f5eab2",
-        198_477, 656_070, 428, 5_652, 1,
+        192_721, 763_064, 376, 5_652, 1, 68_985,
     ),
     ("misex2", "delay"): (
         "b085abbde06ce0922d4bd74d97b2536557f77e4ec93215f9c7ea2747186eaabb",
-        202_092, 664_768, 364, 6_505, 8,
+        196_336, 771_762, 312, 6_505, 8, 68_985,
     ),
 }
 
@@ -170,5 +172,9 @@ def test_medium_blif_and_work_are_pinned(name, mode):
     result = hyde_map(net, 5, **cost)
     perf = result.details["perf"]
     digest = hashlib.sha256(to_blif(result.network).encode()).hexdigest()
-    pinned = (digest, *(perf[counter] for counter in COUNTERS))
+    pinned = (
+        digest,
+        *(perf[counter] for counter in COUNTERS),
+        perf["engine"]["peak_nodes"],
+    )
     assert pinned == MEDIUM_GOLDEN[name, mode]

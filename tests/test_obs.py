@@ -465,6 +465,20 @@ class TestCli:
         )
         assert int(line.split()[-1]) == 1
 
+    def test_stats_reports_class_searches_and_peak_nodes(self, capsys):
+        # count's wide draft images are searched from their class
+        # functions, inside scratch scopes that lower the live count.
+        from repro.cli import main
+
+        assert main(["stats", "count"]) == 0
+        rows = {
+            line.rsplit(None, 1)[0].strip(): line.split()[-1]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  ")
+        }
+        assert int(rows["class-function searches"]) > 0
+        assert int(rows["peak_nodes"]) > int(rows["num_nodes"])
+
     def test_portfolio_trace_grafts_every_variant(self, tmp_path, capsys):
         # Every raced variant's task tree hangs under the portfolio
         # span, winners and losers alike, so its children account for

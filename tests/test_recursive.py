@@ -119,3 +119,44 @@ class TestRecursiveDecomposition:
     def test_k4(self):
         bits = random.Random(3).getrandbits(1 << 7)
         decompose_and_check(bits, 7, 4)
+
+
+def random_sop(seed: int, width: int, cubes: int):
+    """A manager and a random sum of products over ``width`` variables."""
+    from repro.bdd import FALSE, build_cube
+
+    rng = random.Random(seed)
+    m = BddManager(width)
+    f = FALSE
+    for _ in range(cubes):
+        levels = rng.sample(range(width), rng.randint(2, 5))
+        f = m.apply_or(f, build_cube(m, {lv: rng.randint(0, 1) for lv in levels}))
+    return m, f
+
+
+class TestShannonRanking:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_wide_ranking_matches_the_unscoped_one(self, seed):
+        from repro.decompose.recursive import _shannon_variable
+
+        m, f = random_sop(seed, 24, 20)
+        support = m.support(f)
+        assert len(support) > 20
+        nodes, allocated = m.num_nodes, m.perf.nodes_allocated
+        chosen = _shannon_variable(m, f, support)
+        # Each variable was measured in its own scope: nothing is kept.
+        assert m.num_nodes == nodes and m.perf.nodes_allocated > allocated
+        ref, g = random_sop(seed, 24, 20)
+        assert chosen == min(
+            support,
+            key=lambda lv: ref.size(ref.cofactor(g, lv, 0))
+            + ref.size(ref.cofactor(g, lv, 1)),
+        )
+
+    def test_narrow_ranking_keeps_its_cofactors(self):
+        from repro.decompose.recursive import _shannon_variable
+
+        m, f = random_sop(0, 12, 10)
+        nodes = m.num_nodes
+        _shannon_variable(m, f, m.support(f))
+        assert m.num_nodes > nodes

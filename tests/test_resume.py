@@ -355,3 +355,40 @@ class TestHarnessResume:
             rec = record.circuits[0].flows["resub"]
             assert rec.error is None
             assert (rec.lut_count, rec.clb_count) == (15, 9)
+
+
+class TestUncheckedRuns:
+    def test_unchecked_run_is_not_a_completed_run(self, tmp_path, capsys):
+        journal = open_journal(tmp_path, "z4ml", "hyde", 5)
+        hyde_map(
+            build("z4ml"), k=5, journal=journal, verify="none",
+            pack_clbs=False,
+        )
+        verdicts = [
+            r for r in journal_records(journal) if r["type"] == "verdict"
+        ]
+        assert verdicts[-1]["equivalent"] is None
+        assert verdicts[-1]["engine"] == "none"
+        resumed = open_journal(tmp_path, "z4ml", "hyde", 5, resume=True)
+        assert resumed.completed_run() is None
+
+        capsys.readouterr()
+        assert main(["journal", journal.path]) == 0
+        assert "verdict: unchecked" in capsys.readouterr().out
+        assert main(["journal", journal.path, "--check"]) == 0
+        out = capsys.readouterr().out
+        assert "unchecked" in out and "journal ok" in out
+
+        # The resumed run replays its groups, so it is checked with bdd
+        # even under --verify none, and only then counts as complete.
+        result = hyde_map(
+            build("z4ml"), k=5, journal=resumed, verify="none",
+            pack_clbs=False,
+        )
+        assert result.details["journal"]["replayed"] >= 1
+        last = [
+            r for r in journal_records(resumed) if r["type"] == "verdict"
+        ][-1]
+        assert last["equivalent"] is True and last["engine"] == "bdd"
+        again = open_journal(tmp_path, "z4ml", "hyde", 5, resume=True)
+        assert again.completed_run()["lut_count"] == result.lut_count

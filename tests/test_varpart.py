@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 from repro.bdd import FALSE, BddManager
@@ -133,3 +136,122 @@ class TestSelectBoundSet:
         assert {mode: search(mode) for mode in runs} == first
         assert first["bdd"][1][0] > 0 and first["bitpack"][1][2] > 0
         assert m.num_nodes == nodes
+
+
+def random_draft(seed: int, with_dc: bool):
+    """A canonical draft image over random class functions.
+
+    2-9 classes, so some code points are unused; the α levels are fresh,
+    below every class-function variable, as the encoder makes them.
+    """
+    from repro.decompose import Column, build_image_function, canonical_codes
+    from repro.decompose.varpart import DraftImage, alpha_count
+
+    rng = random.Random(seed)
+    width = rng.randint(4, 7)
+    m = BddManager(width)
+    n = rng.randint(2, 9)
+    functions = []
+    for _ in range(n):
+        levels = sorted(rng.sample(range(width), rng.randint(2, min(5, width))))
+        on = m.from_truth_table(rng.getrandbits(1 << len(levels)), levels)
+        dc = FALSE
+        if with_dc and rng.random() < 0.7:
+            dc = m.apply_and(
+                m.from_truth_table(rng.getrandbits(1 << len(levels)), levels),
+                m.from_truth_table(rng.getrandbits(1 << len(levels)), levels),
+            )
+            on = m.apply_diff(on, dc)
+        functions.append(Column(on, dc))
+    t = alpha_count(n)
+    alpha_levels = [width + a for a in range(t)]
+    for _ in alpha_levels:
+        m.add_var()
+    codes = canonical_codes(n, t)
+    image = build_image_function(m, alpha_levels, codes, functions)
+    support = sorted(set(m.support(image.on)) | set(m.support(image.dc)))
+    return m, image, support, DraftImage(functions, codes, alpha_levels)
+
+
+class TestClassFunctionSearch:
+    """The class-function backend counts a draft image like its BDD."""
+
+    @pytest.mark.parametrize("with_dc", [False, True])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_counts_match_the_image_bdd(self, seed, with_dc):
+        from repro.decompose.varpart import _BddSearch, _ClassSearch
+
+        m, image, support, draft = random_draft(seed, with_dc)
+        by_class = _ClassSearch(m, image.on, image.dc, "bdd", draft)
+        by_image = _BddSearch(m, image.on, image.dc, "bdd")
+        alphas = set(draft.alpha_levels) & set(support)
+        with_alpha = 0
+        for size in range(1, min(4, len(support) - 1) + 1):
+            for bound in itertools.combinations(support, size):
+                expected = by_image.count_bound(bound)
+                assert by_class._count(bound) == expected, bound
+                assert by_class._count(bound[::-1]) == expected, bound
+                with_alpha += bool(alphas & set(bound))
+        assert with_alpha > 0
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_select_bound_set_picks_the_same_partition(self, seed):
+        m, image, support, draft = random_draft(seed, seed % 2 == 1)
+        functions = draft.class_functions
+        class_size = m.shared_size(
+            [fc.on for fc in functions] + [fc.dc for fc in functions]
+        )
+        takes_class = m.shared_size((image.on, image.dc)) > class_size
+        for bound_size in range(1, min(4, len(support) - 1) + 1):
+            for extra in ({}, {"exhaustive_limit": 1}):
+                for use_dontcares in (False, True):
+                    kwargs = dict(
+                        dc=image.dc, fast_path="bdd",
+                        use_dontcares=use_dontcares, **extra,
+                    )
+                    args = (m, image.on, support, bound_size)
+                    m.clear_caches()  # no count replayed across backends
+                    plain = select_bound_set(*args, **kwargs)
+                    m.clear_caches()
+                    searches = m.perf.class_searches
+                    drafted = select_bound_set(*args, draft=draft, **kwargs)
+                    assert drafted == plain
+                    assert m.perf.class_searches - searches == takes_class
+
+    def test_wide_apex_like_image_takes_the_class_backend(self):
+        # 22 class-function variables over a 2-bit code: the image is
+        # wider than the packed cut-over and larger than its classes.
+        from repro.decompose import Column, build_image_function, canonical_codes
+        from repro.decompose.varpart import DraftImage
+
+        m = BddManager(22)
+        x = [m.var_at_level(lv) for lv in range(22)]
+        functions = []
+        for j in range(4):
+            on = FALSE
+            for i in range(j, 22, 4):
+                on = m.apply_or(on, m.apply_and(x[i], x[(i + j + 1) % 22]))
+            functions.append(Column(on))
+        alpha_levels = [22, 23]
+        m.add_var()
+        m.add_var()
+        codes = canonical_codes(4, 2)
+        image = build_image_function(m, alpha_levels, codes, functions)
+        support = sorted(set(m.support(image.on)) | set(m.support(image.dc)))
+        assert len(support) > 20
+        nodes = m.num_nodes
+        vp = select_bound_set(
+            m, image.on, support, 5, dc=image.dc,
+            draft=DraftImage(functions, codes, alpha_levels),
+        )
+        assert m.perf.class_searches == 1
+        # The wide search kept nothing but its counts ...
+        assert vp.cannot_shrink or m.num_nodes == nodes
+        assert m._class_counts
+        # ... and the image's own search replays them.
+        m.perf.reset()
+        assert select_bound_set(
+            m, image.on, support, 5, dc=image.dc
+        ) == vp
+        assert m.perf.class_searches == 0
+        assert m.perf.cofactor_enumerations == 0
