@@ -40,10 +40,18 @@ if TYPE_CHECKING:
 EXIT_INTERRUPTED = 75
 
 
-class InputFileError(Exception):
+class CliError(Exception):
+    """An error :func:`main` reports in one ``error:`` line, exiting with
+    ``status``: 2 (bad usage) unless the run itself failed."""
+
+    def __init__(self, message: str, status: int = 2):
+        super().__init__(message)
+        self.status = status
+
+
+class InputFileError(CliError):
     """A file named on the command line is missing, unreadable or
-    malformed, or cannot be written; :func:`main` reports it in one line
-    and exits 2."""
+    malformed, or cannot be written."""
 
 
 def _read_input(path: str, parse: Optional[Callable] = None):
@@ -205,15 +213,23 @@ def _governance_kwargs(args) -> Dict[str, object]:
             timeout_seconds=timeout,
             retries=retries if retries is not None else 1,
         )
+    # Both specs are parsed here, not by argparse: the flows that
+    # ignore the flags load neither parser.
     if getattr(args, "inject_faults", None):
         from .testing import FaultPlan
 
-        kw["faults"] = FaultPlan.parse(args.inject_faults)
+        try:
+            kw["faults"] = FaultPlan.parse(args.inject_faults)
+        except ValueError as exc:
+            raise CliError(f"--inject-faults: {exc}") from None
     cost = getattr(args, "cost", None)
     if cost is not None:
         from .decompose import parse_cost_model
 
-        parse_cost_model(cost)  # fail fast on a bad spec
+        try:
+            parse_cost_model(cost)  # fail fast on a bad spec
+        except ValueError as exc:
+            raise CliError(f"--cost: {exc}") from None
         kw["cost_model"] = cost
     return kw
 
@@ -256,7 +272,10 @@ def _call_flow(
     flow: Callable, label: str, net, args, jobs: int, kwargs
 ) -> Optional[MapResult]:
     """Run a loaded flow under its ``flow:`` span.  An interrupted run
-    prints how far its checkpoint got and returns ``None``."""
+    prints how far its checkpoint got and returns ``None``; a node or
+    time budget that trips with no policy to degrade under is a
+    :class:`CliError`."""
+    from .bdd import BddBudgetExceeded  # loaded with the flow
     from .runstate.shutdown import RunInterrupted
 
     try:
@@ -264,6 +283,12 @@ def _call_flow(
             f"flow:{label}", circuit=net.name, k=args.k, jobs=jobs
         ):
             return flow(net, args.k, verify=args.verify, jobs=jobs, **kwargs)
+    except BddBudgetExceeded as exc:
+        raise CliError(
+            f"{label}: {exc}; add --retries N (or --timeout S) to degrade "
+            "the failing group instead of stopping",
+            status=1,
+        ) from None
     except RunInterrupted as exc:
         print(
             f"interrupted ({exc.reason}): {exc.completed}/{exc.total} "
@@ -335,16 +360,21 @@ def _write_trace_file(
 ) -> str:
     """Dump a run's trace as JSONL with a merged-perf meta header and
     return the line that reports it; the perf block's ``phase_seconds``
-    is derived from the spans, and its ``peak_rss_mb`` is this
-    process's peak so far."""
+    is derived from the spans, its ``peak_nodes`` is the largest engine
+    peak of the results, and its ``peak_rss_mb`` is this process's peak
+    so far."""
     from .perf import PerfCounters, peak_rss_mb
 
     merged = PerfCounters()
+    peaks = []
     for result in results:
         perf = result.details.get("perf")
         if perf:
             merged.merge_dict(perf)
+            peaks.append(perf.get("engine", {}).get("peak_nodes", 0))
     perf = merged.snapshot()
+    if peaks:
+        perf["peak_nodes"] = max(peaks)
     perf["phase_seconds"] = obs.phase_seconds(recorder.to_dicts())
     perf["peak_rss_mb"] = peak_rss_mb()
     meta = {
@@ -1122,6 +1152,25 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
+def _lut_size(minimum: int) -> Callable[[str], int]:
+    """The argparse type of ``-k``: an integer of at least ``minimum``."""
+
+    def lut_size(text: str) -> int:
+        k = int(text)  # argparse reports a ValueError as an invalid value
+        if k < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {k}"
+            )
+        return k
+
+    return lut_size
+
+
+#: ``-k`` of the mapping commands: a Shannon split's mux and the
+#: structural flow's remap need 3-input LUTs.
+MIN_MAP_K = 3
+
+
 def _circuit_name(name: str) -> str:
     """The argparse type of a circuit argument: the circuit registry is
     loaded only by the commands that name a circuit."""
@@ -1156,7 +1205,8 @@ def main(argv=None) -> int:
             p.add_argument("path")
         p.add_argument("--flow", default="hyde",
                        choices=list(FLOWS) + ["all"])
-        p.add_argument("-k", type=int, default=5, help="LUT input count")
+        p.add_argument("-k", type=_lut_size(MIN_MAP_K), default=5,
+                       help="LUT input count (at least 3)")
         p.add_argument("--verify", default="bdd",
                        choices=["bdd", "sim", "none", "finegrain"])
         p.add_argument("--jobs", type=int, default=1,
@@ -1174,7 +1224,8 @@ def main(argv=None) -> int:
     )
     p.add_argument("path", help="BLIF file; every output cone must have "
                    "at most 10 inputs to be scored")
-    p.add_argument("-k", type=int, default=5, help="LUT input count")
+    p.add_argument("-k", type=_lut_size(2), default=5,
+                   help="LUT input count (at least 2)")
     p.add_argument("--cost", default="area", choices=["area", "delay"],
                    help="'area': minimum LUT count; 'delay': minimum "
                    "depth at that LUT count")
@@ -1198,7 +1249,8 @@ def main(argv=None) -> int:
     p.add_argument("circuit", type=_circuit_name,
                    help="registered benchmark circuit (see 'repro circuits')")
     p.add_argument("--flow", default="hyde", choices=list(FLOWS))
-    p.add_argument("-k", type=int, default=5, help="LUT input count")
+    p.add_argument("-k", type=_lut_size(MIN_MAP_K), default=5,
+                   help="LUT input count (at least 3)")
     p.add_argument("--verify", default="bdd",
                    choices=["bdd", "sim", "none", "finegrain"])
     p.add_argument("--jobs", type=int, default=1,
@@ -1317,7 +1369,8 @@ def main(argv=None) -> int:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=0)
     p.add_argument("--flow", default="hyde", choices=["hyde", "per-output"])
-    p.add_argument("-k", type=int, default=5, help="LUT input count")
+    p.add_argument("-k", type=_lut_size(MIN_MAP_K), default=5,
+                   help="LUT input count (at least 3)")
     p.add_argument("--verify", default=None,
                    choices=["bdd", "sim", "none", "finegrain"],
                    help="whole-network verify (service default: none; "
@@ -1394,9 +1447,9 @@ def main(argv=None) -> int:
         # guard below rather than in the interpreter's exit flush.
         sys.stdout.flush()
         return status
-    except InputFileError as exc:
+    except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.status
     except BrokenPipeError:
         # ``repro stats ... | head``: the reader is gone.  Point stdout at
         # devnull so the exit flush of whatever is still buffered stays

@@ -7,6 +7,10 @@ agree wherever both are specified.  For completely specified functions the
 compatible classes are simply the distinct columns; with don't cares the
 grouping is delegated to the clique-partitioning pass in
 :mod:`repro.decompose.dontcare`.
+
+This module builds the classes a step uses.  A class count alone is
+taken by :func:`repro.decompose.varpart.count_classes`, through the
+backends and memos of the bound-set searches.
 """
 
 from __future__ import annotations
@@ -145,41 +149,3 @@ def compute_classes(
         class_of_position=class_of_position,
         class_functions=class_functions,
     )
-
-
-def count_classes(
-    manager: BddManager,
-    on: int,
-    bound_levels: Sequence[int],
-    dc: int = FALSE,
-    use_dontcares: bool = True,
-    fast_path: str = "auto",
-) -> int:
-    """Class count only (the variable-partitioning cost function).
-
-    Both cases are served by the packed truth-table kernel for narrow
-    supports unless ``fast_path="bdd"`` — the syntactic count by chunk
-    hashing, the merged count by a bit-exact mirror of the clique
-    heuristic; the count is identical either way.
-    """
-    if dc == FALSE or not use_dontcares:
-        if fast_path != "bdd":
-            from ..fastpath import bitops  # deferred: keeps import light
-
-            count = bitops.try_syntactic_count(
-                manager, on, dc, bound_levels
-            )
-            if count is not None:
-                return count
-        on_parts = manager.cofactor_enumerate(on, list(bound_levels))
-        if dc == FALSE:
-            return len(set(on_parts))
-        dc_parts = manager.cofactor_enumerate(dc, list(bound_levels))
-        return len(set(zip(on_parts, dc_parts)))
-    if fast_path != "bdd":
-        from ..fastpath import bitops  # deferred: keeps import light
-
-        count = bitops.try_merged_count(manager, on, dc, bound_levels)
-        if count is not None:
-            return count
-    return compute_classes(manager, on, bound_levels, dc, True).num_classes

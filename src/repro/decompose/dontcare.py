@@ -9,8 +9,12 @@ NP-complete it uses the polynomial heuristic from Gajski et al.'s
 Tseng/Siewiorek-style "merge the pair with the most common neighbours"
 procedure implemented here.
 
-The same machinery is reused by the chart encoder to count the compatible
-classes of an image function whose unused codes are don't cares.
+Columns packed as truth tables over their common support are covered by
+:func:`packed_cover`, the one packed copy of the heuristic: the class
+computation builds its class functions from it, and the packed merged
+class count (:func:`repro.fastpath.bitops.count_merged_classes`) is its
+length.  Wider columns, and ``fast_path="bdd"``, take the BDD reference
+path (:func:`compatibility_graph` plus a BDD merge-verify).
 """
 
 from __future__ import annotations
@@ -23,7 +27,12 @@ from . import compatible  # imports this module back: use attributes at call tim
 if TYPE_CHECKING:
     from .compatible import Column
 
-__all__ = ["clique_partition", "assign_dontcares", "compatibility_graph"]
+__all__ = [
+    "clique_partition",
+    "assign_dontcares",
+    "compatibility_graph",
+    "packed_cover",
+]
 
 
 def clique_partition(
@@ -135,6 +144,47 @@ def _pack_columns(manager: BddManager, columns: Sequence[Column]):
     return on_bits, off_bits
 
 
+def packed_cover(
+    on_bits: Sequence[int], off_bits: Sequence[int]
+) -> List[List[int]]:
+    """Cover packed columns with classes; each class lists its members
+    in merge order.
+
+    ``on_bits[i]`` and ``off_bits[i]`` are column ``i``'s on- and
+    off-set as truth tables over one common support.  Two columns are
+    compatible when neither's on-set meets the other's off-set; the
+    compatibility graph is covered by :func:`clique_partition`, and
+    each clique is merged greedily in order, a member that conflicts
+    with the running merge going on to the clique's next class (see
+    :func:`assign_dontcares`).
+    """
+    num = len(on_bits)
+    adjacency: List[Set[int]] = [set() for _ in range(num)]
+    for i in range(num):
+        on_i, off_i = on_bits[i], off_bits[i]
+        for j in range(i + 1, num):
+            if not ((on_i & off_bits[j]) or (on_bits[j] & off_i)):
+                adjacency[i].add(j)
+                adjacency[j].add(i)
+    cover: List[List[int]] = []
+    for clique in clique_partition(num, lambda i, j: j in adjacency[i]):
+        pending = clique
+        while pending:
+            merged_on = merged_off = 0
+            members: List[int] = []
+            rest: List[int] = []
+            for i in pending:
+                if (merged_on & off_bits[i]) or (merged_off & on_bits[i]):
+                    rest.append(i)
+                    continue
+                merged_on |= on_bits[i]
+                merged_off |= off_bits[i]
+                members.append(i)
+            cover.append(members)
+            pending = rest
+    return cover
+
+
 def assign_dontcares(
     manager: BddManager,
     columns: Sequence[Column],
@@ -175,54 +225,47 @@ def assign_dontcares(
     packed = (
         _pack_columns(manager, rep_columns) if fast_path != "bdd" else None
     )
-    if packed is not None:
-        packed_on, packed_off = packed
-        num = len(rep_columns)
-        adjacency: List[Set[int]] = [set() for _ in range(num)]
-        for i in range(num):
-            on_i, off_i = packed_on[i], packed_off[i]
-            for j in range(i + 1, num):
-                if not ((on_i & packed_off[j]) or (packed_on[j] & off_i)):
-                    adjacency[i].add(j)
-                    adjacency[j].add(i)
-    else:
-        adjacency = compatibility_graph(manager, rep_columns)
-    cliques = clique_partition(
-        len(rep_columns), lambda i, j: j in adjacency[i]
-    )
-
     class_functions: List[Column] = []
     class_of_rep: Dict[int, int] = {}
-    off_of = [
-        manager.apply_diff(manager.apply_not(c.on), c.dc) for c in rep_columns
-    ]
-    for clique in cliques:
-        pending = list(clique)
-        while pending:
-            # The merged class must be ON wherever any member is ON and OFF
-            # wherever any member is OFF; it is consistent iff those sets
-            # stay disjoint.  Members that would break disjointness are
-            # deferred to a fresh class.
-            merged_on = FALSE
-            merged_off = FALSE
-            members: List[int] = []
-            rest: List[int] = []
-            if packed is not None:
-                packed_merged_on = 0
-                packed_merged_off = 0
-                for rep in pending:
-                    p_on, p_off = packed_on[rep], packed_off[rep]
-                    if (packed_merged_on & p_off) or (
-                        packed_merged_off & p_on
-                    ):
-                        rest.append(rep)
-                        continue
-                    packed_merged_on |= p_on
-                    packed_merged_off |= p_off
-                    merged_on = manager.apply_or(merged_on, rep_columns[rep].on)
-                    merged_off = manager.apply_or(merged_off, off_of[rep])
-                    members.append(rep)
-            else:
+
+    def add_class(members: List[int], merged_on: int, merged_off: int):
+        merged_dc = manager.apply_diff(manager.apply_not(merged_on), merged_off)
+        for rep in members:
+            class_of_rep[rep] = len(class_functions)
+        class_functions.append(compatible.Column(merged_on, merged_dc))
+
+    if packed is not None:
+        cover = packed_cover(*packed)
+        off_of = [
+            manager.apply_diff(manager.apply_not(c.on), c.dc)
+            for c in rep_columns
+        ]
+        for members in cover:
+            merged_on = merged_off = FALSE
+            for rep in members:
+                merged_on = manager.apply_or(merged_on, rep_columns[rep].on)
+                merged_off = manager.apply_or(merged_off, off_of[rep])
+            add_class(members, merged_on, merged_off)
+    else:
+        adjacency = compatibility_graph(manager, rep_columns)
+        cliques = clique_partition(
+            len(rep_columns), lambda i, j: j in adjacency[i]
+        )
+        off_of = [
+            manager.apply_diff(manager.apply_not(c.on), c.dc)
+            for c in rep_columns
+        ]
+        for clique in cliques:
+            pending = list(clique)
+            while pending:
+                # The merged class must be ON wherever any member is ON
+                # and OFF wherever any member is OFF; it is consistent
+                # iff those sets stay disjoint.  Members that would
+                # break disjointness are deferred to a fresh class.
+                merged_on = FALSE
+                merged_off = FALSE
+                members: List[int] = []
+                rest: List[int] = []
                 for rep in pending:
                     col_on, col_off = rep_columns[rep].on, off_of[rep]
                     if (
@@ -234,14 +277,8 @@ def assign_dontcares(
                     merged_on = manager.apply_or(merged_on, col_on)
                     merged_off = manager.apply_or(merged_off, col_off)
                     members.append(rep)
-            merged_dc = manager.apply_diff(
-                manager.apply_not(merged_on), merged_off
-            )
-            class_index = len(class_functions)
-            class_functions.append(compatible.Column(merged_on, merged_dc))
-            for rep in members:
-                class_of_rep[rep] = class_index
-            pending = rest
+                add_class(members, merged_on, merged_off)
+                pending = rest
 
     class_of_position = [class_of_rep[rep] for rep in rep_of_position]
     return class_of_position, class_functions

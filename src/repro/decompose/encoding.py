@@ -19,7 +19,8 @@ few compatible classes as possible:
     maximum matching until the chart fits (#R rows, #C column sets).
 8.  Keep the chart encoding only if it beats the random draft on the
     actual class count of the image function (don't cares from unused
-    codes included).
+    codes included).  The draft's count is the one Step 3's search
+    returned for λ'.
 9.  Read the codes off the final chart.
 
 The paper leaves a few computational details open; this implementation's
@@ -38,13 +39,13 @@ choices are documented inline and in DESIGN.md:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .. import obs
 from ..bdd import FALSE, TRUE, BddManager
-from .chart import EncodingChart, pack_chart
-from .compatible import Column, count_classes
+from .chart import pack_chart
+from .compatible import Column
 from .matching import WeightedEdge, max_weight_b_matching, max_weight_matching
 from .partition import (
     Partition,
@@ -52,7 +53,7 @@ from .partition import (
     psc_key,
     same_content_position_groups,
 )
-from .varpart import DraftImage, select_bound_set
+from .varpart import DraftImage, count_classes, select_bound_set
 
 __all__ = [
     "EncodingResult",
@@ -407,25 +408,17 @@ class EncodingResult:
         draft was at least as good — paper Step 8).
     image:
         The image function built with the returned codes.
-    suggested_bound:
-        λ' for the subsequent decomposition of g (``None`` when trivial).
     image_classes_chart / image_classes_random:
-        Class counts of the image under both encodings (when computed).
-    chart:
-        The final encoding chart (when the chart path ran).
-    trace:
-        Intermediate artefacts for the figure benchmarks.
+        Class counts of the image under both encodings for Step 3's λ'
+        (when computed).
     """
 
     codes: List[Dict[int, int]]
     num_alpha: int
     policy_used: str
     image: Column
-    suggested_bound: Optional[Tuple[int, ...]] = None
     image_classes_chart: Optional[int] = None
     image_classes_random: Optional[int] = None
-    chart: Optional[EncodingChart] = None
-    trace: Dict[str, object] = field(default_factory=dict)
 
 
 def encode_classes(
@@ -500,7 +493,6 @@ def encode_classes(
             preferred_free=preferred_free_levels,
             draft=DraftImage(class_functions, codes, alpha_levels),
         )
-    result.suggested_bound = vp.bound_levels
     alpha_set = set(alpha_levels)
     alphas_in_bound = [
         a for a, lv in enumerate(alpha_levels) if lv in vp.bound_levels
@@ -510,7 +502,6 @@ def encode_classes(
     ]
     if not alphas_in_bound or not alphas_in_free:
         # Theorem 3.1: all α together in λ' or μ' — encoding irrelevant.
-        result.trace["theorem_3_1"] = True
         return result
 
     y1_levels = [lv for lv in vp.bound_levels if lv not in alpha_set]
@@ -527,20 +518,9 @@ def encode_classes(
             partitions, column_result, num_rows, num_cols,
             benefit_weights=benefit_weights,
         )
-    result.trace.update(
-        partitions=partitions,
-        column_sets=column_result.column_sets,
-        psc_table=column_result.psc_table,
-        num_rows=num_rows,
-        num_cols=num_cols,
-    )
-
-    with obs.span("encode.image_rebuild", manager=manager):
-        random_classes = count_classes(
-            manager, draft.on, list(vp.bound_levels), draft.dc,
-            use_dontcares,
-        )
-    result.image_classes_random = random_classes
+    # Step 3's search counted the draft over λ' with the same
+    # don't-care rule: that is the random encoding's class count.
+    random_classes = result.image_classes_random = vp.num_classes
     if rows is None:
         result.policy_used = "random"
         return result
@@ -571,8 +551,6 @@ def encode_classes(
             use_dontcares,
         )
     result.image_classes_chart = chart_classes
-    result.trace["row_sets"] = row_sets
-    result.chart = chart
 
     # Step 8: keep whichever encoding yields fewer classes.
     if random_classes < chart_classes:

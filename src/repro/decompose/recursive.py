@@ -13,30 +13,16 @@ flow (the latter passes pseudo primary inputs through ``options``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from .. import obs
 from ..bdd import FALSE, BddManager
 from ..boolfunc import TruthTable
 from ..fastpath import bitops
 from ..network import Network
-from .rothkarp import (
-    DecompositionOptions,
-    DecompositionStep,
-    decompose_step,
-    select_step_bound,
-)
+from .rothkarp import DecompositionOptions, decompose_step, select_step_bound
 
-__all__ = ["decompose_to_network", "DecompositionTrace"]
-
-
-@dataclass
-class DecompositionTrace:
-    """Record of the steps taken while decomposing one root function."""
-
-    steps: List[DecompositionStep] = field(default_factory=list)
-    emitted_nodes: List[str] = field(default_factory=list)
+__all__ = ["decompose_to_network"]
 
 
 def decompose_to_network(
@@ -47,7 +33,6 @@ def decompose_to_network(
     options: DecompositionOptions,
     dc: int = FALSE,
     prefix: str = "d",
-    trace: Optional[DecompositionTrace] = None,
 ) -> str:
     """Decompose ``(on, dc)`` into k-feasible nodes of ``net``.
 
@@ -57,9 +42,6 @@ def decompose_to_network(
     cares resolved by the recursion; the final node covers the on-set of
     whatever completely specified function the steps settled on).
     """
-    if trace is None:
-        trace = DecompositionTrace()
-
     # Cooperative budget check point: one per recursion level keeps a
     # governed decomposition responsive even when all BDD work below is
     # cache hits (no allocation, so _mk never probes the deadline).
@@ -71,7 +53,7 @@ def decompose_to_network(
     # Don't cares at the root are resolved toward the on-set cover so the
     # emitted node is completely specified.
     if len(support) <= options.k:
-        return _emit_node(manager, on, support, net, signal_of_level, prefix, trace)
+        return _emit_node(manager, on, support, net, signal_of_level, prefix)
 
     # One span per recursion level (nesting depth == recursion depth);
     # a no-op unless a trace recorder is installed.
@@ -99,20 +81,19 @@ def decompose_to_network(
             manager.perf.shannon_splits += 1
             return _shannon_split(
                 manager, on, dc, support, net, signal_of_level, options,
-                prefix, trace,
+                prefix,
             )
         step = decompose_step(
             manager, on, support, options, dc=dc,
             bound_levels=partition.bound_levels,
         )
-        trace.steps.append(step)
 
         if step.num_classes < 2:
             # f is (by don't-care assignment) independent of the bound set.
             fc = step.image
             return decompose_to_network(
                 manager, fc.on, net, signal_of_level, options,
-                dc=fc.dc, prefix=prefix, trace=trace,
+                dc=fc.dc, prefix=prefix,
             )
 
         # Emit the α functions as LUT nodes over the bound-set signals.
@@ -127,7 +108,6 @@ def decompose_to_network(
             else:
                 net.add_node(name, [fanins[i] for i in kept], reduced)
             signal_of_level[alpha_level] = name
-            trace.emitted_nodes.append(name)
 
         # Recurse on the image function.
         return decompose_to_network(
@@ -138,7 +118,6 @@ def decompose_to_network(
             options,
             dc=step.image.dc,
             prefix=prefix,
-            trace=trace,
         )
 
 
@@ -151,7 +130,6 @@ def _shannon_split(
     signal_of_level: Dict[int, str],
     options: DecompositionOptions,
     prefix: str,
-    trace: DecompositionTrace,
 ) -> str:
     """f = ite(x, f1, f0) on the support variable whose split is cheapest
     (see :func:`_shannon_variable`)."""
@@ -167,7 +145,6 @@ def _shannon_split(
                 options,
                 dc=manager.cofactor(dc, best_level, value),
                 prefix=prefix,
-                trace=trace,
             )
         )
     mux = TruthTable.from_function(3, lambda s, f0, f1: f1 if s else f0)
@@ -182,7 +159,6 @@ def _shannon_split(
         fanins = list(dict.fromkeys(fanins))
     name = net.fresh_name(f"{prefix}_sh")
     net.add_node(name, fanins, mux)
-    trace.emitted_nodes.append(name)
     return name
 
 
@@ -225,12 +201,10 @@ def _emit_node(
     net: Network,
     signal_of_level: Dict[int, str],
     prefix: str,
-    trace: DecompositionTrace,
 ) -> str:
     if not support:
         name = net.fresh_name(f"{prefix}_const")
         net.add_constant(name, 1 if on != FALSE else 0)
-        trace.emitted_nodes.append(name)
         return name
     mask = manager.to_truth_table(on, list(support))
     table = TruthTable(len(support), mask)
@@ -245,5 +219,4 @@ def _emit_node(
     else:
         name = net.fresh_name(f"{prefix}_g")
         net.add_node(name, fanins, reduced)
-    trace.emitted_nodes.append(name)
     return name

@@ -22,7 +22,12 @@ from .encoding import (
     canonical_codes,
     encode_classes,
 )
-from .varpart import VariablePartition, alpha_count, select_bound_set
+from .varpart import (
+    VariablePartition,
+    alpha_count,
+    count_classes,
+    select_bound_set,
+)
 
 __all__ = [
     "DecompositionStep",
@@ -368,11 +373,9 @@ def _cube_minimizing_encoding(
         {a: (code >> a) & 1 for a in range(t)} for code in assignment
     ]
     image = build_image_function(manager, alpha_levels, codes, class_functions)
-    result = EncodingResult(
+    return EncodingResult(
         codes=codes, num_alpha=t, policy_used="cubes", image=image
     )
-    result.trace["image_cubes"] = best_cost
-    return result
 
 
 def _worst_encoding(
@@ -386,9 +389,6 @@ def _worst_encoding(
     Used only by the ablation benches to bracket the encoding's impact.
     """
     import itertools
-
-    from .compatible import count_classes
-    from .varpart import select_bound_set
 
     n = len(class_functions)
     t = len(alpha_levels)
@@ -438,7 +438,6 @@ def _worst_encoding(
         num_alpha=t,
         policy_used="worst",
         image=worst_image,
-        suggested_bound=vp.bound_levels,
     )
     result.image_classes_chart = worst_count
     return result

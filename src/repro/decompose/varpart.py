@@ -31,6 +31,10 @@ bit-identical selections):
   shared BDD is smaller than the image's (the α levels sit at the
   bottom of the order, which makes the image large).
 
+:func:`count_classes` takes a single count through the same chooser
+(:func:`_make_search`), so a one-off count shares the searches'
+backends and memos.
+
 A search over a support wider than the packed cut-over runs inside a
 :meth:`~repro.bdd.BddManager.scratch` scope and keeps only what it
 returns: its counts, in the manager's memo.  The exception is a search
@@ -75,7 +79,13 @@ from ..fastpath import bitops
 from .compatible import Column, compute_classes
 from .cost import CostModel
 
-__all__ = ["DraftImage", "VariablePartition", "alpha_count", "select_bound_set"]
+__all__ = [
+    "DraftImage",
+    "VariablePartition",
+    "alpha_count",
+    "count_classes",
+    "select_bound_set",
+]
 
 
 def alpha_count(num_classes: int) -> int:
@@ -292,6 +302,32 @@ def _make_search(
             perf.class_searches += 1
             return _ClassSearch(manager, on, dc, fast_path, draft)
     return _BddSearch(manager, on, dc, fast_path)
+
+
+def count_classes(
+    manager: BddManager,
+    on: int,
+    bound_levels: Sequence[int],
+    dc: int = FALSE,
+    use_dontcares: bool = True,
+    fast_path: str = "auto",
+) -> int:
+    """The compatible class count of ``(on, dc)`` for one bound set.
+
+    The one way a count alone is taken: the backend :func:`_make_search`
+    picks for the union of the function's support and the bound, with
+    its memo, merged over don't cares exactly when the searches merge
+    them, so a search's ``num_classes`` is this count of its bound set.
+    """
+    support = sorted(
+        set(manager.support(on))
+        | set(manager.support(dc))
+        | set(bound_levels)
+    )
+    search = _make_search(manager, on, dc, support, fast_path)
+    if dc == FALSE or not use_dontcares:
+        return search.count_bound(bound_levels)
+    return search.merged_count_bound(bound_levels)
 
 
 def select_bound_set(

@@ -1,10 +1,13 @@
 """Bit-parallel fast path for the decomposition core.
 
 Packed-integer truth-table kernels (:mod:`repro.fastpath.bitops`) that
-replace per-node BDD cofactor walks in the variable-partitioning and
-compatible-class-counting hot loops for narrow-support cones, falling
+replace per-node BDD cofactor walks for narrow-support cones, falling
 back transparently to the :class:`~repro.bdd.BddManager` path for wide
-supports.  See docs/ALGORITHMS.md ("Bit-parallel kernels").
+supports.  They are reached through the packed search backend of
+:mod:`repro.decompose.varpart` (every bound-set search and every
+``count_classes``) and the packed clique cover of
+:mod:`repro.decompose.dontcare`.  See docs/ALGORITHMS.md ("Bit-parallel
+kernels").
 """
 
 from .._lazy import lazy_exports
@@ -20,8 +23,6 @@ __getattr__ = lazy_exports(__name__, globals(), {
         "global_memo_stats",
         "clear_global_memo",
         "pack_pair",
-        "try_merged_count",
-        "try_syntactic_count",
         "var_masks",
     ),
 })
@@ -36,7 +37,5 @@ __all__ = [
     "global_memo_stats",
     "clear_global_memo",
     "pack_pair",
-    "try_merged_count",
-    "try_syntactic_count",
     "var_masks",
 ]

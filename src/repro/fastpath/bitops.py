@@ -24,7 +24,12 @@ handful of word-parallel operations on a single ``2**n``-bit Python int:
 * **Search states** — :class:`PackedSearch` mirrors the shared-prefix
   DFS / greedy incremental extension of the BDD search: extending a
   prefix by one variable is a single delta swap, and the chosen prefix
-  accumulates in the top index bits.
+  accumulates in the top index bits.  It is the packed backend of
+  :mod:`repro.decompose.varpart`, whose ``count_classes`` is the one
+  way a count alone is taken.
+* **Merged counts** — :func:`count_merged_classes` is the length of
+  :func:`repro.decompose.dontcare.packed_cover` over the columns, the
+  cover the class builder uses too.
 
 Width policy: the support width picks the backend.  Supports of at most
 :data:`DEFAULT_MAX_WIDTH` variables (``2**20`` bits = 128 KiB per table)
@@ -65,8 +70,6 @@ __all__ = [
     "global_memo_stats",
     "clear_global_memo",
     "pack_pair",
-    "try_merged_count",
-    "try_syntactic_count",
     "var_masks",
 ]
 
@@ -433,52 +436,20 @@ def enumerate_chunk_pairs(
 
 
 def count_merged_classes(pair: PackedPair, bound_levels: Sequence[int]) -> int:
-    """Don't-care merged class count — the packed twin of
-    :func:`repro.decompose.dontcare.assign_dontcares` (count only).
-
-    Every order-sensitive step (column dedup, compatibility adjacency,
-    clique tie-breaking, the greedy merge-verify loop) mirrors the BDD
-    implementation exactly, so the count is identical.
+    """Don't-care merged class count: the length of the cover
+    :func:`repro.decompose.dontcare.packed_cover` finds for the columns,
+    deduplicated in cofactor order as
+    :func:`~repro.decompose.dontcare.assign_dontcares` deduplicates
+    them, so the count is identical to the classes it builds.
     """
-    from ..decompose.dontcare import clique_partition  # deferred: cycle
+    from ..decompose.dontcare import packed_cover  # deferred: cycle
 
     columns, chunk_bits = enumerate_chunk_pairs(pair, bound_levels)
     full = (1 << chunk_bits) - 1
-    interned: Dict[Tuple[int, int], int] = {}
-    reps: List[Tuple[int, int]] = []
-    for col in columns:
-        if col not in interned:
-            interned[col] = len(reps)
-            reps.append(col)
-
-    offs = [full & ~(on | dc) for on, dc in reps]
-    num = len(reps)
-    adjacency: List[set] = [set() for _ in range(num)]
-    for i in range(num):
-        on_i, off_i = reps[i][0], offs[i]
-        for j in range(i + 1, num):
-            if not ((on_i & offs[j]) or (reps[j][0] & off_i)):
-                adjacency[i].add(j)
-                adjacency[j].add(i)
-    cliques = clique_partition(num, lambda i, j: j in adjacency[i])
-
-    classes = 0
-    for clique in cliques:
-        pending = list(clique)
-        while pending:
-            merged_on = 0
-            merged_off = 0
-            rest: List[int] = []
-            for rep in pending:
-                col_on, col_off = reps[rep][0], offs[rep]
-                if (merged_on & col_off) or (merged_off & col_on):
-                    rest.append(rep)
-                    continue
-                merged_on |= col_on
-                merged_off |= col_off
-            classes += 1
-            pending = rest
-    return classes
+    reps = list(dict.fromkeys(columns))
+    on_bits = [on for on, _ in reps]
+    off_bits = [full & ~(on | dc) for on, dc in reps]
+    return len(packed_cover(on_bits, off_bits))
 
 
 def _global_key(
@@ -631,69 +602,3 @@ class PackedSearch:
         count = count_merged_classes(self.pair, bound)
         _global_put(key, count)
         return count
-
-
-# ---------------------------------------------------------------------- #
-# Convenience entry point for compatible.count_classes
-# ---------------------------------------------------------------------- #
-
-def try_syntactic_count(
-    manager,
-    on: int,
-    dc: int,
-    bound_levels: Sequence[int],
-    max_width: int = DEFAULT_MAX_WIDTH,
-) -> Optional[int]:
-    """Packed column-multiplicity count, or ``None`` when out of range.
-
-    Covers the syntactic case only (distinct (on, dc) pairs — no
-    don't-care merging); the caller keeps the BDD path for everything
-    else.  Support width is measured over the union of both supports and
-    the bound set.
-    """
-    levels = sorted(
-        set(manager.support(on))
-        | set(manager.support(dc))
-        | set(bound_levels)
-    )
-    if len(levels) > max_width:
-        manager.perf.fastpath_fallbacks += 1
-        return None
-    try:
-        pair = pack_pair(manager, on, dc, levels)
-    except KeyError:
-        manager.perf.fastpath_fallbacks += 1
-        return None
-    search = PackedSearch(pair, manager.perf)
-    return search.count_bound(bound_levels)
-
-
-def try_merged_count(
-    manager,
-    on: int,
-    dc: int,
-    bound_levels: Sequence[int],
-    max_width: int = DEFAULT_MAX_WIDTH,
-) -> Optional[int]:
-    """Packed don't-care merged count, or ``None`` when out of range.
-
-    The merged twin of :func:`try_syntactic_count`; the count matches
-    :func:`repro.decompose.compatible.compute_classes` bit for bit (the
-    clique heuristic is mirrored exactly, see
-    :func:`count_merged_classes`).
-    """
-    levels = sorted(
-        set(manager.support(on))
-        | set(manager.support(dc))
-        | set(bound_levels)
-    )
-    if len(levels) > max_width:
-        manager.perf.fastpath_fallbacks += 1
-        return None
-    try:
-        pair = pack_pair(manager, on, dc, levels)
-    except KeyError:
-        manager.perf.fastpath_fallbacks += 1
-        return None
-    search = PackedSearch(pair, manager.perf)
-    return search.merged_count_bound(bound_levels)

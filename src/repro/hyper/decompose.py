@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Sequence, Tuple
 
 from ..bdd import BddManager
-from ..decompose import DecompositionOptions, DecompositionTrace, decompose_to_network
+from ..decompose import DecompositionOptions, decompose_to_network
 from ..network import Network
 from .duplication import DuplicationInfo, analyze_duplication, recover_ingredients
 from .hyperfunction import HyperFunction, build_hyper_function
@@ -29,7 +29,6 @@ class HyperDecompositionResult:
     hyper_output: str
     duplication: DuplicationInfo
     recovered: Network  # over PIs only; one output per ingredient
-    trace: DecompositionTrace
 
     @property
     def shared_nodes(self) -> int:
@@ -101,7 +100,6 @@ def decompose_hyper_function(
         ),
     )
 
-    trace = DecompositionTrace()
     root = decompose_to_network(
         manager,
         hyper.on,
@@ -110,7 +108,6 @@ def decompose_hyper_function(
         step_options,
         dc=hyper.dc,
         prefix="h",
-        trace=trace,
     )
     net.add_output(root, "H")
 
@@ -132,5 +129,4 @@ def decompose_hyper_function(
         hyper_output=root,
         duplication=duplication,
         recovered=recovered,
-        trace=trace,
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..bdd import FALSE, BddManager
-from ..decompose import Column, EncodingResult, encode_classes
+from ..decompose import Column, encode_classes
 from ..decompose.encoding import build_image_function, canonical_codes
 
 __all__ = ["HyperFunction", "build_hyper_function"]
@@ -35,9 +35,6 @@ class HyperFunction:
         The folded output names, index-aligned with ``codes``.
     codes:
         Per-ingredient PPI codes (ppi index -> bit), strict encoding.
-    encoding:
-        The chart-encoder result used to pick the codes (None when the
-        construction was trivial — a single ingredient).
     """
 
     manager: BddManager
@@ -46,7 +43,6 @@ class HyperFunction:
     ppi_levels: Tuple[int, ...]
     ingredient_names: List[str]
     codes: List[Dict[int, int]]
-    encoding: Optional[EncodingResult] = None
 
     @property
     def num_ingredients(self) -> int:
@@ -162,5 +158,4 @@ def build_hyper_function(
         ppi_levels=tuple(ppi_levels),
         ingredient_names=names,
         codes=encoding.codes,
-        encoding=encoding,
     )

@@ -582,12 +582,17 @@ def _run_details(
 ) -> Dict[str, object]:
     """A run's work counters and run report in ``MapResult.details``
     (``report`` is ``None`` when the flow took its serial in-manager
-    path)."""
+    path).  The engine block's ``peak_nodes`` is the larger of this
+    manager's peak and the task managers'."""
     perf = manager.perf.snapshot(manager)
     perf["jobs_requested"] = jobs
     perf["jobs_used"] = report.jobs_used if report else 1
     if report is None:
         return {"perf": perf, "degraded": [], "pool_fallback": None}
+    engine = perf["engine"]
+    engine["peak_nodes"] = max(
+        engine["peak_nodes"], report.perf.get("peak_nodes", 0)
+    )
     details: Dict[str, object] = {
         "perf": perf,
         "degraded": report.degraded,

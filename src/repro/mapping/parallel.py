@@ -524,12 +524,11 @@ def _decompose_group(task: GroupTask) -> GroupResult:
             blif_text = faults.after_decompose(
                 task.inject, blif_text, task.attempt
             )
-    return GroupResult(
-        gi=task.gi,
-        blif_text=blif_text,
-        info=info,
-        perf=manager.perf.snapshot() if manager is not None else {},
-    )
+    perf: Dict[str, object] = {}
+    if manager is not None:
+        perf = manager.perf.snapshot()
+        perf["peak_nodes"] = manager.stats()["peak_nodes"]
+    return GroupResult(gi=task.gi, blif_text=blif_text, info=info, perf=perf)
 
 
 def _splice_witness(fragment: Network, witness: Network, out: str) -> None:
@@ -838,6 +837,12 @@ class _Batch:
         merged.cache_misses += report.cache_misses
         merged.cache_rejected += report.cache_rejected
         report.perf = merged.snapshot()
+        # Each task ran in its own manager: the run's peak is the
+        # largest of theirs, not their sum.
+        report.perf["peak_nodes"] = max(
+            (result.perf.get("peak_nodes", 0) for result in final),
+            default=0,
+        )
         return final
 
     def lookup(self, i: int) -> bool:

@@ -18,9 +18,10 @@ A trace file is one JSON object per line:
   ``perf`` counter deltas.
 
   The meta ``perf`` written by ``repro ... --trace`` also carries
-  ``phase_seconds``, the :func:`phase_seconds` of the span records, and
-  ``peak_rss_mb``, the writing process's peak resident set size
-  (:func:`repro.perf.peak_rss_mb`).
+  ``phase_seconds``, the :func:`phase_seconds` of the span records,
+  ``peak_nodes``, the largest live BDD node count of any manager the
+  run used (``BddManager.stats()``), and ``peak_rss_mb``, the writing
+  process's peak resident set size (:func:`repro.perf.peak_rss_mb`).
 
 * ``event`` records — zero-duration spans (``t0 == t1``) marking
   degradations, pool fallbacks and similar one-shot facts.

@@ -14,8 +14,8 @@ import random
 import pytest
 
 from repro.bdd import FALSE, BddManager
-from repro.decompose.compatible import compute_classes, count_classes
-from repro.decompose.varpart import select_bound_set
+from repro.decompose.compatible import compute_classes
+from repro.decompose.varpart import count_classes, select_bound_set
 from repro.fastpath import bitops
 from repro.network import GlobalBdds
 from repro.verify.generators import random_network, resolve_seed
@@ -152,7 +152,9 @@ class TestCountParity:
             m = BddManager(n)
             on, dc, _, _ = _random_pair(rng, m, n)
             bound = rng.sample(range(n), rng.randint(1, n - 1)) if n > 1 else [0]
-            got = bitops.try_syntactic_count(m, on, dc, bound)
+            selects = m.perf.fastpath_selects
+            got = count_classes(m, on, bound, dc, use_dontcares=False)
+            assert m.perf.fastpath_selects == selects + 1  # packed
             on_parts = m.cofactor_enumerate(on, list(bound))
             dc_parts = m.cofactor_enumerate(dc, list(bound))
             assert got == len(set(zip(on_parts, dc_parts)))
@@ -170,7 +172,9 @@ class TestCountParity:
             ref = compute_classes(
                 m, on, list(bound), dc, True, fast_path="bdd"
             ).num_classes
-            assert bitops.try_merged_count(m, on, dc, bound) == ref
+            selects = m.perf.fastpath_selects
+            assert count_classes(m, on, bound, dc) == ref
+            assert m.perf.fastpath_selects == selects + 1  # packed
 
     def test_assign_dontcares_identical_across_modes(self):
         seed = resolve_seed(1106, "bitops_dontcares")
@@ -207,10 +211,11 @@ class TestCountParity:
         for lv in range(1, n):
             f = m.apply_xor(f, m.var_at_level(lv))
         before = m.perf.fastpath_fallbacks
-        assert bitops.try_syntactic_count(m, f, FALSE, [0, 1]) is None
-        assert m.perf.fastpath_fallbacks == before + 1
-        # count_classes still answers through the BDD path.
+        enumerations = m.perf.cofactor_enumerations
+        # Too wide to pack: count_classes answers through the BDD path.
         assert count_classes(m, f, [0, 1], FALSE) == 2
+        assert m.perf.fastpath_fallbacks == before + 1
+        assert m.perf.cofactor_enumerations == enumerations + 1
 
     def test_global_memo_survives_managers(self):
         bitops.clear_global_memo()

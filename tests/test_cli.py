@@ -182,6 +182,52 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"error: {garbage}: ")
 
 
+def run_cli(*argv):
+    """``repro ARGV`` in a fresh interpreter; the exit code is not checked."""
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED="0")
+    return subprocess.run(
+        [sys.executable, "-m", "repro.cli", *argv],
+        env=env, capture_output=True, text=True,
+    )
+
+
+Z4ML = os.path.join(
+    os.path.dirname(SRC), "benchmarks", "e2e", "inputs", "z4ml.blif"
+)
+
+
+class TestBadFlagValues:
+    """A bad flag value ends in one ``error:`` line, not a traceback."""
+
+    def test_lut_size_below_the_command_minimum(self):
+        for argv, minimum in [
+            (["map", "5xp1", "-k", "2"], 3),
+            (["blif", Z4ML, "--flow", "shannon", "-k", "2"], 3),
+            (["stats", "5xp1", "-k", "1"], 3),
+            (["exact", Z4ML, "-k", "1"], 2),
+        ]:
+            proc = run_cli(*argv)
+            assert proc.returncode == 2, argv
+            assert "Traceback" not in proc.stderr, argv
+            assert f"argument -k: must be at least {minimum}" in proc.stderr
+
+    @pytest.mark.parametrize("flag", ["--cost", "--inject-faults"])
+    def test_bad_spec(self, flag):
+        proc = run_cli("map", "5xp1", flag, "bogus")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: {flag}: bad ")
+        assert len(proc.stderr.splitlines()) == 1
+
+    def test_budget_trip_without_a_policy(self):
+        proc = run_cli("map", "5xp1", "--max-bdd-nodes", "10")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: hyde: BDD budget exceeded: ")
+        assert "--retries" in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+
+
 class TestProcess:
     def test_cli_run_imports_neither_numpy_nor_networkx(self, tmp_path):
         source = tmp_path / "z4ml.blif"

@@ -352,3 +352,56 @@ class TestEncodeClasses:
                Column(TRUE)]
         with pytest.raises(ValueError):
             encode_classes(m, fcs, [2], k=5)  # 3 classes need 2 bits
+
+
+class TestStep8Count:
+    @pytest.mark.parametrize("name", ["alu2", "rd84", "misex1"])
+    def test_random_count_is_step_3s_count_of_the_draft(
+        self, name, monkeypatch
+    ):
+        # Step 8 compares the chart image with the draft's class count
+        # for Step 3's bound set, which the search already returned.
+        import os
+
+        import repro.decompose.encoding as encoding
+        import repro.decompose.rothkarp as rothkarp
+        import repro.hyper.hyperfunction as hyperfunction
+        from repro.mapping import hyde_map
+        from repro.network import read_blif
+
+        searches = []
+        select = encoding.select_bound_set
+        encode = encoding.encode_classes
+
+        def spy_select(manager, on, support, bound_size, **kwargs):
+            vp = select(manager, on, support, bound_size, **kwargs)
+            searches.append((manager, on, kwargs["dc"], vp))
+            return vp
+
+        checked = []
+
+        def spy_encode(manager, class_functions, alpha_levels, k, **kwargs):
+            searches.clear()
+            result = encode(manager, class_functions, alpha_levels, k, **kwargs)
+            if result.image_classes_random is not None:
+                ((m, on, dc, vp),) = searches
+                use_dontcares = kwargs.get("use_dontcares", True)
+                bound = list(vp.bound_levels)
+                assert result.image_classes_random == count_classes(
+                    m, on, bound, dc, use_dontcares
+                ) == compute_classes(
+                    m, on, bound, dc, use_dontcares
+                ).num_classes
+                checked.append(result.policy_used)
+            return result
+
+        monkeypatch.setattr(encoding, "select_bound_set", spy_select)
+        monkeypatch.setattr(rothkarp, "encode_classes", spy_encode)
+        monkeypatch.setattr(hyperfunction, "encode_classes", spy_encode)
+        inputs = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "benchmarks", "e2e", "inputs",
+        )
+        hyde_map(read_blif(os.path.join(inputs, f"{name}.blif")), 5,
+                 verify="none")
+        assert checked

@@ -479,6 +479,35 @@ class TestCli:
         assert int(rows["class-function searches"]) > 0
         assert int(rows["peak_nodes"]) > int(rows["num_nodes"])
 
+    def test_portfolio_peak_nodes_is_the_largest_task_peak(
+        self, monkeypatch
+    ):
+        # Under --portfolio every group decomposes in a task manager of
+        # its own; their peak, not the parent manager's, is the run's.
+        import os
+
+        import repro.mapping.parallel as parallel
+        from repro.mapping import hyde_map
+        from repro.network import GlobalBdds, read_blif
+
+        managers = []
+
+        class RecordedBdds(GlobalBdds):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                managers.append(self.manager)
+
+        monkeypatch.setattr(parallel, "GlobalBdds", RecordedBdds)
+        source = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "benchmarks", "e2e", "inputs", "misex1.blif",
+        )
+        result = hyde_map(read_blif(source), 5, portfolio=True, verify="none")
+        peaks = [m.stats()["peak_nodes"] for m in managers]
+        assert len(peaks) > 1
+        # misex1's parent manager peaks lower than its largest task.
+        assert result.details["perf"]["engine"]["peak_nodes"] == max(peaks)
+
     def test_portfolio_trace_grafts_every_variant(self, tmp_path, capsys):
         # Every raced variant's task tree hangs under the portfolio
         # span, winners and losers alike, so its children account for

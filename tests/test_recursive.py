@@ -12,7 +12,7 @@ from repro.bdd import BddManager
 from repro.boolfunc import TruthTable
 from repro.decompose import (
     DecompositionOptions,
-    DecompositionTrace,
+    decompose_step,
     decompose_to_network,
 )
 from repro.network import Network, check_equivalence
@@ -51,7 +51,16 @@ class TestRecursiveDecomposition:
     def test_random_7_input_functions(self, bits):
         decompose_and_check(bits, 7, 5)
 
-    def test_9sym(self):
+    def test_9sym(self, monkeypatch):
+        import repro.decompose.recursive as recursive
+
+        steps = []
+
+        def recording_step(*args, **kwargs):
+            steps.append(decompose_step(*args, **kwargs))
+            return steps[-1]
+
+        monkeypatch.setattr(recursive, "decompose_step", recording_step)
         bits = 0
         for idx in range(1 << 9):
             if bin(idx).count("1") in (3, 4, 5, 6):
@@ -59,6 +68,11 @@ class TestRecursiveDecomposition:
         net = decompose_and_check(bits, 9, 5)
         # The paper maps 9sym into 6 LUTs; allow slack but catch blowups.
         assert net.num_nodes <= 10
+        # Every step the recursion keeps shrinks the support: fewer α
+        # functions than bound variables (the others are Shannon splits).
+        assert steps
+        for step in steps:
+            assert len(step.alpha_tables) < len(step.bound_levels)
 
     def test_parity_12(self):
         bits = 0
@@ -93,24 +107,6 @@ class TestRecursiveDecomposition:
         )
         assert root == "b"
         assert net.num_nodes == 0
-
-    def test_trace_records_steps(self):
-        bits = random.Random(1).getrandbits(1 << 8)
-        m = BddManager(8)
-        f = m.from_truth_table(bits, list(range(8)))
-        net = Network("t")
-        for j in range(8):
-            net.add_input(f"i{j}")
-        trace = DecompositionTrace()
-        decompose_to_network(
-            m, f, net, {j: f"i{j}" for j in range(8)},
-            DecompositionOptions(k=5), trace=trace,
-        )
-        assert trace.emitted_nodes
-        # Steps may be empty when only Shannon splits were needed, but any
-        # recorded step must have a sensible shape.
-        for step in trace.steps:
-            assert len(step.alpha_tables) < len(step.bound_levels) or not step.alpha_tables
 
     def test_random_policy_also_correct(self):
         bits = random.Random(2).getrandbits(1 << 7)

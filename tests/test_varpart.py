@@ -9,6 +9,7 @@ import pytest
 
 from repro.bdd import FALSE, BddManager
 from repro.decompose import count_classes, select_bound_set
+from repro.fastpath import bitops
 
 
 def adder_like(m: BddManager):
@@ -255,3 +256,59 @@ class TestClassFunctionSearch:
         ) == vp
         assert m.perf.class_searches == 0
         assert m.perf.cofactor_enumerations == 0
+
+
+def _recount(m, on, bound, dc, use_dontcares, mode):
+    """``count_classes`` with every count memo emptied first."""
+    m.clear_caches()
+    bitops.clear_global_memo()
+    return count_classes(m, on, list(bound), dc, use_dontcares, fast_path=mode)
+
+
+class TestCountClasses:
+    """``count_classes`` is the searches' own count of a bound set."""
+
+    @pytest.mark.parametrize("mode", ["bdd", "bitpack", "auto"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_the_search_count_of_its_bound(self, seed, mode):
+        rng = random.Random(seed)
+        n = rng.randint(4, 7)
+        m = BddManager(n)
+        levels = list(range(n))
+        dc = m.from_truth_table(
+            rng.getrandbits(1 << n) & rng.getrandbits(1 << n), levels
+        )
+        on = m.apply_diff(m.from_truth_table(rng.getrandbits(1 << n), levels), dc)
+        support = sorted(set(m.support(on)) | set(m.support(dc)))
+        for use_dontcares in (False, True):  # syntactic, then merged
+            for bound_size in (2, 3):
+                m.clear_caches()
+                vp = select_bound_set(
+                    m, on, support, bound_size, dc=dc,
+                    use_dontcares=use_dontcares, fast_path=mode,
+                )
+                assert _recount(
+                    m, on, vp.bound_levels, dc, use_dontcares, mode
+                ) == vp.num_classes
+
+    @pytest.mark.parametrize("mode", ["bdd", "bitpack", "auto"])
+    def test_equals_the_class_function_search_count(self, mode):
+        taken = 0
+        for seed in range(12):
+            m, image, support, draft = random_draft(seed, seed % 2 == 1)
+            for use_dontcares in (False, True):
+                m.clear_caches()
+                searches = m.perf.class_searches
+                vp = select_bound_set(
+                    m, image.on, support, min(3, len(support) - 1),
+                    dc=image.dc, use_dontcares=use_dontcares,
+                    fast_path="bdd", draft=draft,
+                )
+                if m.perf.class_searches == searches:
+                    continue
+                taken += 1
+                assert _recount(
+                    m, image.on, vp.bound_levels, image.dc, use_dontcares,
+                    mode,
+                ) == vp.num_classes
+        assert taken > 0
