@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import sys
 import time
+from bisect import bisect_left, bisect_right
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..perf import PerfCounters
@@ -401,8 +402,7 @@ class BddManager:
         the unique table, the apply, NOT, ITE and cofactor memos and the
         packed-table conversions.  The bound-set search's class counts
         survive when they are keyed by roots that predate the scope.  No
-        node id made inside the scope may be used after it.  Calling
-        ``keep()`` on the scope object keeps everything instead.
+        node id made inside the scope may be used after it.
 
         Dropping costs time in proportion to what the scope added (plus
         one length per memo dict at entry), not to the manager's size.
@@ -870,6 +870,70 @@ class BddManager:
         """Number of nodes in the BDD rooted at ``f`` (terminals excluded)."""
         return self.shared_size((f,))
 
+    def split_sizes(self, f: int, levels: Sequence[int]) -> List[int]:
+        """``size(cofactor(f, lv, 0)) + size(cofactor(f, lv, 1))`` for
+        each level ``lv`` of ``levels``, counted without allocating.
+
+        Per level and value, the part of ``f`` above the level is
+        rebuilt in a local hash-consed dict (negative ids; a node whose
+        two children map to one node is dropped) and the part below it,
+        which the cofactor shares with ``f``, is counted by
+        reachability.  Rebuilt nodes sit above the level, so none equals
+        a kept node, and each is reachable from the cofactor's root:
+        the sum is the cofactor's size (docs/ALGORITHMS.md, "The Shannon
+        ranking").  No node, memo entry or counter of the manager
+        changes; the budget is checked once per level.
+        """
+        var, lo, hi = self._var, self._lo, self._hi
+        nodes = []
+        seen = set()
+        stack = [f]
+        while stack:
+            node = stack.pop()
+            if node <= TRUE or node in seen:
+                continue
+            seen.add(node)
+            nodes.append(node)
+            stack.append(lo[node])
+            stack.append(hi[node])
+        # Deepest level first, so every child precedes its parents.
+        nodes.sort(key=var.__getitem__, reverse=True)
+        keys = [-var[node] for node in nodes]
+        sizes = []
+        for level in levels:
+            self.check_budget()
+            start = bisect_left(keys, -level)
+            end = bisect_right(keys, -level)
+            at, above = nodes[start:end], nodes[end:]
+            total = 0
+            for child in (lo, hi):
+                canon = {node: child[node] for node in at}
+                unique: Dict[Tuple[int, int, int], int] = {}
+                kept = set()
+                for node in above:
+                    r0 = lo[node]
+                    r0 = canon.get(r0, r0)
+                    r1 = hi[node]
+                    r1 = canon.get(r1, r1)
+                    if r0 == r1:
+                        canon[node] = r0
+                        continue
+                    key = (var[node], r0, r1)
+                    rebuilt = unique.get(key)
+                    if rebuilt is None:
+                        rebuilt = unique[key] = -1 - len(unique)
+                        if r0 > TRUE:
+                            kept.add(r0)
+                        if r1 > TRUE:
+                            kept.add(r1)
+                    canon[node] = rebuilt
+                root = canon.get(f, f)
+                if root > TRUE:
+                    kept.add(root)
+                total += len(unique) + _reach_count(kept, lo, hi)
+            sizes.append(total)
+        return sizes
+
     def sat_count(self, f: int, num_vars: Optional[int] = None) -> int:
         """Number of satisfying assignments over ``num_vars`` variables."""
         if num_vars is None:
@@ -1033,15 +1097,10 @@ class _Scratch:
     the last ones of each dict: ``popitem`` removes them newest first.
     """
 
-    __slots__ = ("manager", "nodes", "sizes", "class_counts", "packed", "kept")
+    __slots__ = ("manager", "nodes", "sizes", "class_counts", "packed")
 
     def __init__(self, manager: BddManager):
         self.manager = manager
-        self.kept = False
-
-    def keep(self) -> None:
-        """Keep what the scope added (an enclosing scope may still drop it)."""
-        self.kept = True
 
     def __enter__(self) -> "_Scratch":
         m = self.manager
@@ -1065,8 +1124,7 @@ class _Scratch:
     def __exit__(self, *exc) -> bool:
         m = self.manager
         m._scopes -= 1
-        if not self.kept:
-            self._drop(m)
+        self._drop(m)
         return False
 
     def _drop(self, m: BddManager) -> None:
@@ -1094,6 +1152,18 @@ class _Scratch:
             for _, memo, size in self.packed:
                 _pop_newest(memo, len(memo) - size)
             m._fastpath = {lv: memo for lv, memo, _ in self.packed}
+
+
+def _reach_count(nodes: set, lo: List[int], hi: List[int]) -> int:
+    """Non-terminal nodes reachable from ``nodes`` (which it extends)."""
+    stack = list(nodes)
+    while stack:
+        node = stack.pop()
+        for child in (lo[node], hi[node]):
+            if child > TRUE and child not in nodes:
+                nodes.add(child)
+                stack.append(child)
+    return len(nodes)
 
 
 def _pop_newest(memo: dict, count: int) -> None:

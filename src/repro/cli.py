@@ -822,16 +822,16 @@ def _add_cost_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_governance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
+        "--timeout", type=_seconds, default=None, metavar="SECONDS",
         help="per-group wall-clock timeout; failures walk the "
         "degradation ladder (retry, per-output, structural)",
     )
     p.add_argument(
-        "--retries", type=int, default=None, metavar="N",
+        "--retries", type=_at_least(0), default=None, metavar="N",
         help="in-process retries (with decaying budgets) per failed group",
     )
     p.add_argument(
-        "--max-bdd-nodes", type=int, default=None, metavar="N",
+        "--max-bdd-nodes", type=_at_least(1), default=None, metavar="N",
         help="BDD node budget per decomposition manager",
     )
     p.add_argument(
@@ -863,10 +863,12 @@ def _add_governance_flags(p: argparse.ArgumentParser) -> None:
 def _cmd_verify(args: argparse.Namespace) -> int:
     """Check a mapped BLIF against its golden source.
 
-    Default engine is the monolithic BDD check; ``--finegrain`` localizes
-    any mismatch to the smallest wrong cone with a simulation-confirmed
-    counterexample, and ``--repro-dir`` additionally shrinks each failing
-    output's XOR miter into a minimal self-contained witness BLIF.
+    Default engine is the exact whole-network check (exhaustive packed
+    truth tables up to 20 inputs, global BDDs above); ``--finegrain``
+    localizes any mismatch to the smallest wrong cone with a
+    simulation-confirmed counterexample, and ``--repro-dir``
+    additionally shrinks each failing output's XOR miter into a minimal
+    self-contained witness BLIF.
     ``--mutants N`` instead self-validates the checker: N single-point
     faults are injected into the mapped network and every one must be
     caught, localized and confirmed (or proven masked).
@@ -1152,18 +1154,26 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _lut_size(minimum: int) -> Callable[[str], int]:
-    """The argparse type of ``-k``: an integer of at least ``minimum``."""
+def _at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse type: an integer of at least ``minimum``."""
 
-    def lut_size(text: str) -> int:
-        k = int(text)  # argparse reports a ValueError as an invalid value
-        if k < minimum:
+    def at_least(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as invalid
+        if value < minimum:
             raise argparse.ArgumentTypeError(
-                f"must be at least {minimum}, got {k}"
+                f"must be at least {minimum}, got {value}"
             )
-        return k
+        return value
 
-    return lut_size
+    return at_least
+
+
+def _seconds(text: str) -> float:
+    """The argparse type of every ``--timeout``: seconds above 0."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be above 0, got {text}")
+    return value
 
 
 #: ``-k`` of the mapping commands: a Shannon split's mux and the
@@ -1205,11 +1215,11 @@ def main(argv=None) -> int:
             p.add_argument("path")
         p.add_argument("--flow", default="hyde",
                        choices=list(FLOWS) + ["all"])
-        p.add_argument("-k", type=_lut_size(MIN_MAP_K), default=5,
+        p.add_argument("-k", type=_at_least(MIN_MAP_K), default=5,
                        help="LUT input count (at least 3)")
         p.add_argument("--verify", default="bdd",
                        choices=["bdd", "sim", "none", "finegrain"])
-        p.add_argument("--jobs", type=int, default=1,
+        p.add_argument("--jobs", type=_at_least(1), default=1,
                        help="decompose ingredient groups in N processes")
         _add_cost_flags(p)
         _add_governance_flags(p)
@@ -1224,7 +1234,7 @@ def main(argv=None) -> int:
     )
     p.add_argument("path", help="BLIF file; every output cone must have "
                    "at most 10 inputs to be scored")
-    p.add_argument("-k", type=_lut_size(2), default=5,
+    p.add_argument("-k", type=_at_least(2), default=5,
                    help="LUT input count (at least 2)")
     p.add_argument("--cost", default="area", choices=["area", "delay"],
                    help="'area': minimum LUT count; 'delay': minimum "
@@ -1249,11 +1259,11 @@ def main(argv=None) -> int:
     p.add_argument("circuit", type=_circuit_name,
                    help="registered benchmark circuit (see 'repro circuits')")
     p.add_argument("--flow", default="hyde", choices=list(FLOWS))
-    p.add_argument("-k", type=_lut_size(MIN_MAP_K), default=5,
+    p.add_argument("-k", type=_at_least(MIN_MAP_K), default=5,
                    help="LUT input count (at least 3)")
     p.add_argument("--verify", default="bdd",
                    choices=["bdd", "sim", "none", "finegrain"])
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_at_least(1), default=1,
                    help="decompose ingredient groups in N processes")
     _add_cost_flags(p)
     _add_governance_flags(p)
@@ -1319,7 +1329,7 @@ def main(argv=None) -> int:
     )
     p.add_argument("--store", required=True, metavar="FILE",
                    help="SQLite result-store path (created on first use)")
-    p.add_argument("--jobs", type=int, default=2,
+    p.add_argument("--jobs", type=_at_least(1), default=2,
                    help="warm worker-pool size (1 = in-process, no pool)")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=0,
@@ -1369,7 +1379,7 @@ def main(argv=None) -> int:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=0)
     p.add_argument("--flow", default="hyde", choices=["hyde", "per-output"])
-    p.add_argument("-k", type=_lut_size(MIN_MAP_K), default=5,
+    p.add_argument("-k", type=_at_least(MIN_MAP_K), default=5,
                    help="LUT input count (at least 3)")
     p.add_argument("--verify", default=None,
                    choices=["bdd", "sim", "none", "finegrain"],
@@ -1378,7 +1388,7 @@ def main(argv=None) -> int:
     _add_cost_flags(p)
     p.add_argument("--times", type=int, default=1, metavar="N",
                    help="submit N times (repeats should hit the cache)")
-    p.add_argument("--timeout", type=float, default=300.0,
+    p.add_argument("--timeout", type=_seconds, default=300.0,
                    help="client socket timeout in seconds")
     p.add_argument("--retries", type=int, default=4,
                    help="retry budget for retryable service errors "
@@ -1397,7 +1407,7 @@ def main(argv=None) -> int:
                    help="endpoint file written by serve --info")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=0)
-    p.add_argument("--timeout", type=float, default=10.0)
+    p.add_argument("--timeout", type=_seconds, default=10.0)
     p.add_argument("--json", action="store_true",
                    help="print the raw health record")
 

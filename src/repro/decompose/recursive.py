@@ -18,7 +18,6 @@ from typing import Dict, Optional, Sequence
 from .. import obs
 from ..bdd import FALSE, BddManager
 from ..boolfunc import TruthTable
-from ..fastpath import bitops
 from ..network import Network
 from .rothkarp import DecompositionOptions, decompose_step, select_step_bound
 
@@ -168,30 +167,12 @@ def _shannon_variable(
     """The first support variable whose two cofactors of ``on`` have the
     fewest BDD nodes between them.
 
-    Single-variable restrictions go through :meth:`BddManager.cofactor`,
-    whose persistent memo is shared with the bound-set search.  On a
-    support of at most the packed cut-over that search built no
-    cofactors, and the ones built here are kept.  A wider search that
-    ends in this split keeps the cofactors of its candidate variables,
-    but not of those its candidate cap left out, and a draft image's
-    class-function search built none of the image's.  So on a wide
-    support each variable is measured inside its own scratch scope, and
-    only the chosen split is built afterwards.
+    The sizes come from :meth:`BddManager.split_sizes`, which counts
+    them without building a cofactor, so ranking allocates nothing at
+    any width; only the chosen split is built afterwards.
     """
-
-    def split_size(lv: int) -> int:
-        return manager.size(manager.cofactor(on, lv, 0)) + manager.size(
-            manager.cofactor(on, lv, 1)
-        )
-
-    if len(support) <= bitops.DEFAULT_MAX_WIDTH:
-        return min(support, key=split_size)
-
-    def scoped_split_size(lv: int) -> int:
-        with manager.scratch():
-            return split_size(lv)
-
-    return min(support, key=scoped_split_size)
+    sizes = manager.split_sizes(on, support)
+    return support[sizes.index(min(sizes))]
 
 
 def _emit_node(

@@ -37,11 +37,11 @@ backends and memos.
 
 A search over a support wider than the packed cut-over runs inside a
 :meth:`~repro.bdd.BddManager.scratch` scope and keeps only what it
-returns: its counts, in the manager's memo.  The exception is a search
-whose best bound set cannot shrink the support
-(:attr:`VariablePartition.cannot_shrink`): the recursion then splits on
-one variable, ranked by the single-variable cofactors the search built,
-so those are kept.
+returns: its counts, in the manager's memo.  That holds as well for a
+search whose best bound set cannot shrink the support
+(:attr:`VariablePartition.cannot_shrink`): the Shannon split the
+recursion takes instead ranks its variables with
+:meth:`~repro.bdd.BddManager.split_sizes`, which needs no cofactor.
 
 Three performance notes:
 
@@ -375,7 +375,7 @@ def select_bound_set(
 
     A support wider than the packed cut-over is searched inside a
     scratch scope that keeps only the returned partition and the
-    counts, unless the partition cannot shrink the support.
+    counts.
     """
     args = (
         manager, on, support, bound_size, dc, use_dontcares,
@@ -384,13 +384,8 @@ def select_bound_set(
     )
     if len(support) <= bitops.DEFAULT_MAX_WIDTH:
         return _select_bound_set(*args)
-    with manager.scratch() as scratch:
-        partition = _select_bound_set(*args)
-        if partition.cannot_shrink:
-            # The Shannon split that follows ranks its variables by the
-            # single-variable cofactors this search built.
-            scratch.keep()
-    return partition
+    with manager.scratch():
+        return _select_bound_set(*args)
 
 
 def _select_bound_set(

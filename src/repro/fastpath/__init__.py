@@ -22,6 +22,7 @@ __getattr__ = lazy_exports(__name__, globals(), {
         "count_distinct_columns",
         "global_memo_stats",
         "clear_global_memo",
+        "index_masks",
         "pack_pair",
         "var_masks",
     ),
@@ -36,6 +37,7 @@ __all__ = [
     "count_distinct_columns",
     "global_memo_stats",
     "clear_global_memo",
+    "index_masks",
     "pack_pair",
     "var_masks",
 ]

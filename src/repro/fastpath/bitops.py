@@ -69,6 +69,7 @@ __all__ = [
     "count_distinct_columns",
     "global_memo_stats",
     "clear_global_memo",
+    "index_masks",
     "pack_pair",
     "var_masks",
 ]
@@ -105,17 +106,21 @@ _REPS: Dict[Tuple[int, int], int] = {}
 def var_masks(n: int, p: int) -> Tuple[int, int]:
     """Masks selecting minterms with index bit ``p`` = 0 / 1 (cached)."""
     cached = _MASKS.get((n, p))
-    if cached is not None:
-        return cached
+    if cached is None:
+        cached = _MASKS[(n, p)] = index_masks(n, p)
+    return cached
+
+
+def index_masks(n: int, p: int) -> Tuple[int, int]:
+    """:func:`var_masks` without the cache, for a caller that must not
+    keep the tables (the exhaustive equivalence check)."""
     total = 1 << n
     m0 = (1 << (1 << p)) - 1
     filled = 1 << (p + 1)
     while filled < total:
         m0 |= m0 << filled
         filled <<= 1
-    m1 = m0 << (1 << p)
-    _MASKS[(n, p)] = (m0, m1)
-    return m0, m1
+    return m0, m0 << (1 << p)
 
 
 def _swap_bits(bits: int, n: int, j: int, k: int) -> int:

@@ -628,6 +628,13 @@ def _splice(dest: Network, fragment: Network, prefix: str) -> Dict[str, str]:
     return rename
 
 
+def _record_path(span_, check: Verdict, golden: Network) -> None:
+    """Name the exact path ``check`` took and the interface width on an
+    open span (``None`` while tracing is off)."""
+    if span_ is not None and check.path is not None:
+        span_.attrs.update(path=check.path, width=len(golden.inputs))
+
+
 def _finish(
     net: Network,
     result: Network,
@@ -662,9 +669,10 @@ def _finish(
     executed = run_report.executed if run_report is not None else 0
     engine = "bdd" if replayed and verify in ("sim", "none") else verify
     check = Verdict(None)
-    with obs.span("verify", manager=manager):
+    with obs.span("verify", manager=manager) as span_:
         if engine != "none":
             check = verdict(net, result, engine)
+            _record_path(span_, check, net)
     journal_info = None
     if journal is not None:
         if check.cone is not None:

@@ -68,7 +68,12 @@ from ..runstate import (
     graceful_shutdown,
     task_key,
 )
-from .hyde import _network_depth, build_group_fragment, per_output_fragment
+from .hyde import (
+    _network_depth,
+    _record_path,
+    build_group_fragment,
+    per_output_fragment,
+)
 from .lut import cleanup_for_lut_count, count_luts
 
 __all__ = [
@@ -632,8 +637,10 @@ def check_fragment(
     ``journal``, journals it as a ``failing_cone`` event so the
     rejection stays diagnosable after the ladder has papered over it.
     """
-    with obs.span("check", gi=task.gi, engine=engine or "structural"):
-        return _check_fragment(task, blif, engine, journal)
+    with obs.span(
+        "check", gi=task.gi, engine=engine or "structural"
+    ) as span_:
+        return _check_fragment(task, blif, engine, journal, span_)
 
 
 def _check_fragment(
@@ -641,6 +648,7 @@ def _check_fragment(
     blif,
     engine: Optional[str],
     journal: Optional[RunJournal],
+    span_,
 ) -> Optional[str]:
     if not isinstance(blif, str):
         return "corrupt_reply: no fragment BLIF"
@@ -659,6 +667,7 @@ def _check_fragment(
         check = verdict(cone, fragment, engine)
     except ValueError as exc:
         return f"corrupt_reply: {exc}"
+    _record_path(span_, check, cone)
     if check.failing is None:
         return None
     if journal is not None and check.cone is not None:

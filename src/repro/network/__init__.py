@@ -13,6 +13,7 @@ __getattr__ = lazy_exports(__name__, globals(), {
         "EquivalenceError",
         "Verdict",
         "check_equivalence",
+        "exact_path",
         "simulate_equivalence",
         "verdict",
     ),
@@ -45,6 +46,7 @@ __all__ = [
     "GlobalBdds",
     "build_global_bdds",
     "check_equivalence",
+    "exact_path",
     "simulate_equivalence",
     "verdict",
     "Verdict",

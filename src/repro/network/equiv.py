@@ -5,8 +5,12 @@ the mapping flows' finish step, the task runner's fragment validator,
 ``repro verify``, ``repro exact -o`` and the extraction pass.  It
 dispatches to one of three engines:
 
-* ``"bdd"`` — exact: both networks' global BDDs in one manager
-  (:func:`check_equivalence`; the default).
+* ``"bdd"`` — exact (:func:`check_equivalence`; the default).  Up to
+  :data:`~repro.fastpath.bitops.DEFAULT_MAX_WIDTH` golden inputs it
+  compares exhaustive packed truth tables
+  (:mod:`repro.network.exhaustive`, imported on first use); wider
+  interfaces build both networks' global BDDs in one manager.
+  :func:`exact_path` is where that choice is made.
 * ``"sim"`` — a bit-parallel random-simulation screen, sound for
   *dis*proving equivalence only (:func:`simulate_equivalence`).
 * ``"finegrain"`` — exact as well, and a failure is localized to the
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
+from ..fastpath import bitops
 from .globalbdd import GlobalBdds
 from .netlist import Network
 from .simulate import random_vectors, simulate_vectors
@@ -28,6 +33,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "check_equivalence",
+    "exact_path",
     "simulate_equivalence",
     "pad_inputs",
     "verdict",
@@ -52,13 +58,40 @@ def _common_io(a: Network, b: Network) -> Tuple[List[str], List[str]]:
     return a.inputs, a.output_names
 
 
-def check_equivalence(a: Network, b: Network) -> Optional[str]:
-    """Exact BDD equivalence check.
+def exact_path(golden: Network) -> str:
+    """How the exact check compares against ``golden``: ``"packed"``
+    (exhaustive truth tables) up to
+    :data:`~repro.fastpath.bitops.DEFAULT_MAX_WIDTH` inputs, else
+    ``"bdd"`` (global BDDs)."""
+    if len(golden.inputs) <= bitops.DEFAULT_MAX_WIDTH:
+        return "packed"
+    return "bdd"
+
+
+def check_equivalence(
+    a: Network, b: Network, path: Optional[str] = None
+) -> Optional[str]:
+    """Exact equivalence check of ``b`` against ``a``.
 
     Returns ``None`` when all outputs match, otherwise the name of the
-    first differing output.
+    first differing output in ``a``'s order.  ``path`` (``None``: the
+    one :func:`exact_path` picks for ``a``) forces ``"packed"`` (up to
+    :data:`~repro.fastpath.bitops.HARD_MAX_WIDTH` inputs) or ``"bdd"``;
+    it is the seam the differential tests use to compare the two.
     """
     _, outputs = _common_io(a, b)
+    if path is None:
+        path = exact_path(a)
+    if path == "packed":
+        if len(a.inputs) > bitops.HARD_MAX_WIDTH:
+            raise ValueError(
+                f"{len(a.inputs)} inputs is too many for the packed check"
+            )
+        from .exhaustive import packed_failing
+
+        return packed_failing(a, b)
+    if path != "bdd":
+        raise ValueError(f"unknown exact path {path!r}")
     pi_order = a.inputs
     ga = GlobalBdds(a, pi_order)
     # Both sides must live in ONE manager: node ids are only canonical
@@ -109,11 +142,12 @@ class Verdict(NamedTuple):
     ``failing`` is the first output, in the golden network's order, that
     differs (``None`` when none does); ``report`` is the
     :class:`~repro.verify.FinegrainReport` under the ``finegrain``
-    engine.
+    engine; ``path`` is the :func:`exact_path` the ``bdd`` engine took.
     """
 
     failing: Optional[str]
     report: Optional["FinegrainReport"] = None
+    path: Optional[str] = None
 
     @property
     def cone(self) -> Optional["FailingCone"]:
@@ -149,7 +183,9 @@ def verdict(
     """
     mapped = pad_inputs(mapped, golden)
     if engine == "bdd":
-        return Verdict(check_equivalence(golden, mapped))
+        return Verdict(
+            check_equivalence(golden, mapped), path=exact_path(golden)
+        )
     if engine == "sim":
         return Verdict(simulate_equivalence(
             golden, mapped, num_vectors=num_vectors or 1024, seed=seed

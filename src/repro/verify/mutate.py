@@ -18,7 +18,8 @@ taxonomy mirrors the ways a mapping bug actually corrupts a LUT network:
 Every sampled mutation is *semantic at the node*: the local function is
 guaranteed to change.  It may still be masked globally (the fault site
 can be observably redundant), which is why :func:`self_validate` computes
-the ground truth with the monolithic BDD check and demands the
+the ground truth with the exact whole-network check
+(:func:`~repro.network.check_equivalence`) and demands the
 fine-grained checker agree with it exactly — detected faults must be
 localized to a cone containing the mutated node with a counterexample
 that simulation confirms, and masked faults must *not* raise alarms.
@@ -254,7 +255,7 @@ def self_validate(
 ) -> MutationReport:
     """Prove the checker on ``num_mutants`` injected faults in ``net``.
 
-    Ground truth per mutant comes from the monolithic BDD check; the
+    Ground truth per mutant comes from the exact whole-network check; the
     fine-grained checker must agree exactly, localize every real fault to
     a cone containing the mutated node, and back it with a
     simulation-confirmed counterexample.

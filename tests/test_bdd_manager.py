@@ -443,14 +443,17 @@ class TestScratch:
                 raise KeyError("boom")
         assert manager_state(m) == before
 
-    def test_keep_and_nesting(self):
+    def test_nesting(self):
         m, f, _ = self.busy_manager()
         before = manager_state(m)
         with m.scratch():
-            with m.scratch() as inner:
-                kept = m.apply_or(f, m.var_at_level(7))
-                inner.keep()
-            assert m.size(kept) > 0 and m.num_nodes > before["nodes"][0]
+            outer = m.apply_or(f, m.var_at_level(7))
+            inside = manager_state(m)
+            assert m.num_nodes > before["nodes"][0]
+            with m.scratch():
+                assert m.apply_and(outer, m.var_at_level(6)) not in (0, 1)
+            assert manager_state(m) == inside
+            assert m.size(outer) > 0
         assert manager_state(m) == before
 
     def test_compact_and_clear_caches_raise_inside(self):

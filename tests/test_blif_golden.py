@@ -184,11 +184,11 @@ COUNTERS = (
 MEDIUM_GOLDEN = {
     ("apex7", "area"): (
         "0b71d67daf6078e769bb14228319af060b02152bc4a6fe605706e92c3b701aa2",
-        305_098, 626_418, 974, 13_731, 3, 167_265,
+        303_101, 601_784, 974, 13_731, 3, 167_265,
     ),
     ("apex7", "delay"): (
         "cc85bdf1fc54fc75b655c686cd869f517896705e3bad5b83f84b0e50b83f0158",
-        305_947, 617_582, 1_118, 14_111, 4, 167_265,
+        304_044, 592_996, 1_118, 14_111, 4, 167_265,
     ),
     ("count", "area"): (
         "4c682da4ab24b85afe325fee296b1c9fa87199388cd742b403be75fc8c70ac73",
@@ -196,23 +196,23 @@ MEDIUM_GOLDEN = {
     ),
     ("count", "delay"): (
         "89d4a16c1ed6fdbcfb4a844d48943e708fef80987a4f2b12dd2c486e6a509e03",
-        73_836, 187_934, 1_073, 13_745, 2, 17_478,
+        73_476, 187_342, 1_073, 13_745, 2, 17_478,
     ),
     ("duke2", "area"): (
         "dd61d97874bd2083ad87f368716d84a3c997dd36a3c53b44f65f61a6c620392d",
-        78_299, 150_836, 848, 13_099, 9, 66_687,
+        57_431, 100_786, 848, 13_099, 9, 46_243,
     ),
     ("duke2", "delay"): (
         "dd61d97874bd2083ad87f368716d84a3c997dd36a3c53b44f65f61a6c620392d",
-        51_164, 115_940, 504, 9_754, 7, 39_965,
+        30_748, 61_170, 504, 9_754, 7, 22_031,
     ),
     ("misex2", "area"): (
         "2d8a8b9826ceef9e201eb4a0cb86fbb0289902bede610bc526a6d18479f5eab2",
-        192_721, 763_064, 376, 5_652, 1, 68_985,
+        47_538, 163_694, 376, 5_652, 1, 37_839,
     ),
     ("misex2", "delay"): (
         "b085abbde06ce0922d4bd74d97b2536557f77e4ec93215f9c7ea2747186eaabb",
-        196_336, 771_762, 312, 6_505, 8, 68_985,
+        45_815, 160_122, 312, 6_505, 8, 37_097,
     ),
 }
 

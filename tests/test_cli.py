@@ -219,6 +219,54 @@ class TestBadFlagValues:
         assert proc.stderr.startswith(f"error: {flag}: bad ")
         assert len(proc.stderr.splitlines()) == 1
 
+    def test_timeout_must_be_above_zero(self, capsys):
+        # submit and health used to end in a socket traceback.
+        for argv in (
+            ["map", "z4ml", "--timeout", "-1"],
+            ["stats", "z4ml", "--timeout", "0"],
+            ["submit", "z4ml", "--port", "1", "--timeout", "-1"],
+            ["health", "--port", "1", "--timeout", "0"],
+        ):
+            with pytest.raises(SystemExit) as exit_:
+                main(argv)
+            assert exit_.value.code == 2, argv
+            assert "argument --timeout: must be above 0" in (
+                capsys.readouterr().err
+            )
+
+    def test_jobs_must_be_at_least_one(self, tmp_path, capsys):
+        store = tmp_path / "store.db"
+        for argv in (
+            ["map", "z4ml", "--jobs", "0"],
+            ["blif", Z4ML, "--jobs", "-1"],
+            ["stats", "z4ml", "--jobs", "0"],
+            ["serve", "--store", str(store), "--jobs", "0"],
+        ):
+            with pytest.raises(SystemExit) as exit_:
+                main(argv)
+            assert exit_.value.code == 2, argv
+            assert "argument --jobs: must be at least 1" in (
+                capsys.readouterr().err
+            )
+        assert not store.exists()
+
+    def test_retries_must_not_be_negative(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["map", "z4ml", "--retries", "-1"])
+        assert exit_.value.code == 2
+        assert "argument --retries: must be at least 0" in (
+            capsys.readouterr().err
+        )
+        assert main(["map", "z4ml", "--retries", "0"]) == 0
+
+    def test_max_bdd_nodes_must_be_at_least_one(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["map", "z4ml", "--max-bdd-nodes", "0"])
+        assert exit_.value.code == 2
+        assert "argument --max-bdd-nodes: must be at least 1" in (
+            capsys.readouterr().err
+        )
+
     def test_budget_trip_without_a_policy(self):
         proc = run_cli("map", "5xp1", "--max-bdd-nodes", "10")
         assert proc.returncode == 1

@@ -89,7 +89,8 @@ class TestBddBudget:
         # The serial flow compacts its manager between groups (here
         # before every group but the first); the node budget still
         # counts every node allocated, so a later group trips it at the
-        # same allocation an uncompacted manager would.
+        # same allocation an uncompacted manager would.  5xp1's groups
+        # leave little behind, so compaction drops most of its nodes.
         from repro.fastpath import bitops
         from repro.mapping import hyde
 
@@ -102,7 +103,7 @@ class TestBddBudget:
             return compact(manager, roots)
 
         monkeypatch.setattr(BddManager, "compact", counted)
-        net = build("misex1")
+        net = build("5xp1")
         bitops.clear_global_memo()
         perf = hyde_map(net, 4, verify="none").details["perf"]
         allocated = perf["nodes_allocated"] + 2  # the terminals too

@@ -394,6 +394,32 @@ class TestCli:
         ) == 0
         assert "trace ok" in capsys.readouterr().out
 
+    def test_trace_names_the_exact_path_and_width(self, tmp_path, capsys):
+        from repro.cli import main
+
+        def attrs_of(path, name):
+            return [
+                record.get("attrs") or {}
+                for record in read_trace(path)
+                if record.get("name") == name
+            ]
+
+        # b9 has 41 inputs: the whole-network check builds global BDDs,
+        # while its portfolio fragments' cones are narrow enough to pack.
+        path = str(tmp_path / "b9.jsonl")
+        assert main(["map", "b9", "--portfolio", "--trace", path]) == 0
+        assert attrs_of(path, "verify") == [{"path": "bdd", "width": 41}]
+        checks = attrs_of(path, "check")
+        assert checks and any(a["path"] == "packed" for a in checks)
+        for attrs in checks:
+            wide = attrs["width"] > 20
+            assert attrs["path"] == ("bdd" if wide else "packed")
+        path = str(tmp_path / "z4ml.jsonl")
+        assert main(["map", "z4ml", "--trace", path]) == 0
+        assert attrs_of(path, "verify") == [{"path": "packed", "width": 7}]
+        assert main(["map", "z4ml", "--verify", "sim", "--trace", path]) == 0
+        assert attrs_of(path, "verify") == [{}]
+
     def test_stats_reports_nodes_allocated(self, capsys):
         from repro.cli import main
 

@@ -130,29 +130,67 @@ def random_sop(seed: int, width: int, cubes: int):
     return m, f
 
 
+def sop_draft(seed: int):
+    """A manager and a draft image whose α levels sit at the bottom of
+    the order: 6-9 random sums of products over 14 variables, encoded
+    canonically, as the encoder's Step 1 builds it."""
+    from repro.bdd import FALSE, build_cube
+    from repro.decompose import Column, build_image_function, canonical_codes
+    from repro.decompose.varpart import alpha_count
+
+    rng = random.Random(seed)
+    width = 14
+    m = BddManager(width)
+    functions = []
+    for _ in range(rng.randint(6, 9)):
+        f = FALSE
+        for _ in range(8):
+            levels = rng.sample(range(width), rng.randint(2, 5))
+            cube = build_cube(m, {lv: rng.randint(0, 1) for lv in levels})
+            f = m.apply_or(f, cube)
+        functions.append(Column(f, FALSE))
+    t = alpha_count(len(functions))
+    alpha_levels = [width + a for a in range(t)]
+    for _ in alpha_levels:
+        m.add_var()
+    codes = canonical_codes(len(functions), t)
+    return m, build_image_function(m, alpha_levels, codes, functions).on
+
+
 class TestShannonRanking:
+    """The ranking counts every split exactly, builds nothing, and
+    picks the first minimum in support order, at every width."""
+
+    @staticmethod
+    def check(build):
+        from repro.decompose.recursive import _shannon_variable
+
+        m, f = build()
+        support = m.support(f)
+        before = (m.num_nodes, m.perf.nodes_allocated, m.perf.cofactor_calls)
+        sizes = m.split_sizes(f, support)
+        chosen = _shannon_variable(m, f, support)
+        assert (
+            m.num_nodes, m.perf.nodes_allocated, m.perf.cofactor_calls
+        ) == before
+        ref, g = build()
+        expected = [
+            ref.size(ref.cofactor(g, lv, 0)) + ref.size(ref.cofactor(g, lv, 1))
+            for lv in support
+        ]
+        assert sizes == expected
+        assert chosen == min(support, key=dict(zip(support, expected)).get)
+        return support
+
     @pytest.mark.parametrize("seed", range(5))
     def test_wide_ranking_matches_the_unscoped_one(self, seed):
-        from repro.decompose.recursive import _shannon_variable
+        assert len(self.check(lambda: random_sop(seed, 24, 20))) > 20
 
-        m, f = random_sop(seed, 24, 20)
-        support = m.support(f)
-        assert len(support) > 20
-        nodes, allocated = m.num_nodes, m.perf.nodes_allocated
-        chosen = _shannon_variable(m, f, support)
-        # Each variable was measured in its own scope: nothing is kept.
-        assert m.num_nodes == nodes and m.perf.nodes_allocated > allocated
-        ref, g = random_sop(seed, 24, 20)
-        assert chosen == min(
-            support,
-            key=lambda lv: ref.size(ref.cofactor(g, lv, 0))
-            + ref.size(ref.cofactor(g, lv, 1)),
-        )
+    @pytest.mark.parametrize("width", [10, 14, 18, 20, 21, 24])
+    def test_counts_equal_the_reference_sizes(self, width):
+        self.check(lambda: random_sop(width, width, width))
 
-    def test_narrow_ranking_keeps_its_cofactors(self):
-        from repro.decompose.recursive import _shannon_variable
-
-        m, f = random_sop(0, 12, 10)
-        nodes = m.num_nodes
-        _shannon_variable(m, f, m.support(f))
-        assert m.num_nodes > nodes
+    @pytest.mark.parametrize("seed", range(3))
+    def test_draft_image_with_alpha_levels_at_the_bottom(self, seed):
+        support = self.check(lambda: sop_draft(seed))
+        assert max(support) >= 14  # an α level splits the image

@@ -7,7 +7,10 @@ Two gates, both over real mapped networks:
    seeded random networks; the fine-grained checker must detect every
    non-masked fault, localize it to a cone containing the mutated node,
    and back it with a simulation-confirmed counterexample — and must
-   stay silent on masked faults.
+   stay silent on masked faults.  The ground truth is the exact check,
+   which takes the packed path up to 20 inputs; there every mutant is
+   checked on the BDD path too, and the two must name the same failing
+   output.
 2. **Metamorphic fuzz** — ``VERIFY_FUZZ_SEEDS`` (default 12) seeded
    random networks through hyde and per-output flows under input
    permutation, node-order shuffling and output negation; every variant
@@ -27,9 +30,14 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.circuits import CIRCUITS, build  # noqa: E402
 from repro.mapping import hyde_map, map_per_output  # noqa: E402
-from repro.network import read_blif  # noqa: E402
+from repro.network import (  # noqa: E402
+    check_equivalence,
+    exact_path,
+    read_blif,
+)
 from repro.testing import save_repro  # noqa: E402
 from repro.verify import (  # noqa: E402
+    apply_mutation,
     metamorphic_check,
     mutation_failures,
     random_network,
@@ -53,6 +61,25 @@ def _subjects():
         yield f"random{seed}", random_network(seed)
 
 
+def path_disagreements(golden, report) -> list:
+    """The report's mutants on which the packed and the BDD path of the
+    exact check name different failing outputs (none over 20 inputs,
+    where the ground truth already came from the BDD path)."""
+    if exact_path(golden) != "packed":
+        return []
+    problems = []
+    for outcome in report.outcomes:
+        mutant = apply_mutation(golden, outcome.mutation)
+        packed = check_equivalence(golden, mutant, "packed")
+        bdd = check_equivalence(golden, mutant, "bdd")
+        if packed != bdd:
+            problems.append(
+                f"exact paths disagree (packed {packed!r}, bdd {bdd!r}): "
+                f"{outcome.mutation.describe()}"
+            )
+    return problems
+
+
 def run_mutation_gate() -> int:
     subjects = list(_subjects())
     share, extra = divmod(TOTAL_MUTANTS, len(subjects))
@@ -72,9 +99,12 @@ def run_mutation_gate() -> int:
         detected += report.detected
         masked += report.masked
         print(f"[mutation] {name}: {report.summary()}")
-        if not report.ok:
+        problems = mutation_failures(report) + path_disagreements(
+            mapped, report
+        )
+        if problems:
             failures += 1
-            for problem in mutation_failures(report):
+            for problem in problems:
                 print(f"  !! {problem}")
             save_repro(
                 mapped,
@@ -83,7 +113,7 @@ def run_mutation_gate() -> int:
                 note=(
                     f"checker self-validation failed on this mapped "
                     f"network (seed {1000 + index}):\n"
-                    + "\n".join(mutation_failures(report))
+                    + "\n".join(problems)
                 ),
             )
     print(
